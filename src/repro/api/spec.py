@@ -232,15 +232,14 @@ class AllocatorSpec:
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """Which serving-engine core drives the experiment.
+    """How far the serving loop may jump per iteration.
 
-    ``"scalar"`` (the default) is the reference
-    :class:`~repro.serving.engine.ServingEngine`, advancing one latency
-    evaluation per Python iteration.  ``"fast"`` is the vectorized
-    :class:`~repro.serving.fast_engine.FastServingEngine`, which jumps
-    whole spans of uneventful decode evaluations at once; it is pinned
-    bit-for-bit against the scalar core by the parity suite, so the two
-    modes report identical metrics and differ only in wall-clock cost.
+    Both modes run the one :meth:`~repro.serving.engine.ServingEngine.run`
+    loop.  ``"scalar"`` (the default) caps its spans at one decode
+    evaluation per Python iteration; ``"fast"``
+    (:class:`~repro.serving.fast_engine.FastServingEngine`) lets it jump
+    whole spans of uneventful evaluations at once.  The two modes report
+    identical metrics and differ only in wall-clock cost.
     """
 
     mode: str = "scalar"

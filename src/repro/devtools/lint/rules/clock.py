@@ -1,6 +1,6 @@
 """RPR005: clock state is written only inside designated advance methods.
 
-Both serving engines advance one simulation clock, and every latency
+The serving engine advances one simulation clock, and every latency
 metric in a report is an arithmetic consequence of those advances.  A
 clock write hidden in a helper (``self.now = ...`` inside an admission
 hook, say) silently forks simulated time from the engine's event

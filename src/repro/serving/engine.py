@@ -37,6 +37,12 @@ picks a victim to page out (``evict-lru`` / ``evict-largest`` /
 with their saved state; swap or recompute costs are charged to the clock
 and surfaced as preemption metrics on :class:`EngineResult`.
 
+Between event points the loop may advance a *span* of several uneventful
+decode evaluations in one iteration, up to the class-level
+:attr:`ServingEngine.span_limit`.  The limit is one here, so every
+iteration prices a single evaluation; ``FastServingEngine`` raises it (see
+:mod:`repro.serving.fast_engine` for why spans leave every result exact).
+
 A trace whose requests all arrive at time 0 and fit the context window
 (``prompt + output <= max_context_tokens``) served under FCFS reproduces
 the legacy loop's arithmetic exactly (same admissions, same strides, same
@@ -48,9 +54,14 @@ past its own reservation, which could exhaust the allocator mid-decode.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import ClassVar
 
+import numpy as np
+
+from repro.memory.chunked_alloc import ChunkedAllocator
 from repro.memory.lifecycle import CapacityExceeded, PreemptedState
 from repro.memory.static_alloc import AllocationError
 from repro.pim.simulator import ZERO_BREAKDOWN
@@ -59,6 +70,7 @@ from repro.serving.interfaces import (
     DecodeSystem,
     KVLifecycle,
     ServingResult,
+    StepResult,
     allocator_for,
 )
 from repro.serving.latency_cache import StepLatencyCache
@@ -67,6 +79,9 @@ from repro.serving.preemption import PreemptionCandidate, PreemptionConfig
 from repro.serving.prefill import PrefillConfig
 from repro.serving.prefix_cache import PrefixCache
 from repro.workloads.traces import RequestTrace
+
+#: Floor of the adaptive span-length hint.
+_MIN_HINT = 16
 
 
 @dataclass
@@ -215,6 +230,10 @@ class ServingEngine:
     #: of a fresh ``reserve``; admission gating is unchanged, so colocated
     #: runs (``None``) are untouched.
     kv_handoff: dict[int, PreemptedState] | None = None
+    #: Most decode evaluations ``run`` may advance in one uneventful span.
+    #: One makes every iteration a single evaluation (``engine.mode=scalar``);
+    #: :class:`~repro.serving.fast_engine.FastServingEngine` raises it.
+    span_limit: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         if self.step_stride < 1:
@@ -486,6 +505,76 @@ class ServingEngine:
                 preempted.append(_PreemptedRequest(entry=victim, state=state))
                 preempted_now.add(victim_id)
 
+    def _price(self, contexts: list[int]) -> StepResult:
+        """Price one decode evaluation, through the latency cache if attached."""
+        if self.latency_cache is not None:
+            return self.latency_cache.evaluate(self.system, contexts)
+        return self.system.decode_step(contexts)
+
+    def _finish(
+        self,
+        entry: _ActiveRequest,
+        active: dict[int, _ActiveRequest],
+        allocator: KVLifecycle,
+        tracker: LifecycleTracker,
+        clock: float,
+    ) -> None:
+        """Retire a request whose last token was generated at ``clock``."""
+        allocator.release(entry.request_id)
+        del active[entry.request_id]
+        tracker.on_finish(entry.request_id, clock)
+        if self.prefix_cache is not None and entry.session is not None:
+            # Retain the turn's full context as the session's reusable prefix.
+            self.prefix_cache.insert(entry.session, entry.context)
+
+    def _span_capacity_cap(
+        self,
+        allocator: ChunkedAllocator,
+        decoding: list[_ActiveRequest],
+        stride: int,
+        n_max: int,
+    ) -> int:
+        """Longest prefix of ``n_max`` uniform grows provably free of failure.
+
+        Under the incremental lifecycle contract a chunked allocator may
+        raise ``CapacityExceeded`` mid-span.  Total committed demand after
+        evaluation ``j`` is ``sum_i max(committed_i, chunks_needed(c_i +
+        (j+1) * stride))`` plus the (constant) commitment of non-decoding
+        requests; it is monotone in ``j`` and bounds every intra-evaluation
+        prefix state, so all grows through evaluation ``j`` succeed iff the
+        end-of-``j`` total fits ``total_chunks``.  Returns 0 when even the
+        first evaluation may fail (the caller then runs the single-evaluation
+        grow-or-evict path).
+        """
+        bytes_per_token = allocator.bytes_per_token
+        chunk_bytes = allocator.chunk_bytes
+        total = allocator.total_chunks
+        committed = np.array(
+            [allocator.committed_chunks_for(entry.request_id) for entry in decoding],
+            dtype=np.int64,
+        )
+        contexts = np.array([entry.context for entry in decoding], dtype=np.int64)
+        other = allocator.committed_chunk_count - int(committed.sum())
+
+        def fits_through(j: int) -> bool:
+            tokens = contexts + (j + 1) * stride
+            need = (tokens * bytes_per_token + chunk_bytes - 1) // chunk_bytes
+            return int(np.maximum(need, committed).sum()) + other <= total
+
+        if fits_through(n_max - 1):
+            return n_max
+        if not fits_through(0):
+            return 0
+        # Largest n with fits_through(n - 1); demand is monotone in j.
+        lo, hi = 1, n_max - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if fits_through(mid):
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
     # -- main loop ---------------------------------------------------------
 
     def run(self, trace: RequestTrace, system_name: str = "") -> EngineResult:
@@ -503,6 +592,7 @@ class ServingEngine:
         active: dict[int, _ActiveRequest] = {}
         preempted: deque[_PreemptedRequest] = deque()
         lifecycle = self.lifecycle_admission
+        chunked_lifecycle = lifecycle and isinstance(allocator, ChunkedAllocator)
         preemption_count = 0
         preemption_overhead_s = 0.0
         # Preemption terminates (each eviction lets the grower advance and
@@ -520,6 +610,7 @@ class ServingEngine:
                 ttft_deadline_s=candidate.request.ttft_deadline_s,
                 tpot_deadline_s=candidate.request.tpot_deadline_s,
             )
+        records = tracker.records
 
         clock = 0.0
         busy_seconds = 0.0
@@ -533,11 +624,26 @@ class ServingEngine:
             cache_misses_before = self.latency_cache.misses
         prefix_before = self.prefix_cache.stats() if self.prefix_cache is not None else None
         peak_batch = 0
-        batch_samples: list[int] = []
-        utilization_samples: list[float] = []
-        capacity_samples: list[float] = []
+        # Running sums of the per-evaluation samples, accumulated one
+        # evaluation at a time so a span adds exactly what its evaluations
+        # would have added one by one.
+        batch_sum = 0.0
+        eval_count = 0
+        utilization_sum = 0.0
+        capacity_sum = 0.0
+        capacity_count = 0
         attention_total = ZERO_BREAKDOWN
         fc_total = ZERO_BREAKDOWN
+
+        span_fn = getattr(self.system, "decode_span", None)
+        if self.latency_cache is not None:
+            span_fn = None  # cache counters require per-evaluation pricing
+        # Per-evaluation PIM utilization of a span step: a constant of the
+        # system (0.0 for xpu-only, 1.0 for TCP PIM).
+        span_util = getattr(self.system, "decode_span_utilization", 0.0)
+        span_hint = 64
+        capacity_bytes = allocator.capacity_bytes
+        cap_enabled = capacity_bytes > 0
 
         # An admission round is a complete pass: every remaining candidate
         # was rejected against the round's final state, and capacity only
@@ -646,6 +752,13 @@ class ServingEngine:
                 clock = next_event
                 continue
 
+            # -- stride and span planning ---------------------------------
+            # How many uniform evaluations can run before anything *can*
+            # change batch membership?  Completions bound the count (and may
+            # only land on the span's final evaluation); possible chunked
+            # grow failures force a single evaluation; arrival / prefill-ready
+            # crossings truncate during execution.
+            n_plan = 1
             if prefill_tokens_processed:
                 # While prompt work is pending, decode and prefill must
                 # advance at the same granularity: one chunk per decode
@@ -654,97 +767,220 @@ class ServingEngine:
                 # (and TTFT) depend on the accuracy knob.
                 stride = 1
             else:
-                stride = min(self.step_stride, min(entry.remaining for entry in decoding))
-            contexts = [entry.context for entry in decoding]
-            if self.latency_cache is not None:
-                step = self.latency_cache.evaluate(self.system, contexts)
-            else:
-                step = self.system.decode_step(contexts)
+                min_remaining = min(entry.remaining for entry in decoding)
+                stride = min(self.step_stride, min_remaining)
+                if stride == self.step_stride:
+                    n_plan = min(min_remaining // stride, span_hint, self.span_limit)
+                    if n_plan > 1 and chunked_lifecycle:
+                        n_plan = self._span_capacity_cap(allocator, decoding, stride, n_plan)
 
-            busy_seconds += step.seconds * stride + prefill_step_seconds
-            clock += step.seconds * stride + prefill_step_seconds
-            total_tokens += len(decoding) * stride
-            steps += stride
-            batch_samples.append(len(decoding))
-            utilization_samples.append(step.pim_utilization)
-            peak_batch = max(peak_batch, len(decoding))
-            attention_total = attention_total + step.attention_breakdown.scaled(stride)
-            fc_total = fc_total + step.fc_breakdown.scaled(stride)
-            if allocator.capacity_bytes > 0:
-                # Fraction of the KV-cache capacity holding live tokens (the
-                # Fig. 19 metric): static reservations waste the gap between
-                # the actual and the maximum context; DPA only loses
-                # admission headroom and last-chunk fragmentation.
-                capacity_samples.append(allocator.used_bytes / allocator.capacity_bytes)
+            if n_plan <= 1:
+                # -- single evaluation (an event is possible) -------------
+                step = self._price([entry.context for entry in decoding])
+                busy_seconds += step.seconds * stride + prefill_step_seconds
+                clock += step.seconds * stride + prefill_step_seconds
+                total_tokens += len(decoding) * stride
+                steps += stride
+                batch_sum += float(len(decoding))
+                eval_count += 1
+                utilization_sum += step.pim_utilization
+                peak_batch = max(peak_batch, len(decoding))
+                attention_total = attention_total + step.attention_breakdown.scaled(stride)
+                fc_total = fc_total + step.fc_breakdown.scaled(stride)
+                if cap_enabled:
+                    # Fraction of the KV-cache capacity holding live tokens
+                    # (the Fig. 19 metric): static reservations waste the gap
+                    # between the actual and the maximum context; DPA only
+                    # loses admission headroom and last-chunk fragmentation.
+                    capacity_sum += allocator.used_bytes / capacity_bytes
+                    capacity_count += 1
+
+                if lifecycle:
+                    # Incremental contract: grow each request chunk by chunk,
+                    # resolving CapacityExceeded by evicting victims.
+                    # Finished requests release immediately so later growers
+                    # in the same stride see the freed chunks before
+                    # resorting to eviction.
+                    finished_any = False
+                    preempted_now: set[int] = set()
+                    evict_overhead_s = 0.0
+                    lost_tokens = 0
+                    for entry in decoding:
+                        if entry.request_id in preempted_now:
+                            # Evicted by an earlier grower this stride: the
+                            # batch-wide token count charged above never
+                            # materialised for this request.
+                            lost_tokens += stride
+                            continue
+                        evict_overhead_s += self._grow_or_evict(
+                            entry,
+                            stride,
+                            active,
+                            allocator,
+                            tracker,
+                            clock,
+                            preempted,
+                            preempted_now,
+                        )
+                        entry.context += stride
+                        entry.remaining -= stride
+                        entry.last_step_s = clock
+                        tracker.on_tokens(entry.request_id, stride, clock, step.seconds)
+                        if entry.remaining <= 0:
+                            self._finish(entry, active, allocator, tracker, clock)
+                            finished_any = True
+                    total_tokens -= lost_tokens
+                    preemption_count += len(preempted_now)
+                    if preemption_count > preemption_budget:
+                        raise AllocationError(
+                            f"{preemption_count} preemptions exceed the livelock "
+                            f"guard ({preemption_budget}); the policy "
+                            f"{self.preemption.policy.name!r} is thrashing"
+                        )
+                    if evict_overhead_s:
+                        busy_seconds += evict_overhead_s
+                        clock += evict_overhead_s
+                        preemption_overhead_s += evict_overhead_s
+                    if finished_any or preempted_now:
+                        admission_dirty = True
+                else:
+                    finished: list[_ActiveRequest] = []
+                    for entry in decoding:
+                        allocator.append_token(entry.request_id, stride)
+                        entry.context += stride
+                        entry.remaining -= stride
+                        tracker.on_tokens(entry.request_id, stride, clock, step.seconds)
+                        if entry.remaining <= 0:
+                            finished.append(entry)
+                    for entry in finished:
+                        self._finish(entry, active, allocator, tracker, clock)
+                    if finished:
+                        admission_dirty = True
+                continue
+
+            # -- span execution (n_plan >= 2 provably uneventful evals) ----
+            batch = len(decoding)
+            threshold = math.inf
+            if future:
+                threshold = future[0].arrival_s
+            if self.prefill is not None and len(decoding) < len(active):
+                # Only blocking-style prefill can park requests here: any
+                # pending chunked prefill forces a single evaluation above.
+                threshold = min(
+                    threshold,
+                    min(
+                        entry.ready_s
+                        for entry in active.values()
+                        if not entry.decode_ready(clock)
+                    ),
+                )
+
+            contexts = [entry.context for entry in decoding]
+            if cap_enabled:
+                used_bytes = allocator.used_bytes
+                used_increment = batch * stride * allocator.bytes_per_token
+
+            n_span = 0
+            first_eval_end = 0.0
+            first_eval_seconds = 0.0
+            if span_fn is not None:
+                # Closed-form systems: all latencies in one vectorized call,
+                # then a tight scalar loop for the (order-sensitive) float
+                # accumulation and the crossing check.  Spans of these
+                # systems carry zero breakdowns and a constant per-step
+                # utilization.
+                seconds = span_fn(contexts, stride, n_plan).tolist()
+                for j in range(n_plan):
+                    advance = seconds[j] * stride + prefill_step_seconds
+                    busy_seconds += advance
+                    clock += advance
+                    utilization_sum += span_util
+                    if cap_enabled:
+                        capacity_sum += (used_bytes + j * used_increment) / capacity_bytes
+                    if j == 0:
+                        first_eval_end = clock
+                    n_span = j + 1
+                    if clock >= threshold:
+                        break
+                first_eval_seconds = seconds[0]
+            else:
+                # Order-dependent systems (PIM pipelines) or an attached
+                # latency cache: price each evaluation individually but keep
+                # the per-request bookkeeping amortised over the span.
+                for j in range(n_plan):
+                    step = self._price(
+                        contexts if j == 0 else [context + stride * j for context in contexts]
+                    )
+                    advance = step.seconds * stride + prefill_step_seconds
+                    busy_seconds += advance
+                    clock += advance
+                    utilization_sum += step.pim_utilization
+                    attention_total = attention_total + step.attention_breakdown.scaled(stride)
+                    fc_total = fc_total + step.fc_breakdown.scaled(stride)
+                    if cap_enabled:
+                        capacity_sum += (used_bytes + j * used_increment) / capacity_bytes
+                    if j == 0:
+                        first_eval_seconds = step.seconds
+                        first_eval_end = clock
+                    n_span = j + 1
+                    if clock >= threshold:
+                        break
+
+            grown = stride * n_span
+            if cap_enabled:
+                capacity_count += n_span
+            eval_count += n_span
+            batch_sum += float(batch * n_span)
+            steps += grown
+            total_tokens += batch * grown
+            peak_batch = max(peak_batch, batch)
+            # Every request's first token, if it falls in this span, lands
+            # one decode step into the span's first stride.
+            first_token_s = first_eval_end - first_eval_seconds * (stride - 1)
 
             if lifecycle:
-                # Incremental contract: grow each request chunk by chunk,
-                # resolving CapacityExceeded by evicting victims.  Finished
-                # requests release immediately so later growers in the same
-                # stride see the freed chunks before resorting to eviction.
                 finished_any = False
-                preempted_now: set[int] = set()
-                evict_overhead_s = 0.0
-                lost_tokens = 0
                 for entry in decoding:
-                    if entry.request_id in preempted_now:
-                        # Evicted by an earlier grower this stride: the
-                        # batch-wide token count charged above never
-                        # materialised for this request.
-                        lost_tokens += stride
-                        continue
-                    evict_overhead_s += self._grow_or_evict(
-                        entry, stride, active, allocator, tracker, clock, preempted, preempted_now
-                    )
-                    entry.context += stride
-                    entry.remaining -= stride
+                    allocator.grow(entry.request_id, grown)
+                    entry.context += grown
+                    entry.remaining -= grown
                     entry.last_step_s = clock
-                    tracker.on_tokens(entry.request_id, stride, clock, step.seconds)
+                    record = records[entry.request_id]
+                    if record.generated == 0:
+                        record.first_token_s = first_token_s
+                    record.generated += grown
                     if entry.remaining <= 0:
-                        allocator.release(entry.request_id)
-                        del active[entry.request_id]
-                        tracker.on_finish(entry.request_id, clock)
-                        if self.prefix_cache is not None and entry.session is not None:
-                            # Retain the turn's full context as the
-                            # session's reusable prefix.
-                            self.prefix_cache.insert(entry.session, entry.context)
+                        self._finish(entry, active, allocator, tracker, clock)
                         finished_any = True
-                total_tokens -= lost_tokens
-                preemption_count += len(preempted_now)
-                if preemption_count > preemption_budget:
-                    raise AllocationError(
-                        f"{preemption_count} preemptions exceed the livelock "
-                        f"guard ({preemption_budget}); the policy "
-                        f"{self.preemption.policy.name!r} is thrashing"
-                    )
-                if evict_overhead_s:
-                    busy_seconds += evict_overhead_s
-                    clock += evict_overhead_s
-                    preemption_overhead_s += evict_overhead_s
-                if finished_any or preempted_now:
+                if finished_any:
                     admission_dirty = True
             else:
-                finished: list[_ActiveRequest] = []
+                finished = []
                 for entry in decoding:
-                    allocator.append_token(entry.request_id, stride)
-                    entry.context += stride
-                    entry.remaining -= stride
-                    tracker.on_tokens(entry.request_id, stride, clock, step.seconds)
+                    allocator.append_token(entry.request_id, grown)
+                    entry.context += grown
+                    entry.remaining -= grown
+                    record = records[entry.request_id]
+                    if record.generated == 0:
+                        record.first_token_s = first_token_s
+                    record.generated += grown
                     if entry.remaining <= 0:
                         finished.append(entry)
                 for entry in finished:
-                    allocator.release(entry.request_id)
-                    del active[entry.request_id]
-                    tracker.on_finish(entry.request_id, clock)
-                    if self.prefix_cache is not None and entry.session is not None:
-                        # Retain the turn's full context as the session's
-                        # reusable prefix.
-                        self.prefix_cache.insert(entry.session, entry.context)
+                    self._finish(entry, active, allocator, tracker, clock)
                 if finished:
                     admission_dirty = True
 
-        def _mean(samples: list[float]) -> float:
-            return sum(samples) / len(samples) if samples else 0.0
+            # Adapt the hint: grow after full spans, shrink after truncated
+            # ones.  Affects only how much latency work a crossing wastes,
+            # never any result.
+            if n_span >= n_plan:
+                span_hint = min(self.span_limit, span_hint * 2)
+            else:
+                span_hint = max(_MIN_HINT, 2 * n_span)
+
+        def _ratio(total: float, count: int) -> float:
+            return total / count if count else 0.0
 
         metadata: dict = {}
         if dropped:
@@ -779,10 +1015,10 @@ class ServingEngine:
             total_output_tokens=total_tokens,
             total_seconds=busy_seconds,
             steps=steps,
-            average_batch_size=_mean([float(sample) for sample in batch_samples]),
+            average_batch_size=_ratio(batch_sum, eval_count),
             peak_batch_size=peak_batch,
-            average_pim_utilization=_mean(utilization_samples),
-            average_capacity_utilization=_mean(capacity_samples),
+            average_pim_utilization=_ratio(utilization_sum, eval_count),
+            average_capacity_utilization=_ratio(capacity_sum, capacity_count),
             attention_breakdown=attention_total,
             fc_breakdown=fc_total,
             total_pim_channels=self.system.total_pim_channels,
@@ -792,27 +1028,21 @@ class ServingEngine:
             idle_seconds=idle_seconds,
             admission_policy=self.admission.name,
             latency=tracker.stats(),
-            request_records=tuple(
-                tracker.records[key] for key in sorted(tracker.records)
-            ),
+            request_records=tuple(records[key] for key in sorted(records)),
             requests_dropped=len(dropped),
             prefill_mode=self.prefill.mode if self.prefill is not None else "none",
-            prefill_seconds_total=sum(
-                record.prefill_s for record in tracker.records.values()
-            ),
+            prefill_seconds_total=sum(record.prefill_s for record in records.values()),
             preemption_policy=(
                 self.preemption.policy.name if self.preemption is not None else "none"
             ),
             preemptions=preemption_count,
             preemption_overhead_s=preemption_overhead_s,
-            recompute_tokens=sum(
-                record.recompute_tokens for record in tracker.records.values()
-            ),
+            recompute_tokens=sum(record.recompute_tokens for record in records.values()),
             # Every preemption is eventually restored (the run cannot end
             # with a non-empty restore queue), so stalls/preemptions is the
             # mean requeue delay.
             requeue_delay_mean_s=(
-                sum(record.stall_s for record in tracker.records.values()) / preemption_count
+                sum(record.stall_s for record in records.values()) / preemption_count
                 if preemption_count
                 else 0.0
             ),

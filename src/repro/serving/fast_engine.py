@@ -1,20 +1,20 @@
-"""Vectorized batch-stepping serving engine (event-point spans).
+"""Batch-stepping serving engine (event-point spans).
 
-:class:`FastServingEngine` serves the same traces as
-:class:`~repro.serving.engine.ServingEngine` with identical arithmetic but
-advances *spans* of uneventful decode evaluations at once instead of one
-evaluation per Python iteration.  Between event points -- the next arrival
-crossing, the next completion, the next possible grow failure, a blocking
-prefill becoming ready, or any chunked-prefill work -- batch membership is
-constant and every decoding request advances uniformly by ``step_stride``
-tokens per evaluation.  Over such a span:
+:class:`FastServingEngine` is :class:`~repro.serving.engine.ServingEngine`
+with a higher :attr:`~repro.serving.engine.ServingEngine.span_limit`.  Both
+run the same loop; ``engine.mode=scalar`` is that loop with spans capped at
+one evaluation.  Between event points -- the next arrival crossing, the
+next completion, the next possible grow failure, a blocking prefill
+becoming ready, or any chunked-prefill work -- batch membership is constant
+and every decoding request advances uniformly by ``step_stride`` tokens per
+evaluation.  Over such a span:
 
 * the per-evaluation latencies form a closed-form sequence on systems whose
-  decode step is batch-plus-context-sum shaped (``xpu-only``, ``gpu``),
-  exposed as ``decode_span`` and evaluated in one numpy call;
+  decode step is batch-plus-context-sum shaped (``xpu-only``, ``gpu``, TCP
+  single-stage PIM), exposed as ``decode_span`` and evaluated in one call;
 * clock/busy accumulation, capacity sampling and batch statistics reduce to
-  a tight scalar loop over precomputed latencies (sequential float adds in
-  the scalar engine's exact association order, so results are bit-equal);
+  a tight loop over the precomputed latencies, adding one evaluation at a
+  time in the same order a span of one would;
 * per-request bookkeeping (KV grow, context/remaining counters, tracker
   stamps, completions) collapses to one update per request per span.
 
@@ -22,565 +22,47 @@ N requests times K decode steps therefore cost O(events) Python iterations
 plus O(evaluations) float additions, instead of O(N * K) full Python
 iterations.  Spans are *provably* uneventful before they run: completions
 bound the span length, arrival/ready crossings truncate it on the exact
-evaluation the scalar engine would observe them, and a chunked-allocator
+evaluation a span of one would observe them, and a chunked-allocator
 pre-check (monotone committed-chunk demand vs. total chunks) guarantees no
 ``CapacityExceeded`` inside the span.  Any iteration that cannot be proven
 uneventful -- pending chunked prefill, a possible grow failure, a reduced
-final stride -- falls back to the scalar engine's single-evaluation body,
-so preemption storms and prefill interleaving replay the scalar arithmetic
-verbatim.
+final stride -- takes the single-evaluation body, so preemption storms and
+prefill interleaving follow the scalar arithmetic verbatim.
 
 Arrival timestamps are opaque to the span machinery: the next pending
 arrival is an event point wherever it falls, so traces stamped by any
 arrival process (diurnal, burst, warped replay) and the fleet timeline's
 failure re-dispatches (victims re-arriving mid-run at the failure time)
-need no special handling -- spans simply truncate at those instants, and
-scalar/fast parity holds for dynamic fleets exactly as for static ones.
+need no special handling -- spans simply truncate at those instants.
 
-The scalar engine remains authoritative: ``tests/serving/test_fast_engine.py``
-pins the two engines' full ``RunReport`` output against each other (to
-1e-9, observed exact) on every shipped example spec and on randomized
-admission x preemption x prefill x prefix-cache configurations.  Systems
-without ``decode_span`` (HFP-packed or multi-stage PIM pipelines, whose
-greedy placement is order-dependent; TCP single-stage PIM systems install a
-memoized closed form) and runs with a :class:`StepLatencyCache` attached
-price every evaluation individually inside the span, keeping cache counters
-and utilization/breakdown accumulation identical while still amortising the
+Parity between the two modes is exact: ``tests/serving/test_fast_engine.py``
+requires equal ``RunReport`` output on every shipped example spec and on
+randomized admission x preemption x prefill x prefix-cache configurations.
+The independent oracle for the loop itself is the legacy copy in
+``tests/serving/test_parity.py``.  Systems without ``decode_span``
+(HFP-packed or multi-stage PIM pipelines, whose greedy placement is
+order-dependent) and runs with a :class:`StepLatencyCache` attached price
+every evaluation individually inside the span, keeping cache counters and
+utilization/breakdown accumulation identical while still amortising the
 per-request bookkeeping.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.memory.chunked_alloc import ChunkedAllocator
-from repro.memory.static_alloc import AllocationError
-from repro.pim.simulator import ZERO_BREAKDOWN
-from repro.serving.admission import AdmissionCandidate
-from repro.serving.engine import EngineResult, ServingEngine, _ActiveRequest, _PreemptedRequest
-from repro.serving.interfaces import allocator_for
-from repro.serving.lifecycle import LifecycleTracker
+from repro.serving.engine import EngineResult, ServingEngine
 from repro.workloads.traces import RequestTrace
 
-#: Hard ceiling on evaluations planned per span (bounds wasted latency work
-#: when a crossing truncates the span, and the capacity pre-check's cost).
-_SPAN_LIMIT = 4096
-#: Floor of the adaptive span-length hint.
-_MIN_HINT = 16
 
-
-@dataclass
 class FastServingEngine(ServingEngine):
-    """Drop-in :class:`ServingEngine` with vectorized uneventful spans.
+    """:class:`ServingEngine` that advances up to 4096 evaluations per span.
 
-    Construction, policies, and every reported metric match the scalar
-    engine; only the wall-clock cost of ``run`` changes.  See the module
-    docstring for the event-point discretisation and the parity argument.
+    The cap bounds the latency work wasted when a crossing truncates a span
+    and the cost of the capacity pre-check.
     """
 
-    def _span_capacity_cap(
-        self,
-        allocator: ChunkedAllocator,
-        decoding: list[_ActiveRequest],
-        stride: int,
-        n_max: int,
-    ) -> int:
-        """Longest prefix of ``n_max`` uniform grows provably free of failure.
-
-        Under the incremental lifecycle contract a chunked allocator may
-        raise ``CapacityExceeded`` mid-span.  Total committed demand after
-        evaluation ``j`` is ``sum_i max(committed_i, chunks_needed(c_i +
-        (j+1) * stride))`` plus the (constant) commitment of non-decoding
-        requests; it is monotone in ``j`` and bounds every intra-evaluation
-        prefix state, so all grows through evaluation ``j`` succeed iff the
-        end-of-``j`` total fits ``total_chunks``.  Returns 0 when even the
-        first evaluation may fail (the caller then runs the scalar
-        grow-or-evict path).
-        """
-        bytes_per_token = allocator.bytes_per_token
-        chunk_bytes = allocator.chunk_bytes
-        total = allocator.total_chunks
-        committed = np.array(
-            [allocator.committed_chunks_for(entry.request_id) for entry in decoding],
-            dtype=np.int64,
-        )
-        contexts = np.array([entry.context for entry in decoding], dtype=np.int64)
-        other = allocator.committed_chunk_count - int(committed.sum())
-
-        def fits_through(j: int) -> bool:
-            tokens = contexts + (j + 1) * stride
-            need = (tokens * bytes_per_token + chunk_bytes - 1) // chunk_bytes
-            return int(np.maximum(need, committed).sum()) + other <= total
-
-        if fits_through(n_max - 1):
-            return n_max
-        if not fits_through(0):
-            return 0
-        # Largest n with fits_through(n - 1); demand is monotone in j.
-        lo, hi = 1, n_max - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if fits_through(mid):
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    # -- main loop ---------------------------------------------------------
+    span_limit = 4096
 
     def run(self, trace: RequestTrace, system_name: str = "") -> EngineResult:
-        """Serve ``trace`` to completion; same contract as the scalar engine.
-
-        Raises:
-            AllocationError: exactly when :meth:`ServingEngine.run` would.
-        """
-        allocator = allocator_for(self.system)
-        future = self._candidates(trace)
-        arrived: deque[AdmissionCandidate] = deque()
-        active: dict[int, _ActiveRequest] = {}
-        preempted: deque[_PreemptedRequest] = deque()
-        lifecycle = self.lifecycle_admission
-        chunked_lifecycle = lifecycle and isinstance(allocator, ChunkedAllocator)
-        preemption_count = 0
-        preemption_overhead_s = 0.0
-        preemption_budget = 1000 + 100 * len(trace.requests)
-        tracker = LifecycleTracker()
-        for candidate in future:
-            tracker.on_arrival(
-                candidate.request_id,
-                candidate.prompt_tokens,
-                candidate.decode_tokens,
-                candidate.arrival_s,
-                priority=candidate.priority,
-                tier=candidate.request.tier,
-                ttft_deadline_s=candidate.request.ttft_deadline_s,
-                tpot_deadline_s=candidate.request.tpot_deadline_s,
-            )
-        records = tracker.records
-
-        clock = 0.0
-        busy_seconds = 0.0
-        idle_seconds = 0.0
-        total_tokens = 0
-        steps = 0
-        served = 0
-        dropped: list[int] = []
-        if self.latency_cache is not None:
-            cache_hits_before = self.latency_cache.hits
-            cache_misses_before = self.latency_cache.misses
-        prefix_before = self.prefix_cache.stats() if self.prefix_cache is not None else None
-        peak_batch = 0
-        # Running sums replace the scalar engine's per-evaluation sample
-        # lists; each is accumulated per evaluation in the same order, so
-        # the final means are bit-equal to summing the lists.
-        batch_sum = 0.0
-        eval_count = 0
-        utilization_sum = 0.0
-        capacity_sum = 0.0
-        capacity_count = 0
-        attention_total = ZERO_BREAKDOWN
-        fc_total = ZERO_BREAKDOWN
-
-        span_fn = getattr(self.system, "decode_span", None)
-        if self.latency_cache is not None:
-            span_fn = None  # cache counters require per-evaluation pricing
-        # Per-evaluation PIM utilization of a span step: a constant of the
-        # system (0.0 for xpu-only, 1.0 for TCP PIM), accumulated in the
-        # span path to match the scalar engine's per-step samples.
-        span_util = getattr(self.system, "decode_span_utilization", 0.0)
-        span_hint = 64
-        cap_enabled = allocator.capacity_bytes > 0
-        capacity_bytes = allocator.capacity_bytes
-
-        admission_dirty = True
-
-        while future or arrived or active or preempted:
-            while future and future[0].arrival_s <= clock:
-                arrived.append(future.popleft())
-                admission_dirty = True
-
-            if admission_dirty:
-                admitted_now, restore_overhead_s = self._admit(
-                    arrived, active, allocator, tracker, clock, preempted
-                )
-                served += admitted_now
-                if restore_overhead_s:
-                    busy_seconds += restore_overhead_s
-                    clock += restore_overhead_s
-                    preemption_overhead_s += restore_overhead_s
-                admission_dirty = False
-
-            if not active:
-                if arrived:
-                    if self.admission.head_of_line:
-                        head = next(iter(self.admission.order(tuple(arrived))))
-                        raise AllocationError(
-                            f"head-of-line request {head.request_id} "
-                            f"({head.final_tokens} tokens) can never fit the "
-                            "system's KV-cache capacity and blocks the queue; "
-                            "increase capacity, shorten the request, or use a "
-                            "skip-over admission policy"
-                        )
-                    dropped.extend(candidate.request_id for candidate in arrived)
-                    arrived.clear()
-                    continue
-                if future:
-                    idle_seconds += future[0].arrival_s - clock
-                    clock = future[0].arrival_s
-                    continue
-                if preempted:
-                    raise AllocationError(
-                        f"{len(preempted)} preempted request(s) can never be "
-                        "restored; the allocator is empty yet rejects them"
-                    )
-                break
-
-            prefill_step_seconds = 0.0
-            prefill_tokens_processed = 0
-            if self.prefill is not None and self.prefill.chunk_tokens is not None:
-                budget = self.prefill.chunk_tokens
-                for entry in active.values():
-                    if budget <= 0:
-                        break
-                    pending = entry.prefill_total - entry.prefill_done
-                    if pending <= 0:
-                        continue
-                    take = min(pending, budget)
-                    marginal = self.prefill.model.cumulative_seconds(
-                        entry.prefill_done + take
-                    ) - self.prefill.model.cumulative_seconds(entry.prefill_done)
-                    entry.prefill_done += take
-                    budget -= take
-                    prefill_step_seconds += marginal
-                    prefill_tokens_processed += take
-                    tracker.on_prefill(entry.request_id, marginal)
-
-            if self.prefill is None:
-                decoding = list(active.values())
-            else:
-                decoding = [entry for entry in active.values() if entry.decode_ready(clock)]
-
-            if not decoding:
-                if prefill_tokens_processed > 0:
-                    busy_seconds += prefill_step_seconds
-                    clock += prefill_step_seconds
-                    continue
-                next_event = min(entry.ready_s for entry in active.values())
-                if future:
-                    next_event = min(next_event, future[0].arrival_s)
-                idle_seconds += next_event - clock
-                clock = next_event
-                continue
-
-            if prefill_tokens_processed:
-                stride = 1
-            else:
-                stride = min(self.step_stride, min(entry.remaining for entry in decoding))
-
-            # -- span planning --------------------------------------------
-            # How many uniform evaluations can run before anything *can*
-            # change batch membership?  Completions bound the count (and may
-            # only land on the span's final evaluation); possible chunked
-            # grow failures force the scalar path; arrival / prefill-ready
-            # crossings truncate during execution.
-            n_plan = 1
-            if not prefill_tokens_processed and stride == self.step_stride:
-                min_remaining = min(entry.remaining for entry in decoding)
-                n_plan = min(min_remaining // stride, span_hint, _SPAN_LIMIT)
-                if n_plan > 1 and chunked_lifecycle:
-                    n_plan = self._span_capacity_cap(allocator, decoding, stride, n_plan)
-
-            if n_plan <= 1:
-                # -- scalar evaluation (event possible): replay the scalar
-                # engine's per-evaluation body verbatim.
-                contexts = [entry.context for entry in decoding]
-                if self.latency_cache is not None:
-                    step = self.latency_cache.evaluate(self.system, contexts)
-                else:
-                    step = self.system.decode_step(contexts)
-
-                busy_seconds += step.seconds * stride + prefill_step_seconds
-                clock += step.seconds * stride + prefill_step_seconds
-                total_tokens += len(decoding) * stride
-                steps += stride
-                batch_sum += float(len(decoding))
-                eval_count += 1
-                utilization_sum += step.pim_utilization
-                peak_batch = max(peak_batch, len(decoding))
-                attention_total = attention_total + step.attention_breakdown.scaled(stride)
-                fc_total = fc_total + step.fc_breakdown.scaled(stride)
-                if cap_enabled:
-                    capacity_sum += allocator.used_bytes / capacity_bytes
-                    capacity_count += 1
-
-                if lifecycle:
-                    finished_any = False
-                    preempted_now: set[int] = set()
-                    evict_overhead_s = 0.0
-                    lost_tokens = 0
-                    for entry in decoding:
-                        if entry.request_id in preempted_now:
-                            lost_tokens += stride
-                            continue
-                        evict_overhead_s += self._grow_or_evict(
-                            entry,
-                            stride,
-                            active,
-                            allocator,
-                            tracker,
-                            clock,
-                            preempted,
-                            preempted_now,
-                        )
-                        entry.context += stride
-                        entry.remaining -= stride
-                        entry.last_step_s = clock
-                        tracker.on_tokens(entry.request_id, stride, clock, step.seconds)
-                        if entry.remaining <= 0:
-                            allocator.release(entry.request_id)
-                            del active[entry.request_id]
-                            tracker.on_finish(entry.request_id, clock)
-                            if self.prefix_cache is not None and entry.session is not None:
-                                self.prefix_cache.insert(entry.session, entry.context)
-                            finished_any = True
-                    total_tokens -= lost_tokens
-                    preemption_count += len(preempted_now)
-                    if preemption_count > preemption_budget:
-                        raise AllocationError(
-                            f"{preemption_count} preemptions exceed the livelock "
-                            f"guard ({preemption_budget}); the policy "
-                            f"{self.preemption.policy.name!r} is thrashing"
-                        )
-                    if evict_overhead_s:
-                        busy_seconds += evict_overhead_s
-                        clock += evict_overhead_s
-                        preemption_overhead_s += evict_overhead_s
-                    if finished_any or preempted_now:
-                        admission_dirty = True
-                else:
-                    finished: list[_ActiveRequest] = []
-                    for entry in decoding:
-                        allocator.append_token(entry.request_id, stride)
-                        entry.context += stride
-                        entry.remaining -= stride
-                        tracker.on_tokens(entry.request_id, stride, clock, step.seconds)
-                        if entry.remaining <= 0:
-                            finished.append(entry)
-                    for entry in finished:
-                        allocator.release(entry.request_id)
-                        del active[entry.request_id]
-                        tracker.on_finish(entry.request_id, clock)
-                        if self.prefix_cache is not None and entry.session is not None:
-                            self.prefix_cache.insert(entry.session, entry.context)
-                    if finished:
-                        admission_dirty = True
-                continue
-
-            # -- span execution (n_plan >= 2 provably uneventful evals) ----
-            batch = len(decoding)
-            threshold = math.inf
-            if future:
-                threshold = future[0].arrival_s
-            if self.prefill is not None and len(decoding) < len(active):
-                # Only blocking-style prefill can park requests here: any
-                # pending chunked prefill forces the scalar path above.
-                threshold = min(
-                    threshold,
-                    min(
-                        entry.ready_s
-                        for entry in active.values()
-                        if not entry.decode_ready(clock)
-                    ),
-                )
-
-            contexts = [entry.context for entry in decoding]
-            if cap_enabled:
-                used_bytes = allocator.used_bytes
-                used_increment = batch * stride * allocator.bytes_per_token
-
-            executed = 0
-            first_eval_end = 0.0
-            first_eval_seconds = 0.0
-            if span_fn is not None:
-                # Closed-form systems: all latencies in one vectorized call,
-                # then a tight scalar loop for the (order-sensitive) float
-                # accumulation and the crossing check.  Spans of these
-                # systems carry zero breakdowns and a constant per-step
-                # utilization.
-                seconds = span_fn(contexts, stride, n_plan).tolist()
-                for j in range(n_plan):
-                    advance = seconds[j] * stride + prefill_step_seconds
-                    busy_seconds += advance
-                    clock += advance
-                    utilization_sum += span_util
-                    if cap_enabled:
-                        capacity_sum += (used_bytes + j * used_increment) / capacity_bytes
-                    if j == 0:
-                        first_eval_end = clock
-                    executed = j + 1
-                    if clock >= threshold:
-                        break
-                first_eval_seconds = seconds[0]
-            else:
-                # Order-dependent systems (PIM pipelines) or an attached
-                # latency cache: price each evaluation individually but keep
-                # the per-request bookkeeping amortised over the span.
-                for j in range(n_plan):
-                    step_contexts = (
-                        contexts if j == 0 else [context + stride * j for context in contexts]
-                    )
-                    if self.latency_cache is not None:
-                        step = self.latency_cache.evaluate(self.system, step_contexts)
-                    else:
-                        step = self.system.decode_step(step_contexts)
-                    advance = step.seconds * stride + prefill_step_seconds
-                    busy_seconds += advance
-                    clock += advance
-                    utilization_sum += step.pim_utilization
-                    attention_total = attention_total + step.attention_breakdown.scaled(stride)
-                    fc_total = fc_total + step.fc_breakdown.scaled(stride)
-                    if cap_enabled:
-                        capacity_sum += (used_bytes + j * used_increment) / capacity_bytes
-                    if j == 0:
-                        first_eval_seconds = step.seconds
-                        first_eval_end = clock
-                    executed = j + 1
-                    if clock >= threshold:
-                        break
-
-            n_span = executed
-            grown = stride * n_span
-            if cap_enabled:
-                capacity_count += n_span
-            eval_count += n_span
-            batch_sum += float(batch * n_span)
-            steps += stride * n_span
-            total_tokens += batch * grown
-            peak_batch = max(peak_batch, batch)
-
-            if lifecycle:
-                finished_any = False
-                for entry in decoding:
-                    allocator.grow(entry.request_id, grown)
-                    entry.context += grown
-                    entry.remaining -= grown
-                    entry.last_step_s = clock
-                    record = records[entry.request_id]
-                    if record.generated == 0:
-                        record.first_token_s = first_eval_end - first_eval_seconds * (
-                            stride - 1
-                        )
-                    record.generated += grown
-                    if entry.remaining <= 0:
-                        allocator.release(entry.request_id)
-                        del active[entry.request_id]
-                        record.finish_s = clock
-                        if self.prefix_cache is not None and entry.session is not None:
-                            self.prefix_cache.insert(entry.session, entry.context)
-                        finished_any = True
-                if finished_any:
-                    admission_dirty = True
-            else:
-                finished = []
-                for entry in decoding:
-                    allocator.append_token(entry.request_id, grown)
-                    entry.context += grown
-                    entry.remaining -= grown
-                    record = records[entry.request_id]
-                    if record.generated == 0:
-                        record.first_token_s = first_eval_end - first_eval_seconds * (
-                            stride - 1
-                        )
-                    record.generated += grown
-                    if entry.remaining <= 0:
-                        finished.append(entry)
-                for entry in finished:
-                    allocator.release(entry.request_id)
-                    del active[entry.request_id]
-                    records[entry.request_id].finish_s = clock
-                    if self.prefix_cache is not None and entry.session is not None:
-                        self.prefix_cache.insert(entry.session, entry.context)
-                if finished:
-                    admission_dirty = True
-
-            # Adapt the hint: grow after full spans, shrink after truncated
-            # ones.  Affects only how much latency work a crossing wastes,
-            # never any result.
-            if n_span >= n_plan:
-                span_hint = min(_SPAN_LIMIT, span_hint * 2)
-            else:
-                span_hint = max(_MIN_HINT, 2 * n_span)
-
-        def _ratio(total: float, count: int) -> float:
-            return total / count if count else 0.0
-
-        metadata: dict = {}
-        if dropped:
-            metadata["dropped_request_ids"] = dropped
-        if self.latency_cache is not None:
-            hits = self.latency_cache.hits - cache_hits_before
-            misses = self.latency_cache.misses - cache_misses_before
-            lookups = hits + misses
-            metadata["latency_cache"] = {
-                "bucket_tokens": self.latency_cache.bucket_tokens,
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": hits / lookups if lookups else 0.0,
-            }
-
-        prefix_hits = prefix_misses = prefix_hit_tokens = prefix_evictions = 0
-        if self.prefix_cache is not None and prefix_before is not None:
-            prefix_after = self.prefix_cache.stats()
-            prefix_hits = prefix_after.hits - prefix_before.hits
-            prefix_misses = prefix_after.misses - prefix_before.misses
-            prefix_hit_tokens = prefix_after.hit_tokens - prefix_before.hit_tokens
-            prefix_evictions = prefix_after.evictions - prefix_before.evictions
-
-        return EngineResult(
-            system_name=system_name or type(self.system).__name__,
-            dataset=trace.dataset,
-            total_output_tokens=total_tokens,
-            total_seconds=busy_seconds,
-            steps=steps,
-            average_batch_size=_ratio(batch_sum, eval_count),
-            peak_batch_size=peak_batch,
-            average_pim_utilization=_ratio(utilization_sum, eval_count),
-            average_capacity_utilization=_ratio(capacity_sum, capacity_count),
-            attention_breakdown=attention_total,
-            fc_breakdown=fc_total,
-            total_pim_channels=self.system.total_pim_channels,
-            requests_served=served,
-            metadata=metadata,
-            makespan_s=clock,
-            idle_seconds=idle_seconds,
-            admission_policy=self.admission.name,
-            latency=tracker.stats(),
-            request_records=tuple(tracker.records[key] for key in sorted(tracker.records)),
-            requests_dropped=len(dropped),
-            prefill_mode=self.prefill.mode if self.prefill is not None else "none",
-            prefill_seconds_total=sum(
-                record.prefill_s for record in tracker.records.values()
-            ),
-            preemption_policy=(
-                self.preemption.policy.name if self.preemption is not None else "none"
-            ),
-            preemptions=preemption_count,
-            preemption_overhead_s=preemption_overhead_s,
-            recompute_tokens=sum(
-                record.recompute_tokens for record in tracker.records.values()
-            ),
-            requeue_delay_mean_s=(
-                sum(record.stall_s for record in tracker.records.values()) / preemption_count
-                if preemption_count
-                else 0.0
-            ),
-            prefix_cache_enabled=self.prefix_cache is not None,
-            prefix_hits=prefix_hits,
-            prefix_misses=prefix_misses,
-            prefix_hit_tokens=prefix_hit_tokens,
-            prefix_evictions=prefix_evictions,
-        )
+        # Defined on the class so tools that wrap each class's own ``run``
+        # (the perfbench layer trace) see fast-mode runs too.
+        return super().run(trace, system_name)
