@@ -102,16 +102,21 @@ def serving_summary_table(results: Sequence["EngineResult"], title: str = "") ->
 def fleet_summary_table(fleet: FleetResult, title: str = "") -> str:
     """Render per-replica rows plus the merged fleet row of a routed run.
 
-    Replica rows report each engine's own counters; the fleet row reports
-    the merged view -- aggregate tokens per wall-clock second (tokens over
-    the slowest replica's makespan) and percentiles recomputed over the
-    union of request records.
+    Replica rows report each engine's own counters, labelled with the
+    slot the engine served (a timeline fleet can run several engine
+    lifetimes on one slot); the fleet row reports the merged view --
+    aggregate tokens per wall-clock second (tokens over the slowest
+    replica's makespan) and percentiles recomputed over the union of
+    request records.
     """
+    slots: Sequence[int] = range(len(fleet.replica_results))
+    if fleet.timeline is not None:
+        slots = [segment.slot for segment in fleet.timeline.segments]
     rows = []
-    for index, result in enumerate(fleet.replica_results):
+    for slot, result in zip(slots, fleet.replica_results, strict=True):
         rows.append(
             [
-                f"replica {index}",
+                f"replica {slot}",
                 result.requests_served,
                 result.requests_dropped,
                 result.throughput_tokens_per_s,

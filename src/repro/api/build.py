@@ -164,12 +164,11 @@ class BuiltExperiment:
     """The assembled-but-not-yet-run pieces of one experiment.
 
     ``router`` is ``None`` for single-engine specs, in which case
-    ``engines`` holds exactly one engine.  ``disagg`` is set only for the
-    disaggregated topology; ``router`` then holds its decode pool and
-    ``engines`` the decode engines.  ``dynamic`` is set when the spec
-    declares fleet events or an autoscaler; engines are then created
-    per-segment by the timeline, so ``engines`` is empty and ``router``
-    is ``None``.
+    ``engines`` holds exactly one engine.  Every fleet sets ``router`` and
+    ``engines`` holds its initial replicas.  A spec declaring fleet events
+    or an autoscaler gets a :class:`DynamicFleetRouter`, which builds the
+    engines of segments opened mid-run itself.  ``disagg`` is set only for
+    the disaggregated topology; ``router`` then holds its decode pool.
     """
 
     spec: ExperimentSpec
@@ -179,21 +178,20 @@ class BuiltExperiment:
     engines: tuple[ServingEngine, ...]
     router: ReplicaRouter | None
     disagg: DisaggRouter | None = None
-    dynamic: DynamicFleetRouter | None = None
 
     @property
     def engine(self) -> ServingEngine:
         """The single engine; raises for fleet experiments."""
-        if self.router is not None or self.dynamic is not None:
+        if self.router is not None:
             raise ValueError("experiment runs a router fleet; use .router")
         return self.engines[0]
 
     def run(self) -> RunReport:
         """Serve the trace to completion and wrap the unified report."""
-        if self.dynamic is not None:
-            return RunReport.from_dynamic(self.spec, self.dynamic.run(self.trace))
         if self.disagg is not None:
             return RunReport.from_disagg(self.spec, self.disagg.run(self.trace))
+        if isinstance(self.router, DynamicFleetRouter):
+            return RunReport.from_dynamic(self.spec, self.router.run(self.trace))
         if self.router is not None:
             return RunReport.from_fleet(self.spec, self.router.run(self.trace))
         result = self.engines[0].run(self.trace)
@@ -251,10 +249,13 @@ def build(spec: ExperimentSpec) -> BuiltExperiment:
             router=None,
         )
 
+    router: ReplicaRouter
+    disagg: DisaggRouter | None = None
+    disagg_spec = spec.router.disagg
     if spec.fleet_events or spec.autoscaler is not None:
-        # Dynamic fleet: replicas come and go mid-run, so engines are
-        # created per timeline segment rather than up front.  Validation
-        # has already pinned the colocated topology.
+        # Dynamic fleet: replicas come and go mid-run, so the router keeps
+        # the engine factory for segments opened mid-run.  Validation has
+        # already pinned the colocated topology.
         scaler = None
         if spec.autoscaler is not None:
             scaler = ReactiveAutoscaler(
@@ -268,7 +269,7 @@ def build(spec: ExperimentSpec) -> BuiltExperiment:
                 cold_start_s=spec.autoscaler.cold_start_s,
                 ewma_alpha=spec.autoscaler.ewma_alpha,
             )
-        dynamic = DynamicFleetRouter(
+        router = DynamicFleetRouter(
             engine_factory,
             initial_replicas=spec.router.replicas,
             policy=ROUTING_POLICIES.get(spec.router.policy)(),
@@ -279,18 +280,7 @@ def build(spec: ExperimentSpec) -> BuiltExperiment:
             autoscaler=scaler,
             probe_context_tokens=spec.router.probe_context_tokens,
         )
-        return BuiltExperiment(
-            spec=spec,
-            model=model,
-            system=system,
-            trace=trace,
-            engines=(),
-            router=None,
-            dynamic=dynamic,
-        )
-
-    disagg_spec = spec.router.disagg
-    if (
+    elif (
         spec.router.topology == "disaggregated"
         and disagg_spec is not None
         and disagg_spec.prefill_replicas > 0
@@ -309,30 +299,22 @@ def build(spec: ExperimentSpec) -> BuiltExperiment:
                 latency_s=disagg_spec.link_latency_s,
             ),
         )
-        decode_router = ReplicaRouter.homogeneous(
+        router = ReplicaRouter.homogeneous(
             lambda: engine_factory(None),
             spec.router.replicas - disagg_spec.prefill_replicas,
             policy=ROUTING_POLICIES.get(disagg_spec.decode_policy)(),
             probe_context_tokens=spec.router.probe_context_tokens,
             ewma_alpha=spec.router.ewma_alpha,
         )
-        return BuiltExperiment(
-            spec=spec,
-            model=model,
-            system=system,
-            trace=trace,
-            engines=tuple(decode_router.replicas),
-            router=decode_router,
-            disagg=DisaggRouter(prefill_pool=prefill_pool, decode_router=decode_router),
+        disagg = DisaggRouter(prefill_pool=prefill_pool, decode_router=router)
+    else:
+        router = ReplicaRouter.homogeneous(
+            engine_factory,
+            spec.router.replicas,
+            policy=ROUTING_POLICIES.get(spec.router.policy)(),
+            probe_context_tokens=spec.router.probe_context_tokens,
+            ewma_alpha=spec.router.ewma_alpha,
         )
-
-    router = ReplicaRouter.homogeneous(
-        engine_factory,
-        spec.router.replicas,
-        policy=ROUTING_POLICIES.get(spec.router.policy)(),
-        probe_context_tokens=spec.router.probe_context_tokens,
-        ewma_alpha=spec.router.ewma_alpha,
-    )
     return BuiltExperiment(
         spec=spec,
         model=model,
@@ -340,6 +322,7 @@ def build(spec: ExperimentSpec) -> BuiltExperiment:
         trace=trace,
         engines=tuple(router.replicas),
         router=router,
+        disagg=disagg,
     )
 
 

@@ -2,10 +2,15 @@
 
 ``run(spec)`` always returns a :class:`RunReport`, whether the spec ran a
 single :class:`~repro.serving.engine.ServingEngine` or a multi-replica
-:class:`~repro.serving.router.ReplicaRouter` fleet --
-``ServingResult`` / ``EngineResult`` / ``FleetResult`` become internal
-details behind the :meth:`RunReport.from_engine` and
-:meth:`RunReport.from_fleet` adapters.  Provenance is carried in typed
+fleet -- ``EngineResult`` / ``FleetResult`` become internal details behind
+two adapters, :meth:`RunReport.from_engine` and
+:meth:`RunReport.from_fleet`.  Every fleet returns a ``FleetResult``;
+:meth:`RunReport.from_dynamic` (timeline fleets) and
+:meth:`RunReport.from_disagg` (two-pool fleets) are ``from_fleet`` plus the
+spec-level fields and the fleet's own report block
+(:class:`~repro.serving.router.FleetTimelineReport` or
+:class:`~repro.serving.disagg.router.DisaggReport`, both re-exported
+here).  Provenance is carried in typed
 fields (``spec``, ``spec_hash``, ``seed``, ``num_replicas``, policy names)
 instead of loose metadata dicts, so downstream tooling reads attributes
 rather than guessing dictionary keys.
@@ -18,17 +23,15 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.analysis.reporting import fleet_summary_table, tier_summary_table
+from repro.serving.disagg.router import DisaggReport
 from repro.serving.engine import EngineResult
 from repro.serving.lifecycle import LatencyStats, RequestRecord, WindowStats, windowed_stats
-from repro.serving.router import FleetResult
+from repro.serving.router import FleetResult, FleetTimelineReport
 
 if TYPE_CHECKING:
     from collections.abc import Sequence
 
     from repro.api.spec import ExperimentSpec
-    from repro.serving.autoscaler import ScalingDecision
-    from repro.serving.disagg import DisaggResult
-    from repro.serving.fleet_events import DynamicFleetResult, SegmentRecord
 
 
 @dataclass(frozen=True)
@@ -120,87 +123,6 @@ def _tier_reports(
     if leftovers and "untiered" not in buckets:
         reports.append(TierReport.from_records("untiered", 0, leftovers))
     return tuple(reports)
-
-
-@dataclass(frozen=True)
-class DisaggReport:
-    """Two-pool accounting of a disaggregated run (absent for colocated).
-
-    Attributes:
-        prefill_replicas / decode_replicas: The fleet split (their sum is
-            the run's total hardware, ``RunReport.num_replicas``).
-        handoffs: Requests whose finished KV crossed the link.
-        kv_transfer_s: Total simulated link time charged before first
-            decode, summed over handoffs.
-        kv_transfer_bytes: Total KV bytes shipped over the link.
-        prefill_dropped: Requests no prefill replica could ever hold.
-        prefill_busy_seconds: Prefill service time summed over the pool.
-        prefill_makespan_s: When the last prefill replica drained.
-        prefill_pool_utilization / decode_pool_utilization: Mean busy
-            fraction of each pool over its makespan.
-    """
-
-    prefill_replicas: int
-    decode_replicas: int
-    handoffs: int
-    kv_transfer_s: float
-    kv_transfer_bytes: int
-    prefill_dropped: int
-    prefill_busy_seconds: float
-    prefill_makespan_s: float
-    prefill_pool_utilization: float
-    decode_pool_utilization: float
-
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-
-@dataclass(frozen=True)
-class FleetTimelineReport:
-    """Timeline accounting of a dynamic-fleet run (absent for static fleets).
-
-    Attributes:
-        replica_seconds: Total provisioned replica time across segments
-            (the capacity bill an autoscaler tries to shrink).
-        peak_replicas: Peak concurrently provisioned replicas -- what a
-            static fleet would have had to hold for the whole run.
-        failures: ``replica_down`` events applied.
-        restarts: Victim re-dispatches after failures.
-        kv_lost_tokens: Reserved KV tokens lost to failures (re-warmed on
-            the victims' new replicas).
-        scale_ups / scale_downs: Autoscaler decisions by direction.
-        segments: Per-engine-lifetime billing records.
-        decisions: The autoscaler's full decision log.
-    """
-
-    replica_seconds: float
-    peak_replicas: int
-    failures: int
-    restarts: int
-    kv_lost_tokens: int
-    scale_ups: int
-    scale_downs: int
-    segments: tuple[SegmentRecord, ...] = ()
-    decisions: tuple[ScalingDecision, ...] = ()
-
-    @property
-    def replica_hours(self) -> float:
-        """Provisioned replica-hours (the capacity-planning currency)."""
-        return self.replica_seconds / 3600.0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "replica_seconds": self.replica_seconds,
-            "replica_hours": self.replica_hours,
-            "peak_replicas": self.peak_replicas,
-            "failures": self.failures,
-            "restarts": self.restarts,
-            "kv_lost_tokens": self.kv_lost_tokens,
-            "scale_ups": self.scale_ups,
-            "scale_downs": self.scale_downs,
-            "segments": [dataclasses.asdict(segment) for segment in self.segments],
-            "decisions": [dataclasses.asdict(decision) for decision in self.decisions],
-        }
 
 
 def _windows(spec: ExperimentSpec, records: Sequence[RequestRecord]) -> tuple[WindowStats, ...]:
@@ -483,7 +405,7 @@ class RunReport:
         )
 
     @staticmethod
-    def from_dynamic(spec: ExperimentSpec, result: DynamicFleetResult) -> RunReport:
+    def from_dynamic(spec: ExperimentSpec, result: FleetResult) -> RunReport:
         """Wrap a dynamic-fleet run (fleet events and/or autoscaler).
 
         The merged fleet metrics drive the report exactly as
@@ -495,26 +417,14 @@ class RunReport:
         restarts, KV lost, and the autoscaler's decision log.
         """
         assert spec.router is not None
-        report = RunReport.from_fleet(spec, result.fleet)
-        scale_ups = sum(1 for decision in result.decisions if decision.action == "scale_up")
         return dataclasses.replace(
-            report,
+            RunReport.from_fleet(spec, result),
             num_replicas=spec.router.replicas,
-            fleet_timeline=FleetTimelineReport(
-                replica_seconds=result.replica_seconds,
-                peak_replicas=result.peak_replicas,
-                failures=result.failures,
-                restarts=result.restarts,
-                kv_lost_tokens=result.kv_lost_tokens,
-                scale_ups=scale_ups,
-                scale_downs=len(result.decisions) - scale_ups,
-                segments=result.segments,
-                decisions=result.decisions,
-            ),
+            fleet_timeline=result.timeline,
         )
 
     @staticmethod
-    def from_disagg(spec: ExperimentSpec, result: DisaggResult) -> RunReport:
+    def from_disagg(spec: ExperimentSpec, result: FleetResult) -> RunReport:
         """Wrap a disaggregated two-pool run.
 
         The decode fleet's stitched records drive every latency metric (so
@@ -525,23 +435,11 @@ class RunReport:
         rather than the decode engines' ``"none"``.
         """
         assert spec.router is not None
-        report = RunReport.from_fleet(spec, result.fleet)
         return dataclasses.replace(
-            report,
+            RunReport.from_fleet(spec, result),
             num_replicas=spec.router.replicas,
             prefill_mode=spec.prefill.mode,
-            disagg=DisaggReport(
-                prefill_replicas=result.prefill_replicas,
-                decode_replicas=result.decode_replicas,
-                handoffs=result.handoffs,
-                kv_transfer_s=result.kv_transfer_s,
-                kv_transfer_bytes=result.kv_transfer_bytes,
-                prefill_dropped=result.prefill_dropped,
-                prefill_busy_seconds=result.prefill_busy_seconds,
-                prefill_makespan_s=result.prefill_makespan_s,
-                prefill_pool_utilization=result.prefill_pool_utilization,
-                decode_pool_utilization=result.decode_pool_utilization,
-            ),
+            disagg=result.disagg,
         )
 
     # -- views --------------------------------------------------------------

@@ -3,12 +3,13 @@
 Layering, from the outside in:
 
 * :mod:`repro.serving.router` -- the data-parallel :class:`ReplicaRouter`
-  fronting N engines with pluggable :class:`RoutingPolicy` implementations
-  and merged :class:`FleetResult` metrics.
-* :mod:`repro.serving.fleet_events` -- the fleet *timeline*: a
-  :class:`DynamicFleetRouter` whose replica set changes mid-run through
-  scripted failure/recovery events and autoscaler decisions, billing
-  replica-hours and KV lost to failures (:class:`DynamicFleetResult`).
+  fronting N engines with pluggable :class:`RoutingPolicy` implementations.
+  Its run is the one fleet loop: a timeline sweep over arrivals, fleet
+  events and autoscaler ticks, merged into one :class:`FleetResult` that
+  every fleet returns (timeline billing included).
+* :mod:`repro.serving.fleet_events` -- :class:`DynamicFleetRouter`, the
+  router whose replica set changes mid-run through scripted
+  failure/recovery events and autoscaler decisions.
 * :mod:`repro.serving.autoscaler` -- the :class:`ReactiveAutoscaler`
   threshold controller (queue-depth or estimated-TTFT EWMA signals)
   driving scale-up/scale-down decisions on the timeline.
@@ -50,7 +51,6 @@ from repro.serving.autoscaler import (
     ScalingDecision,
 )
 from repro.serving.disagg import (
-    DisaggResult,
     DisaggRouter,
     HandoffRecord,
     PrefillPhase,
@@ -59,7 +59,6 @@ from repro.serving.disagg import (
 from repro.serving.engine import EngineResult, ServingEngine, serve
 from repro.serving.fast_engine import FastServingEngine
 from repro.serving.fleet_events import (
-    DynamicFleetResult,
     DynamicFleetRouter,
     FleetEvent,
     SegmentRecord,
@@ -126,7 +125,6 @@ __all__ = [
     "CapacityAwareAdmission",
     "FCFSAdmission",
     "PriorityAdmission",
-    "DisaggResult",
     "DisaggRouter",
     "HandoffRecord",
     "PrefillPhase",
@@ -135,7 +133,6 @@ __all__ = [
     "ServingEngine",
     "FastServingEngine",
     "serve",
-    "DynamicFleetResult",
     "DynamicFleetRouter",
     "FleetEvent",
     "SegmentRecord",

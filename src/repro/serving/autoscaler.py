@@ -4,10 +4,11 @@ The :class:`ReactiveAutoscaler` is a deliberately simple threshold
 controller -- the kind production fleets actually run: every
 ``interval_s`` it samples one load signal over the accepting replicas and
 compares it against a scale-up and a scale-down threshold, rate-limited
-by a cooldown.  It decides *what* to do; the fleet timeline
-(:mod:`repro.serving.fleet_events`) applies the decision, charging the
-cold-start delay before a new replica accepts work and letting a drained
-replica finish its in-flight requests.
+by a cooldown.  It decides *what* to do; the fleet timeline sweep
+(:meth:`ReplicaRouter.run <repro.serving.router.ReplicaRouter.run>`, fed
+the autoscaler by a :class:`~repro.serving.fleet_events.DynamicFleetRouter`)
+applies the decision, charging the cold-start delay before a new replica
+accepts work and letting a drained replica finish its in-flight requests.
 
 Signals:
 

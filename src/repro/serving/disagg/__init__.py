@@ -25,16 +25,19 @@ resident requests.  The disaggregated topology splits the fleet instead:
 behind the same ``run(trace)`` interface a :class:`ReplicaRouter` exposes
 and stitches per-request records back together afterwards, so TTFT spans
 the whole pipeline (prefill queue + prefill + transfer + decode queue +
-first token) while TPOT measures pure decode.
+first token) while TPOT measures pure decode.  It returns the same
+:class:`~repro.serving.router.FleetResult` as every other fleet, with the
+handoff accounting in its ``disagg`` block
+(:class:`~repro.serving.disagg.router.DisaggReport`).
 """
 
 from __future__ import annotations
 
 from repro.serving.disagg.handoff import HandoffRecord, PrefillPhase, PrefillPool
-from repro.serving.disagg.router import DisaggResult, DisaggRouter
+from repro.serving.disagg.router import DisaggReport, DisaggRouter
 
 __all__ = [
-    "DisaggResult",
+    "DisaggReport",
     "DisaggRouter",
     "HandoffRecord",
     "PrefillPhase",

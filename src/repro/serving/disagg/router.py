@@ -9,85 +9,68 @@
    surviving requests are re-timestamped to their KV's landing time, and
    the decode :class:`~repro.serving.router.ReplicaRouter` serves that
    trace exactly as it would any other;
-3. the per-request records are stitched back into pipeline form: arrival
-   reset to the original trace arrival and ``prefill_s`` to the charged
-   prefill, so TTFT/latency span the whole journey while TPOT stays pure
-   decode.
+3. the per-request records are stitched back into pipeline form with the
+   router's :func:`~repro.serving.router.restamp` helper: arrival reset to
+   the original trace arrival and ``prefill_s`` to the charged prefill, so
+   TTFT/latency span the whole journey while TPOT stays pure decode.
 
-The stitched :class:`~repro.serving.router.FleetResult` therefore compares
-apples-to-apples against a colocated fleet run on the same trace.
+The result is an ordinary :class:`~repro.serving.router.FleetResult` that
+compares apples-to-apples against a colocated fleet run on the same trace;
+its :attr:`~repro.serving.router.FleetResult.disagg` block
+(:class:`DisaggReport`) carries the handoff and per-pool accounting.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Any
 
 from repro.memory.lifecycle import PreemptedState
-from repro.serving.disagg.handoff import HandoffRecord, PrefillPhase, PrefillPool
-from repro.serving.lifecycle import LatencyStats
-from repro.serving.router import FleetResult, ReplicaRouter
+from repro.serving.disagg.handoff import PrefillPool
+from repro.serving.router import FleetResult, ReplicaRouter, restamp
 from repro.workloads.traces import RequestTrace
 
 
 @dataclass(frozen=True)
-class DisaggResult:
-    """Fleet metrics plus the handoff accounting of one disaggregated run."""
+class DisaggReport:
+    """Two-pool accounting of a disaggregated run (absent for colocated).
 
-    #: Stitched decode-pool fleet result (records span the full pipeline).
-    fleet: FleetResult
-    #: The prefill phase, including every handoff receipt.
-    prefill_phase: PrefillPhase
+    Attributes:
+        prefill_replicas / decode_replicas: The fleet split (their sum is
+            the run's total hardware, ``RunReport.num_replicas``).
+        handoffs: Requests whose finished KV crossed the link.
+        kv_transfer_s: Total simulated link time charged before first
+            decode, summed over handoffs.
+        kv_transfer_bytes: Total KV bytes shipped over the link.
+        prefill_dropped: Requests no prefill replica could ever hold.
+        prefill_busy_seconds: Prefill service time summed over the pool.
+        prefill_makespan_s: When the last prefill replica drained.
+        prefill_pool_utilization / decode_pool_utilization: Mean busy
+            fraction of each pool over its makespan.
+    """
+
     prefill_replicas: int
     decode_replicas: int
+    handoffs: int
+    kv_transfer_s: float
+    kv_transfer_bytes: int
+    prefill_dropped: int
+    prefill_busy_seconds: float
+    prefill_makespan_s: float
+    prefill_pool_utilization: float
+    decode_pool_utilization: float
 
-    @property
-    def handoffs(self) -> int:
-        """Requests whose KV crossed the link to a decode replica."""
-        return len(self.prefill_phase.handoffs)
+    def to_dict(self) -> dict[str, Any]:
+        return dataclasses.asdict(self)
 
-    @property
-    def handoff_records(self) -> tuple[HandoffRecord, ...]:
-        """Handoff receipts ordered by request id."""
-        return tuple(
-            self.prefill_phase.handoffs[key] for key in sorted(self.prefill_phase.handoffs)
-        )
 
-    @property
-    def kv_transfer_s(self) -> float:
-        return self.prefill_phase.kv_transfer_s
-
-    @property
-    def kv_transfer_bytes(self) -> int:
-        return self.prefill_phase.kv_transfer_bytes
-
-    @property
-    def prefill_dropped(self) -> int:
-        return len(self.prefill_phase.dropped)
-
-    @property
-    def prefill_busy_seconds(self) -> float:
-        return sum(self.prefill_phase.busy_seconds)
-
-    @property
-    def prefill_makespan_s(self) -> float:
-        return self.prefill_phase.makespan_s
-
-    @property
-    def prefill_pool_utilization(self) -> float:
-        """Mean busy fraction of the prefill replicas over the pool makespan."""
-        denominator = self.prefill_replicas * self.prefill_makespan_s
-        if denominator <= 0:
-            return 0.0
-        return self.prefill_busy_seconds / denominator
-
-    @property
-    def decode_pool_utilization(self) -> float:
-        """Mean busy fraction of the decode replicas over the fleet makespan."""
-        denominator = self.decode_replicas * self.fleet.makespan_s
-        if denominator <= 0:
-            return 0.0
-        return self.fleet.busy_seconds / denominator
+def _busy_fraction(busy_seconds: float, replicas: int, makespan_s: float) -> float:
+    """Mean busy fraction of ``replicas`` over ``makespan_s`` (0 when idle)."""
+    denominator = replicas * makespan_s
+    if denominator <= 0:
+        return 0.0
+    return busy_seconds / denominator
 
 
 @dataclass
@@ -103,7 +86,7 @@ class DisaggRouter:
     prefill_pool: PrefillPool
     decode_router: ReplicaRouter
 
-    def run(self, trace: RequestTrace, system_name: str = "") -> DisaggResult:
+    def run(self, trace: RequestTrace, system_name: str = "") -> FleetResult:
         """Run both phases and stitch per-request records back together."""
         phase = self.prefill_pool.run(trace)
 
@@ -145,29 +128,31 @@ class DisaggRouter:
         # record to the original arrival and the prefill the pool charged.
         # TTFT/latency then span queue + prefill + transfer + decode while
         # TPOT (first-to-last token) remains pure decode.
-        stitched_results = []
-        for result in fleet.replica_results:
-            stitched = False
-            for record in result.request_records:
-                handoff = phase.handoffs.get(record.request_id)
-                if handoff is None:
-                    continue
-                record.arrival_s = handoff.arrival_s
-                record.prefill_s = handoff.prefill_s
-                stitched = True
-            if stitched:
-                result = dataclasses.replace(
-                    result, latency=LatencyStats.from_records(result.request_records)
-                )
-            stitched_results.append(result)
-        fleet = FleetResult.from_replicas(
+        stamps = {
+            request_id: {"arrival_s": handoff.arrival_s, "prefill_s": handoff.prefill_s}
+            for request_id, handoff in phase.handoffs.items()
+        }
+        prefill_busy_seconds = sum(phase.busy_seconds)
+        decode_replicas = len(self.decode_router.replicas)
+        return FleetResult.from_replicas(
             fleet.policy,
-            stitched_results,
+            restamp(fleet.replica_results, stamps),
             router_dropped=fleet.router_dropped + len(phase.dropped),
-        )
-        return DisaggResult(
-            fleet=fleet,
-            prefill_phase=phase,
-            prefill_replicas=self.prefill_pool.replicas,
-            decode_replicas=len(self.decode_router.replicas),
+            timeline=fleet.timeline,
+            disagg=DisaggReport(
+                prefill_replicas=self.prefill_pool.replicas,
+                decode_replicas=decode_replicas,
+                handoffs=len(phase.handoffs),
+                kv_transfer_s=phase.kv_transfer_s,
+                kv_transfer_bytes=phase.kv_transfer_bytes,
+                prefill_dropped=len(phase.dropped),
+                prefill_busy_seconds=prefill_busy_seconds,
+                prefill_makespan_s=phase.makespan_s,
+                prefill_pool_utilization=_busy_fraction(
+                    prefill_busy_seconds, self.prefill_pool.replicas, phase.makespan_s
+                ),
+                decode_pool_utilization=_busy_fraction(
+                    fleet.busy_seconds, decode_replicas, fleet.makespan_s
+                ),
+            ),
         )

@@ -1,155 +1,52 @@
 """Fleet timeline: replica failure/recovery events and reactive autoscaling.
 
-The :class:`DynamicFleetRouter` lifts the router's static-world assumption:
-instead of a fixed set of replicas serving a whole trace, the fleet is a
-*timeline* of replica **slots**, each slot hosting a sequence of
-**segments** (one engine lifetime).  A single chronological sweep merges
+A :class:`DynamicFleetRouter` lifts the static-world assumption of a plain
+:class:`~repro.serving.router.ReplicaRouter`: instead of a fixed set of
+replicas serving a whole trace, its fleet changes mid-run through
 
-* the timestamped request dispatches (any arrival process),
-* scripted :class:`~repro.api.spec.FleetEventSpec` events
-  (``replica_down`` / ``replica_up``), and
-* :class:`~repro.serving.autoscaler.ReactiveAutoscaler` ticks,
+* scripted fleet events (:class:`~repro.serving.router.FleetEvent`:
+  ``replica_down`` / ``replica_up``, mirrors of the spec's
+  :class:`~repro.api.spec.FleetEventSpec`), and
+* :class:`~repro.serving.autoscaler.ReactiveAutoscaler` ticks.
 
-and routes online exactly like :class:`~repro.serving.router.ReplicaRouter`
-does -- in arrival order, on the router's estimated view of each replica.
-Slots are appended, never removed, so a replica's position in the policy's
-view always equals its index (the invariant every routing policy relies
-on); downed or draining slots simply stop ``accepting``.
-
-Failure semantics (``replica_down`` at ``t``): the victims are the
-requests the router estimates are still in flight on that replica at
-``t`` (the same estimated view dispatch uses).  Each victim's reserved KV
-tokens are charged as lost, and the victim is re-dispatched at ``t`` to a
-surviving replica, where it re-enters the normal admission/prefill path
--- the re-warm cost.  Its record keeps the *original* arrival time, so
-TTFT and latency include the failure stall end to end, and carries a
-``restarts`` count.  Requests the router estimated complete stay credited
-to the failed segment; their engine may finish them slightly after ``t``
-(the estimated-view approximation, consistent with estimate-based
-dispatch everywhere else).
-
-Replica-hours accounting: a segment's bill runs from its start (for a
-scale-up, the *decision* time -- cold starts are paid for, not free) to
-its end (failure time, drain completion, or the fleet makespan), summed
-in :attr:`DynamicFleetResult.replica_seconds`.
-
-After the sweep, each segment's engine serves its sub-trace to completion
-(scalar and fast engines are parity-pinned, so both modes report
-identical fleet metrics), records are stitched back to original arrivals,
-and the merged :class:`~repro.serving.router.FleetResult` is wrapped in a
-:class:`DynamicFleetResult` with the timeline metrics.
+It is only a constructor: the sweep is
+:meth:`ReplicaRouter.run <repro.serving.router.ReplicaRouter.run>`, the one
+dispatch loop of every fleet, which also holds the failure and billing
+semantics.  The router builds its initial replicas from the engine factory
+up front and calls it again for every segment opened mid-run (a recovered
+replica comes back cold; a scale-up starts cold).  Service-time estimates
+stay probe-only (no EWMA feedback), and segment engines run as
+``[slot i]``.  The result is an ordinary
+:class:`~repro.serving.router.FleetResult` whose
+:attr:`~repro.serving.router.FleetResult.timeline` carries the
+replica-hours bill, failures, restarts, KV lost and the autoscaler's
+decision log.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
-from typing import Any
 
-from repro.serving.autoscaler import SCALE_DOWN, SCALE_UP, ReactiveAutoscaler, ScalingDecision
-from repro.serving.engine import EngineResult, ServingEngine
-from repro.serving.lifecycle import LatencyStats
+from repro.serving.autoscaler import ReactiveAutoscaler
+from repro.serving.engine import ServingEngine
 from repro.serving.router import (
     DEFAULT_PROBE_CONTEXT_TOKENS,
+    FleetEvent,
     FleetResult,
-    ReplicaState,
+    ReplicaRouter,
     RoundRobinRouting,
     RoutingPolicy,
+    SegmentRecord,
 )
-from repro.workloads.traces import Request, RequestTrace, _with_fields
-
-#: Heap ordering at equal timestamps: fleet events (and cold-start
-#: activations) apply first, then autoscaler ticks, then dispatches.
-_PRIO_EVENT = 0
-_PRIO_TICK = 1
-_PRIO_DISPATCH = 2
+from repro.workloads.traces import RequestTrace
 
 
-@dataclass(frozen=True)
-class FleetEvent:
-    """One scripted timeline event (mirror of the spec's FleetEventSpec)."""
-
-    at_s: float
-    kind: str  # "replica_down" | "replica_up"
-    replica: int
-
-
-@dataclass(frozen=True)
-class SegmentRecord:
-    """One engine lifetime on a slot, as billed in replica-hours."""
-
-    slot: int
-    start_s: float
-    end_s: float
-    reason: str  # "failure" | "drain" | "run-end"
-    requests_served: int
-
-
-class _Segment:
-    """Mutable per-segment bookkeeping during the sweep."""
-
-    def __init__(self, slot: int, start_s: float, engine: ServingEngine, state: ReplicaState):
-        self.slot = slot
-        self.start_s = start_s
-        self.engine = engine
-        self.state = state
-        self.requests: dict[int, Request] = {}
-        self.end_s: float | None = None
-        self.reason = "run-end"
-        self.drain_decision_s: float | None = None
-
-
-class _Slot:
-    """One replica position; hosts at most one live segment at a time."""
-
-    def __init__(self, index: int):
-        self.index = index
-        self.segment: _Segment | None = None
-
-
-@dataclass(frozen=True)
-class DynamicFleetResult:
-    """A routed run over a time-varying fleet, plus timeline metrics.
-
-    Attributes:
-        fleet: Merged per-request metrics across every segment (records
-            stitched back to original arrivals, so TTFT/latency include
-            failure stalls and re-warms).
-        segments: Billing record of every engine lifetime.
-        decisions: Autoscaler decision log (empty without an autoscaler).
-        failures: ``replica_down`` events applied.
-        restarts: Victim re-dispatches charged (a request failed twice
-            counts twice).
-        kv_lost_tokens: Reserved KV tokens lost to failures.
-        replica_seconds: Total provisioned replica time across segments.
-        peak_replicas: Peak concurrently provisioned replicas (accepting
-            or cold-starting).
-        dropped: Requests no accepting replica could take.
-    """
-
-    fleet: FleetResult
-    segments: tuple[SegmentRecord, ...]
-    decisions: tuple[ScalingDecision, ...]
-    failures: int
-    restarts: int
-    kv_lost_tokens: int
-    replica_seconds: float
-    peak_replicas: int
-    dropped: int
-
-    @property
-    def replica_hours(self) -> float:
-        """Provisioned replica-hours (the capacity-planning currency)."""
-        return self.replica_seconds / 3600.0
-
-
-class DynamicFleetRouter:
+class DynamicFleetRouter(ReplicaRouter):
     """Routes a timestamped trace across a fleet that changes mid-run.
 
     Args:
-        engine_factory: Builds one fresh serving engine per segment
-            (failed replicas come back cold; scale-ups start cold).
+        engine_factory: Builds one fresh serving engine per segment: the
+            initial replicas now, every recovery and scale-up mid-run.
         initial_replicas: Slots live at ``t=0``.
         policy: Routing policy (same registry as :class:`ReplicaRouter`).
         events: Scripted ``replica_down``/``replica_up`` events; per slot
@@ -160,6 +57,8 @@ class DynamicFleetRouter:
         probe_context_tokens: Context length probing each segment's
             decode-step latency for service-time estimates.
     """
+
+    segment_label = "slot"
 
     def __init__(
         self,
@@ -180,312 +79,21 @@ class DynamicFleetRouter:
                     f"fleet event targets replica {event.replica}, outside "
                     f"[0, {initial_replicas})"
                 )
+        super().__init__(
+            replicas=tuple(engine_factory() for _ in range(initial_replicas)),
+            policy=policy if policy is not None else RoundRobinRouting(),
+            probe_context_tokens=probe_context_tokens,
+            ewma_alpha=0.0,
+        )
         self.engine_factory = engine_factory
-        self.initial_replicas = initial_replicas
-        self.policy = policy if policy is not None else RoundRobinRouting()
         self.events = tuple(sorted(events, key=lambda event: (event.at_s, event.replica)))
         self.autoscaler = autoscaler
-        self.probe_context_tokens = probe_context_tokens
 
-    # -- sweep helpers -------------------------------------------------------
-
-    def _new_segment(self, slot: _Slot, start_s: float, accepting: bool) -> _Segment:
-        engine = self.engine_factory()
-        state = ReplicaState(slot.index, engine, self.probe_context_tokens)
-        state.accepting = accepting
-        segment = _Segment(slot.index, start_s, engine, state)
-        slot.segment = segment
-        return segment
-
-    @staticmethod
-    def _estimated_ttft_s(state: ReplicaState, request: Request) -> float:
-        """Dispatch-time TTFT estimate: prefill plus the queue ahead."""
-        estimate = state.est_step_s * (state.outstanding + 1)
-        prefill = state.engine.prefill
-        if prefill is not None:
-            prompt = min(request.prompt_tokens, state.system.max_context_tokens)
-            estimate += prefill.model.cumulative_seconds(prompt)
-        return estimate
-
-    def run(self, trace: RequestTrace, system_name: str = "") -> DynamicFleetResult:
-        """Sweep the merged timeline, then serve every segment to completion."""
-        scaler = self.autoscaler
-        if scaler is not None:
-            scaler.reset()
-        self.policy.reset()
-
-        slots: list[_Slot] = [_Slot(index) for index in range(self.initial_replicas)]
-        finalized: list[_Segment] = []
-        for slot in slots:
-            self._new_segment(slot, 0.0, accepting=True)
-
-        heap: list[tuple[float, int, int, tuple[Any, ...]]] = []
-        seq = 0
-
-        def push(at_s: float, priority: int, payload: tuple[Any, ...]) -> None:
-            nonlocal seq
-            heapq.heappush(heap, (at_s, priority, seq, payload))
-            seq += 1
-
-        original_arrival: dict[int, float] = {}
-        restarts: dict[int, int] = {}
-        pending_dispatches = 0
-        for request in trace.requests:
-            original_arrival[request.request_id] = request.arrival_s
-            push(request.arrival_s, _PRIO_DISPATCH, ("dispatch", request))
-            pending_dispatches += 1
-        for event in self.events:
-            push(event.at_s, _PRIO_EVENT, (event.kind, event.replica))
-        tick_scheduled = False
-        if scaler is not None and trace.requests:
-            push(scaler.interval_s, _PRIO_TICK, ("tick",))
-            tick_scheduled = True
-
-        # Provisioned = accepting or cold-starting; the peak is what static
-        # provisioning would have had to hold for the whole run.
-        provisioned = self.initial_replicas
-        peak_replicas = self.initial_replicas
-        failures = 0
-        restart_count = 0
-        kv_lost_tokens = 0
-        dropped = 0
-        last_time_s = 0.0
-
-        def states() -> list[ReplicaState]:
-            # Position == index invariant: every slot contributes exactly
-            # one state, live segments theirs, finished slots their last
-            # (non-accepting) one.
-            view: list[ReplicaState] = []
-            for slot in slots:
-                if slot.segment is not None:
-                    view.append(slot.segment.state)
-                else:
-                    view.append(_down_state(slot.index))
-            return view
-
-        down_states: dict[int, ReplicaState] = {}
-
-        def _down_state(index: int) -> ReplicaState:
-            # Placeholder for a slot with no live segment; never selected
-            # (accepting is False) but keeps list positions aligned.
-            state = down_states.get(index)
-            if state is None:
-                for segment in reversed(finalized):
-                    if segment.slot == index:
-                        state = segment.state
-                        break
-                else:  # pragma: no cover - slots always start with a segment
-                    raise RuntimeError(f"slot {index} has no segment history")
-                down_states[index] = state
-            state.accepting = False
-            return state
-
-        def fail_replica(index: int, at_s: float) -> None:
-            nonlocal failures, restart_count, kv_lost_tokens, tick_scheduled
-            slot = slots[index]
-            segment = slot.segment
-            if segment is None:
-                return  # validated specs never double-down a slot
-            state = segment.state
-            state.drain(at_s)
-            for request_id, tokens in sorted(state.in_flight().items()):
-                victim = segment.requests.pop(request_id, None)
-                if victim is None:
-                    continue
-                kv_lost_tokens += tokens
-                restarts[request_id] = restarts.get(request_id, 0) + 1
-                restart_count += 1
-                push(at_s, _PRIO_DISPATCH, ("dispatch", _with_fields(victim, arrival_s=at_s)))
-                bump_pending()
-            state.accepting = False
-            segment.end_s = at_s
-            segment.reason = "failure"
-            finalized.append(segment)
-            down_states.pop(index, None)
-            slot.segment = None
-            failures += 1
-            # Victim re-dispatches may arrive after the tick chain idled
-            # out; restart it so the autoscaler can react to the failure.
-            if scaler is not None and not tick_scheduled and pending_dispatches > 0:
-                push(at_s + scaler.interval_s, _PRIO_TICK, ("tick",))
-                tick_scheduled = True
-
-        def bump_pending() -> None:
-            nonlocal pending_dispatches
-            pending_dispatches += 1
-
-        while heap:
-            at_s, priority, _, payload = heapq.heappop(heap)
-            last_time_s = max(last_time_s, at_s)
-            kind = payload[0]
-            if kind == "replica_down":
-                provisioned -= 1
-                fail_replica(payload[1], at_s)
-            elif kind == "replica_up":
-                slot = slots[payload[1]]
-                if slot.segment is not None:
-                    # A drained slot coming back: close the draining
-                    # segment at the recovery point and start fresh.
-                    segment = slot.segment
-                    segment.end_s = at_s
-                    finalized.append(segment)
-                    slot.segment = None
-                self._new_segment(slot, at_s, accepting=True)
-                down_states.pop(payload[1], None)
-                provisioned += 1
-                peak_replicas = max(peak_replicas, provisioned)
-            elif kind == "activate":
-                slot = slots[payload[1]]
-                if slot.segment is not None:
-                    slot.segment.state.accepting = True
-            elif kind == "tick":
-                assert scaler is not None
-                accepting_states = []
-                for slot in slots:
-                    if slot.segment is not None and slot.segment.state.accepting:
-                        slot.segment.state.drain(at_s)
-                        accepting_states.append(slot.segment.state)
-                action = scaler.decide(
-                    at_s,
-                    provisioned_replicas=provisioned,
-                    accepting_replicas=len(accepting_states),
-                    outstanding=[state.outstanding for state in accepting_states],
-                )
-                if action == SCALE_UP:
-                    slot = _Slot(len(slots))
-                    slots.append(slot)
-                    self._new_segment(slot, at_s, accepting=False)
-                    push(at_s + scaler.cold_start_s, _PRIO_EVENT, ("activate", slot.index))
-                    provisioned += 1
-                    peak_replicas = max(peak_replicas, provisioned)
-                elif action == SCALE_DOWN and accepting_states:
-                    victim_state = min(
-                        accepting_states,
-                        key=lambda state: (state.outstanding, -state.index),
-                    )
-                    victim_state.accepting = False
-                    segment = slots[victim_state.index].segment
-                    assert segment is not None
-                    segment.reason = "drain"
-                    segment.drain_decision_s = at_s
-                    provisioned -= 1
-                if pending_dispatches > 0:
-                    push(at_s + scaler.interval_s, _PRIO_TICK, ("tick",))
-                else:
-                    tick_scheduled = False
-            else:  # dispatch
-                pending_dispatches -= 1
-                request = payload[1]
-                view = states()
-                for state in view:
-                    state.drain(at_s)
-                choice = self.policy.select(request, view)
-                if choice is None:
-                    dropped += 1
-                    continue
-                if not 0 <= choice < len(view):
-                    raise ValueError(
-                        f"policy {self.policy.name!r} chose replica {choice} for "
-                        f"request {request.request_id}; fleet has {len(view)} slots"
-                    )
-                if not view[choice].accepting:
-                    raise ValueError(
-                        f"policy {self.policy.name!r} chose non-accepting replica "
-                        f"{choice} for request {request.request_id}; downed or "
-                        "draining replicas must be skipped"
-                    )
-                segment = slots[choice].segment
-                assert segment is not None
-                if scaler is not None and scaler.signal == "ttft-ewma":
-                    scaler.observe_ttft(self._estimated_ttft_s(segment.state, request))
-                segment.state.assign(request, at_s)
-                segment.requests[request.request_id] = request
-
-        for slot in slots:
-            if slot.segment is not None:
-                finalized.append(slot.segment)
-                slot.segment = None
-        finalized.sort(key=lambda segment: (segment.slot, segment.start_s))
-
-        # -- serve every segment to completion and stitch records back ------
-        results: list[EngineResult] = []
-        for segment in finalized:
-            subtrace = RequestTrace(
-                dataset=trace.dataset,
-                requests=tuple(
-                    sorted(
-                        segment.requests.values(),
-                        key=lambda request: (request.arrival_s, request.request_id),
-                    )
-                ),
-            )
-            base = system_name or type(segment.engine.system).__name__
-            results.append(
-                segment.engine.run(subtrace, system_name=f"{base}[slot {segment.slot}]")
-            )
-
-        fleet_end_s = max(
-            (result.makespan_s for result in results), default=0.0
-        )
-        fleet_end_s = max(fleet_end_s, last_time_s)
-        segment_records: list[SegmentRecord] = []
-        for segment, result in zip(finalized, results, strict=True):
-            if segment.reason == "failure":
-                end_s = segment.end_s if segment.end_s is not None else fleet_end_s
-            elif segment.reason == "drain":
-                # Billed until the last in-flight request finishes (the
-                # drain decision itself if the slot was already idle).
-                decision_s = segment.drain_decision_s or segment.start_s
-                end_s = max(decision_s, result.makespan_s, segment.start_s)
-            else:
-                end_s = max(segment.start_s, fleet_end_s)
-            segment_records.append(
-                SegmentRecord(
-                    slot=segment.slot,
-                    start_s=segment.start_s,
-                    end_s=end_s,
-                    reason=segment.reason,
-                    requests_served=result.requests_served,
-                )
-            )
-
-        stitched: list[EngineResult] = []
-        for result in results:
-            changed = False
-            for record in result.request_records:
-                # A victim's segment saw its re-dispatch time as the
-                # arrival; restore the original so TTFT/latency span the
-                # failure stall.  Non-victims kept theirs by construction.
-                count = restarts.get(record.request_id, 0)
-                record.restarts = count
-                if count:
-                    record.arrival_s = original_arrival[record.request_id]
-                    changed = True
-            if changed:
-                stitched.append(
-                    replace(result, latency=LatencyStats.from_records(result.request_records))
-                )
-            else:
-                stitched.append(result)
-
-        fleet = FleetResult.from_replicas(self.policy.name, stitched, router_dropped=dropped)
-        return DynamicFleetResult(
-            fleet=fleet,
-            segments=tuple(segment_records),
-            decisions=tuple(scaler.decisions) if scaler is not None else (),
-            failures=failures,
-            restarts=restart_count,
-            kv_lost_tokens=kv_lost_tokens,
-            replica_seconds=sum(
-                record.end_s - record.start_s for record in segment_records
-            ),
-            peak_replicas=peak_replicas,
-            dropped=dropped,
-        )
+    def run(self, trace: RequestTrace, system_name: str = "") -> FleetResult:
+        return super().run(trace, system_name)
 
 
 __all__ = [
-    "DynamicFleetResult",
     "DynamicFleetRouter",
     "FleetEvent",
     "SegmentRecord",

@@ -1,14 +1,14 @@
-"""Data-parallel replica router: one front door over N serving engines.
+"""Data-parallel replica router: one front door over a fleet of serving engines.
 
 A :class:`ReplicaRouter` fronts independent
 :class:`~repro.serving.engine.ServingEngine` replicas behind the same
 timestamped-arrival interface the single engine exposes.  Routing happens
 the way a real L7 router does it -- online, in arrival order, on the
 router's *local* view of each replica (outstanding requests, reserved KV
-bytes via a shadow allocator, estimated completion times) -- and the
-replicas are then served faithfully on their assigned sub-traces.  The
-dispatch pass is a single sweep over arrivals, so no policy can livelock
-the router: a request is either assigned to a replica or dropped.
+bytes via a shadow allocator, estimated completion times) -- and each
+engine then serves its assigned requests faithfully.  Dispatch visits
+every request once, so no policy can livelock the router: a request is
+either assigned to a replica or dropped.
 
 Routing policies implement :class:`RoutingPolicy`:
 
@@ -26,25 +26,52 @@ Routing policies implement :class:`RoutingPolicy`:
   :attr:`~repro.workloads.traces.Request.session` id stick to the replica
   that saw the session first (their KV prefix lives there).
 
-Fleet-level metrics merge the per-replica results:
+**The fleet timeline.**  Every run is one chronological heap sweep that
+merges request dispatches, scripted fleet events (:class:`FleetEvent`:
+``replica_down`` / ``replica_up``) and :class:`~repro.serving.autoscaler.ReactiveAutoscaler`
+ticks over replica **slots**, each hosting a sequence of **segments** (one
+engine lifetime).  A static fleet is the degenerate timeline: one segment
+per replica and no events.  Only a
+:class:`~repro.serving.fleet_events.DynamicFleetRouter` supplies events, an
+autoscaler and the engine factory for segments opened mid-run.
+
+* Failure (``replica_down`` at ``t``): the victims are the requests the
+  router estimates are still in flight on that replica at ``t``.  Their
+  reserved KV tokens are charged as lost and they are re-dispatched at
+  ``t`` to a surviving replica, where they re-enter admission and prefill
+  -- the re-warm cost.  Each victim's record gets its *original* arrival
+  back, so TTFT and latency include the failure stall, plus a
+  ``restarts`` count.  Requests the router estimated complete stay
+  credited to the failed segment (the estimated-view approximation).
+* Billing: a segment runs from its start (for a scale-up, the *decision*
+  time -- cold starts are paid for) to its end (failure time, drain
+  completion, or the fleet makespan); the sum is
+  :attr:`FleetTimelineReport.replica_seconds`.
+
+Fleet-level metrics merge the per-segment results:
 :class:`FleetResult` recomputes TTFT/TPOT/latency percentiles over the
 *union* of request records (so an N=1 fleet reports exactly the single
-engine's percentiles) and reports aggregate throughput as total tokens
-over the fleet makespan.
+engine's percentiles), reports aggregate throughput as total tokens over
+the fleet makespan, and carries the sweep's :class:`FleetTimelineReport`.
 """
-
 from __future__ import annotations
 
+import dataclasses
 import heapq
+import itertools
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from collections.abc import Callable, Sequence
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, ClassVar, Protocol, runtime_checkable
 
 from repro.api.registry import register_routing_policy
+from repro.serving.autoscaler import SCALE_DOWN, SCALE_UP, ReactiveAutoscaler, ScalingDecision
 from repro.serving.engine import EngineResult, ServingEngine
 from repro.serving.interfaces import KVLifecycle, allocator_for
 from repro.serving.lifecycle import LatencyStats, RequestRecord
-from repro.workloads.traces import Request, RequestTrace, partition_trace
+from repro.workloads.traces import Request, RequestTrace, _with_fields
+
+if TYPE_CHECKING:
+    from repro.serving.disagg.router import DisaggReport
 
 #: Context length used to probe each replica's decode-step latency once at
 #: dispatch time; the probe seeds the router's service-time estimate.
@@ -85,9 +112,8 @@ class ReplicaState:
         self.est_step_s = est_step_s
         #: Whether the replica takes new work.  The fleet timeline clears
         #: this on failure or drain; every routing policy must skip
-        #: non-accepting replicas, and :meth:`ReplicaRouter.dispatch`
-        #: enforces it, so dispatching to a downed replica is impossible
-        #: by construction.
+        #: non-accepting replicas, and the router's sweep enforces it, so
+        #: dispatching to a downed replica is impossible by construction.
         self.accepting = True
         self.outstanding = 0
         self.reserved_tokens = 0
@@ -111,13 +137,19 @@ class ReplicaState:
         """Whether an empty replica could admit the request at all."""
         return self.shadow.could_ever_fit(self._clamped_final_tokens(request))
 
-    def estimated_service_s(self, request: Request) -> float:
-        estimate = self.est_step_s * max(1, request.output_tokens)
+    def _prefill_s(self, request: Request) -> float:
         prefill = self.engine.prefill
-        if prefill is not None:
-            prompt = min(request.prompt_tokens, self.system.max_context_tokens)
-            estimate += prefill.model.cumulative_seconds(prompt)
-        return estimate
+        if prefill is None:
+            return 0.0
+        prompt = min(request.prompt_tokens, self.system.max_context_tokens)
+        return prefill.model.cumulative_seconds(prompt)
+
+    def estimated_service_s(self, request: Request) -> float:
+        return self.est_step_s * max(1, request.output_tokens) + self._prefill_s(request)
+
+    def estimated_ttft_s(self, request: Request) -> float:
+        """Dispatch-time TTFT estimate: prefill plus the queue ahead."""
+        return self.est_step_s * (self.outstanding + 1) + self._prefill_s(request)
 
     def assign(self, request: Request, now_s: float) -> None:
         """Record a dispatch: bump load counters and book a completion."""
@@ -324,6 +356,83 @@ register_routing_policy("kv-balanced", KVBalancedRouting)
 register_routing_policy("session-affinity", SessionAffinityRouting)
 
 
+#: Heap ordering at equal timestamps: fleet events (and cold-start
+#: activations) apply first, then autoscaler ticks, then dispatches.
+_PRIO_EVENT = 0
+_PRIO_TICK = 1
+_PRIO_DISPATCH = 2
+
+
+@dataclass(frozen=True)
+class FleetEvent:
+    """One scripted timeline event (mirror of the spec's FleetEventSpec)."""
+
+    at_s: float
+    kind: str  # "replica_down" | "replica_up"
+    replica: int
+
+
+@dataclass(frozen=True)
+class SegmentRecord:
+    """One engine lifetime on a slot, as billed in replica-hours."""
+
+    slot: int
+    start_s: float
+    end_s: float
+    reason: str  # "failure" | "drain" | "run-end"
+    requests_served: int
+
+
+@dataclass(frozen=True)
+class FleetTimelineReport:
+    """Timeline accounting of one routed run: billing, failures, scaling.
+
+    Attributes:
+        replica_seconds: Total provisioned replica time across segments
+            (the capacity bill an autoscaler tries to shrink).
+        peak_replicas: Peak concurrently provisioned replicas -- what a
+            static fleet would have had to hold for the whole run.
+        failures: ``replica_down`` events applied.
+        restarts: Victim re-dispatches after failures (a request failed
+            twice counts twice).
+        kv_lost_tokens: Reserved KV tokens lost to failures (re-warmed on
+            the victims' new replicas).
+        scale_ups / scale_downs: Autoscaler decisions by direction.
+        segments: Per-engine-lifetime billing records, ordered by slot
+            then start time.
+        decisions: The autoscaler's full decision log.
+    """
+
+    replica_seconds: float
+    peak_replicas: int
+    failures: int
+    restarts: int
+    kv_lost_tokens: int
+    scale_ups: int
+    scale_downs: int
+    segments: tuple[SegmentRecord, ...] = ()
+    decisions: tuple[ScalingDecision, ...] = ()
+
+    @property
+    def replica_hours(self) -> float:
+        """Provisioned replica-hours (the capacity-planning currency)."""
+        return self.replica_seconds / 3600.0
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "replica_seconds": self.replica_seconds,
+            "replica_hours": self.replica_hours,
+            "peak_replicas": self.peak_replicas,
+            "failures": self.failures,
+            "restarts": self.restarts,
+            "kv_lost_tokens": self.kv_lost_tokens,
+            "scale_ups": self.scale_ups,
+            "scale_downs": self.scale_downs,
+            "segments": [dataclasses.asdict(segment) for segment in self.segments],
+            "decisions": [dataclasses.asdict(decision) for decision in self.decisions],
+        }
+
+
 @dataclass(frozen=True)
 class FleetResult:
     """Merged metrics of one routed serving run across all replicas.
@@ -338,12 +447,20 @@ class FleetResult:
     router_dropped: int
     latency: LatencyStats
     request_records: tuple[RequestRecord, ...]
+    #: Billing, failure and scaling accounting of the router's sweep
+    #: (``None`` for results merged outside a router, e.g. one engine).
+    timeline: FleetTimelineReport | None = None
+    #: Two-pool handoff accounting, set by
+    #: :class:`~repro.serving.disagg.DisaggRouter` only.
+    disagg: DisaggReport | None = None
 
     @staticmethod
     def from_replicas(
         policy: str,
         replica_results: Sequence[EngineResult],
         router_dropped: int = 0,
+        timeline: FleetTimelineReport | None = None,
+        disagg: DisaggReport | None = None,
     ) -> FleetResult:
         records: list[RequestRecord] = []
         for result in replica_results:
@@ -355,6 +472,8 @@ class FleetResult:
             router_dropped=router_dropped,
             latency=LatencyStats.from_records(records),
             request_records=tuple(records),
+            timeline=timeline,
+            disagg=disagg,
         )
 
     @property
@@ -436,13 +555,250 @@ class FleetResult:
         return tuple(result.prefix_hit_rate for result in self.replica_results)
 
 
+def restamp(
+    results: Sequence[EngineResult], stamps: Mapping[int, Mapping[str, Any]]
+) -> list[EngineResult]:
+    """Put original values back on request records after serving.
+
+    ``stamps`` maps a request id to the record fields to overwrite (an
+    engine saw a re-dispatch or a KV landing time as the arrival, so the
+    fleet restores the value the request really had).  Results with a
+    re-stamped record get their latency stats recomputed.
+    """
+    restamped = []
+    for result in results:
+        changed = False
+        for record in result.request_records:
+            stamp = stamps.get(record.request_id)
+            if stamp:
+                for name, value in stamp.items():
+                    setattr(record, name, value)
+                changed = True
+        if changed:
+            result = dataclasses.replace(
+                result, latency=LatencyStats.from_records(result.request_records)
+            )
+        restamped.append(result)
+    return restamped
+
+
+@dataclass(eq=False)
+class _Segment:
+    """Mutable bookkeeping of one engine lifetime during the sweep."""
+
+    slot: int
+    start_s: float
+    engine: ServingEngine
+    state: ReplicaState
+    requests: dict[int, Request] = field(default_factory=dict)
+    reason: str = "run-end"
+    #: Failure time, or the drain decision time of a drained segment.
+    closed_s: float = 0.0
+
+
+class _Timeline:
+    """One chronological sweep of a router's fleet (see :meth:`ReplicaRouter.run`).
+
+    Slots are appended, never removed, so ``current[i]`` is always slot
+    ``i``'s latest segment and the policy's view lists one state per slot
+    (the position == index invariant every routing policy relies on);
+    downed or draining slots simply stop ``accepting``.
+    """
+
+    def __init__(self, router: ReplicaRouter, trace: RequestTrace) -> None:
+        self.router = router
+        self.scaler = router.autoscaler
+        self.heap: list[tuple[float, int, int, tuple[Any, ...]]] = []
+        self.seq = itertools.count()
+        #: Every segment in opening order; ``current`` holds each slot's latest.
+        self.segments: list[_Segment] = []
+        self.current: list[_Segment] = []
+        #: Failure re-dispatches per request id.
+        self.restarts: dict[int, int] = {}
+        self.pending_dispatches = 0
+        self.tick_scheduled = False
+        # Provisioned = accepting or cold-starting; the peak is what static
+        # provisioning would have had to hold for the whole run.
+        self.provisioned = self.peak_replicas = len(router.replicas)
+        self.failures = self.kv_lost_tokens = self.dropped = 0
+        self.last_time_s = 0.0
+
+        if self.scaler is not None:
+            self.scaler.reset()
+        router.policy.reset()
+        for engine in router.replicas:
+            self._open(len(self.current), 0.0, engine, accepting=True)
+        for request in trace.requests:
+            self._push_dispatch(request.arrival_s, request)
+        for event in router.events:
+            self._push(event.at_s, _PRIO_EVENT, (event.kind, event.replica))
+        if self.scaler is not None and trace.requests:
+            self._push(self.scaler.interval_s, _PRIO_TICK, ("tick",))
+            self.tick_scheduled = True
+
+    def _push(self, at_s: float, priority: int, payload: tuple[Any, ...]) -> None:
+        heapq.heappush(self.heap, (at_s, priority, next(self.seq), payload))
+
+    def _push_dispatch(self, at_s: float, request: Request) -> None:
+        self._push(at_s, _PRIO_DISPATCH, ("dispatch", request))
+        self.pending_dispatches += 1
+
+    def _open(
+        self, slot: int, start_s: float, engine: ServingEngine | None, accepting: bool
+    ) -> None:
+        """Start a segment on ``slot`` (appending the slot if it is new)."""
+        if engine is None:
+            assert self.router.engine_factory is not None
+            engine = self.router.engine_factory()
+        state = ReplicaState(
+            slot,
+            engine,
+            self.router.probe_context_tokens,
+            est_step_s=self.router._service_estimates.get(slot),
+        )
+        state.accepting = accepting
+        segment = _Segment(slot, start_s, engine, state)
+        self.segments.append(segment)
+        if slot == len(self.current):
+            self.current.append(segment)
+        else:
+            self.current[slot] = segment
+
+    def sweep(self) -> _Timeline:
+        """Apply every event, tick and dispatch in timestamp order."""
+        while self.heap:
+            at_s, _, _, payload = heapq.heappop(self.heap)
+            self.last_time_s = max(self.last_time_s, at_s)
+            kind = payload[0]
+            if kind == "replica_down":
+                self.provisioned -= 1
+                self._fail(payload[1], at_s)
+            elif kind == "replica_up":
+                self._open(payload[1], at_s, None, accepting=True)
+                self.provisioned += 1
+                self.peak_replicas = max(self.peak_replicas, self.provisioned)
+            elif kind == "activate":
+                self.current[payload[1]].state.accepting = True
+            elif kind == "tick":
+                self._tick(at_s)
+            else:
+                self._dispatch(at_s, payload[1])
+        return self
+
+    def _fail(self, slot: int, at_s: float) -> None:
+        segment = self.current[slot]
+        if segment.reason == "failure":
+            return  # validated specs never double-down a slot
+        state = segment.state
+        state.drain(at_s)
+        for request_id, tokens in sorted(state.in_flight().items()):
+            victim = segment.requests.pop(request_id, None)
+            if victim is None:
+                continue
+            self.kv_lost_tokens += tokens
+            self.restarts[request_id] = self.restarts.get(request_id, 0) + 1
+            self._push_dispatch(at_s, _with_fields(victim, arrival_s=at_s))
+        state.accepting = False
+        segment.reason = "failure"
+        segment.closed_s = at_s
+        self.failures += 1
+        # Victim re-dispatches may arrive after the tick chain idled out;
+        # restart it so the autoscaler can react to the failure.
+        scaler = self.scaler
+        if scaler is not None and not self.tick_scheduled and self.pending_dispatches > 0:
+            self._push(at_s + scaler.interval_s, _PRIO_TICK, ("tick",))
+            self.tick_scheduled = True
+
+    def _tick(self, at_s: float) -> None:
+        scaler = self.scaler
+        assert scaler is not None
+        accepting = [segment.state for segment in self.current if segment.state.accepting]
+        for state in accepting:
+            state.drain(at_s)
+        action = scaler.decide(
+            at_s,
+            provisioned_replicas=self.provisioned,
+            accepting_replicas=len(accepting),
+            outstanding=[state.outstanding for state in accepting],
+        )
+        if action == SCALE_UP:
+            slot = len(self.current)
+            self._open(slot, at_s, None, accepting=False)
+            self._push(at_s + scaler.cold_start_s, _PRIO_EVENT, ("activate", slot))
+            self.provisioned += 1
+            self.peak_replicas = max(self.peak_replicas, self.provisioned)
+        elif action == SCALE_DOWN and accepting:
+            victim = min(accepting, key=lambda state: (state.outstanding, -state.index))
+            victim.accepting = False
+            segment = self.current[victim.index]
+            segment.reason = "drain"
+            segment.closed_s = at_s
+            self.provisioned -= 1
+        if self.pending_dispatches > 0:
+            self._push(at_s + scaler.interval_s, _PRIO_TICK, ("tick",))
+        else:
+            self.tick_scheduled = False
+
+    def _dispatch(self, at_s: float, request: Request) -> None:
+        self.pending_dispatches -= 1
+        view = [segment.state for segment in self.current]
+        for state in view:
+            state.drain(at_s)
+        choice = self.router._select(request, view)
+        if choice is None:
+            self.dropped += 1
+            return
+        segment = self.current[choice]
+        if self.scaler is not None and self.scaler.signal == "ttft-ewma":
+            self.scaler.observe_ttft(segment.state.estimated_ttft_s(request))
+        segment.state.assign(request, at_s)
+        segment.requests[request.request_id] = request
+
+    def report(
+        self, segments: Sequence[_Segment], results: Sequence[EngineResult]
+    ) -> FleetTimelineReport:
+        """Bill every served segment and roll up the timeline counters."""
+        fleet_end_s = max(
+            max((result.makespan_s for result in results), default=0.0), self.last_time_s
+        )
+        records = []
+        for segment, result in zip(segments, results, strict=True):
+            if segment.reason == "failure":
+                end_s = segment.closed_s
+            elif segment.reason == "drain":
+                # Billed until the last in-flight request finishes (the
+                # drain decision itself if the slot was already idle).
+                end_s = max(segment.closed_s, result.makespan_s, segment.start_s)
+            else:
+                end_s = max(segment.start_s, fleet_end_s)
+            records.append(
+                SegmentRecord(
+                    segment.slot, segment.start_s, end_s, segment.reason, result.requests_served
+                )
+            )
+        decisions = tuple(self.scaler.decisions) if self.scaler is not None else ()
+        scale_ups = sum(1 for decision in decisions if decision.action == SCALE_UP)
+        return FleetTimelineReport(
+            replica_seconds=sum(record.end_s - record.start_s for record in records),
+            peak_replicas=self.peak_replicas,
+            failures=self.failures,
+            restarts=sum(self.restarts.values()),
+            kv_lost_tokens=self.kv_lost_tokens,
+            scale_ups=scale_ups,
+            scale_downs=len(decisions) - scale_ups,
+            segments=tuple(records),
+            decisions=decisions,
+        )
+
+
 @dataclass
 class ReplicaRouter:
     """Routes a timestamped trace across N independent serving engines.
 
     Attributes:
         replicas: The serving engines fronted by this router (at least one;
-            they may be heterogeneous).
+            they may be heterogeneous).  They are the fleet's slots at
+            ``t=0``.
         policy: Routing policy (default round-robin).
         probe_context_tokens: Context length used to probe each replica's
             decode-step latency for the router's service-time estimates.
@@ -461,6 +817,14 @@ class ReplicaRouter:
     ewma_alpha: float = 0.3
     #: Learned per-replica step-time estimates (replica index -> seconds).
     _service_estimates: dict[int, float] = field(default_factory=dict, init=False, repr=False)
+    #: Timeline inputs only a :class:`~repro.serving.fleet_events.DynamicFleetRouter`
+    #: sets: scripted events, the autoscaler, and the factory building the
+    #: engine of every segment opened mid-run.  A static fleet has none.
+    events: tuple[FleetEvent, ...] = field(default=(), init=False, repr=False)
+    autoscaler: ReactiveAutoscaler | None = field(default=None, init=False, repr=False)
+    engine_factory: Callable[[], ServingEngine] | None = field(default=None, init=False, repr=False)
+    #: Segment engines run as ``f"{system}[{segment_label} {slot}]"``.
+    segment_label: ClassVar[str] = "replica"
 
     def __post_init__(self) -> None:
         if not self.replicas:
@@ -475,11 +839,13 @@ class ReplicaRouter:
         """EWMA-learned per-replica step-time estimates (empty before feedback)."""
         return dict(self._service_estimates)
 
-    def _update_estimates(self, results: Sequence[EngineResult]) -> None:
-        """Fold each replica's measured mean TPOT into its EWMA estimate."""
+    def _update_estimates(
+        self, segments: Sequence[_Segment], results: Sequence[EngineResult]
+    ) -> None:
+        """Fold each slot's measured mean TPOT into its EWMA estimate."""
         if self.ewma_alpha <= 0.0:
             return
-        for index, result in enumerate(results):
+        for segment, result in zip(segments, results, strict=True):
             measured = result.latency.tpot_mean_s
             if measured <= 0.0:
                 # Single-token requests report TPOT 0 (no inter-token gap),
@@ -495,11 +861,11 @@ class ReplicaRouter:
                 measured = decode_seconds / result.steps if result.steps else 0.0
             if measured <= 0.0:
                 continue  # replica served nothing this run
-            previous = self._service_estimates.get(index)
+            previous = self._service_estimates.get(segment.slot)
             if previous is None:
-                self._service_estimates[index] = measured
+                self._service_estimates[segment.slot] = measured
             else:
-                self._service_estimates[index] = (
+                self._service_estimates[segment.slot] = (
                     (1.0 - self.ewma_alpha) * previous + self.ewma_alpha * measured
                 )
 
@@ -522,58 +888,69 @@ class ReplicaRouter:
             ewma_alpha=ewma_alpha,
         )
 
-    def dispatch(self, trace: RequestTrace) -> list[int | None]:
-        """Assign every request to a replica (or ``None``), in arrival order.
-
-        The sweep is stable on arrival time, matching the engine's
-        admission ordering, and visits each request exactly once -- a
-        policy can reject a request but never stall the pass.
-        """
-        states = [
-            ReplicaState(
-                index,
-                engine,
-                self.probe_context_tokens,
-                est_step_s=self._service_estimates.get(index),
+    def _select(self, request: Request, view: Sequence[ReplicaState]) -> int | None:
+        """The policy's slot for ``request``, held to the accepting contract."""
+        choice = self.policy.select(request, view)
+        if choice is None:
+            return None
+        if not 0 <= choice < len(view):
+            raise ValueError(
+                f"policy {self.policy.name!r} chose replica {choice} for request "
+                f"{request.request_id}; fleet has {len(view)} replicas"
             )
-            for index, engine in enumerate(self.replicas)
-        ]
-        self.policy.reset()
-        assignments: list[int | None] = [None] * len(trace.requests)
-        order = sorted(
-            range(len(trace.requests)), key=lambda i: trace.requests[i].arrival_s
-        )
-        for position in order:
-            request = trace.requests[position]
-            arrival_s = request.arrival_s
-            for state in states:
-                state.drain(arrival_s)
-            choice = self.policy.select(request, states)
-            if choice is None:
-                continue
-            if not 0 <= choice < len(states):
-                raise ValueError(
-                    f"policy {self.policy.name!r} chose replica {choice} for request "
-                    f"{request.request_id}; fleet has {len(states)} replicas"
-                )
-            if not states[choice].accepting:
-                raise ValueError(
-                    f"policy {self.policy.name!r} chose non-accepting replica "
-                    f"{choice} for request {request.request_id}; downed or "
-                    "draining replicas must be skipped"
-                )
-            states[choice].assign(request, arrival_s)
-            assignments[position] = choice
-        return assignments
+        if not view[choice].accepting:
+            raise ValueError(
+                f"policy {self.policy.name!r} chose non-accepting replica "
+                f"{choice} for request {request.request_id}; downed or "
+                "draining replicas must be skipped"
+            )
+        return choice
+
+    def dispatch(self, trace: RequestTrace) -> list[int | None]:
+        """The slot serving each request (``None`` if dropped), in trace order.
+
+        Runs the same sweep as :meth:`run` without serving anything, so a
+        failure victim is reported at the slot it was re-dispatched to.
+        """
+        placement = {
+            request_id: segment.slot
+            for segment in _Timeline(self, trace).sweep().segments
+            for request_id in segment.requests
+        }
+        return [placement.get(request.request_id) for request in trace.requests]
 
     def run(self, trace: RequestTrace, system_name: str = "") -> FleetResult:
-        """Dispatch ``trace`` and serve every replica's share to completion."""
-        assignments = self.dispatch(trace)
-        subtraces = partition_trace(trace, assignments, len(self.replicas))
+        """Sweep the fleet timeline, then serve every segment to completion.
+
+        Each segment's engine serves its requests in ``(arrival_s,
+        request_id)`` order; failure victims get their original arrival
+        and a ``restarts`` count back afterwards.
+        """
+        timeline = _Timeline(self, trace).sweep()
+        segments = sorted(timeline.segments, key=lambda segment: (segment.slot, segment.start_s))
         results = []
-        for index, (engine, subtrace) in enumerate(zip(self.replicas, subtraces, strict=True)):
-            base = system_name or type(engine.system).__name__
-            results.append(engine.run(subtrace, system_name=f"{base}[replica {index}]"))
-        dropped = sum(1 for assignment in assignments if assignment is None)
-        self._update_estimates(results)
-        return FleetResult.from_replicas(self.policy.name, results, router_dropped=dropped)
+        for segment in segments:
+            requests = sorted(
+                segment.requests.values(),
+                key=lambda request: (request.arrival_s, request.request_id),
+            )
+            base = system_name or type(segment.engine.system).__name__
+            results.append(
+                segment.engine.run(
+                    RequestTrace(dataset=trace.dataset, requests=tuple(requests)),
+                    system_name=f"{base}[{self.segment_label} {segment.slot}]",
+                )
+            )
+        self._update_estimates(segments, results)
+        report = timeline.report(segments, results)
+        arrivals = {request.request_id: request.arrival_s for request in trace.requests}
+        stamps = {
+            request_id: {"restarts": count, "arrival_s": arrivals[request_id]}
+            for request_id, count in timeline.restarts.items()
+        }
+        return FleetResult.from_replicas(
+            self.policy.name,
+            restamp(results, stamps),
+            router_dropped=timeline.dropped,
+            timeline=report,
+        )

@@ -9,6 +9,7 @@ from repro.serving import (
     SCALE_UP,
     DynamicFleetRouter,
     FleetEvent,
+    LeastOutstandingRouting,
     ReactiveAutoscaler,
     ReplicaRouter,
     RoundRobinRouting,
@@ -92,30 +93,76 @@ class TestStaticEquivalence:
         dynamic = DynamicFleetRouter(toy_engine, initial_replicas=2).run(
             trace, system_name="toy"
         )
-        assert dynamic.fleet.latency == static.latency
-        assert [r.request_id for r in dynamic.fleet.request_records] == [
+        assert dynamic.latency == static.latency
+        assert [r.request_id for r in dynamic.request_records] == [
             r.request_id for r in static.request_records
         ]
-        assert dynamic.failures == 0
-        assert dynamic.restarts == 0
-        assert dynamic.kv_lost_tokens == 0
-        assert dynamic.dropped == 0
-        assert all(r.restarts == 0 for r in dynamic.fleet.request_records)
-        assert [segment.reason for segment in dynamic.segments] == ["run-end"] * 2
+        assert dynamic.timeline.failures == 0
+        assert dynamic.timeline.restarts == 0
+        assert dynamic.timeline.kv_lost_tokens == 0
+        assert dynamic.router_dropped == 0
+        assert all(r.restarts == 0 for r in dynamic.request_records)
+        assert [segment.reason for segment in dynamic.timeline.segments] == ["run-end"] * 2
         # Both run-end segments bill from t=0 to the common fleet end.
-        ends = {segment.end_s for segment in dynamic.segments}
+        ends = {segment.end_s for segment in dynamic.timeline.segments}
         assert len(ends) == 1
-        assert dynamic.replica_seconds == pytest.approx(2 * ends.pop())
+        assert dynamic.timeline.replica_seconds == pytest.approx(2 * ends.pop())
 
     def test_empty_trace(self):
         result = DynamicFleetRouter(toy_engine, initial_replicas=2).run(
             RequestTrace(dataset="toy", requests=())
         )
-        assert result.fleet.request_records == ()
-        assert result.failures == 0
-        assert result.decisions == ()
-        assert result.replica_seconds == 0.0
-        assert result.peak_replicas == 2
+        assert result.request_records == ()
+        assert result.timeline.failures == 0
+        assert result.timeline.decisions == ()
+        assert result.timeline.replica_seconds == 0.0
+        assert result.timeline.peak_replicas == 2
+
+
+def served_slots(result):
+    """``{request_id: slot}`` of the engine that served each record."""
+    return {
+        record.request_id: segment.slot
+        for segment, replica in zip(result.timeline.segments, result.replica_results, strict=True)
+        for record in replica.request_records
+    }
+
+
+class TestDispatchReadsTheSweep:
+    def _assert_dispatch_names_serving_slots(self, make_router, trace):
+        placement = make_router().dispatch(trace)
+        result = make_router().run(trace)
+        slots = served_slots(result)
+        assert placement == [slots.get(request.request_id) for request in trace.requests]
+        # Dispatching first must not disturb the run that follows.
+        router = make_router()
+        router.dispatch(trace)
+        assert router.run(trace) == result
+        return placement
+
+    def test_static_fleet(self):
+        trace = make_trace(num_requests=12, output=20, gap_s=0.02)
+        placement = self._assert_dispatch_names_serving_slots(
+            lambda: ReplicaRouter(
+                replicas=[toy_engine(), toy_engine(), toy_engine()],
+                policy=LeastOutstandingRouting(),
+            ),
+            trace,
+        )
+        assert set(placement) == {0, 1, 2}
+
+    def test_failure_victims_report_their_surviving_slot(self):
+        # Same setup as the victim test below: 0/2/4 fail over to slot 1.
+        trace = make_trace(num_requests=6, prompt=64, output=100)
+        placement = self._assert_dispatch_names_serving_slots(
+            lambda: DynamicFleetRouter(
+                toy_engine,
+                initial_replicas=2,
+                events=[FleetEvent(at_s=0.5, kind="replica_down", replica=0)],
+            ),
+            trace,
+        )
+        assert placement == [1] * 6
 
 
 class TestFailure:
@@ -131,11 +178,11 @@ class TestFailure:
             events=[FleetEvent(at_s=0.5, kind="replica_down", replica=0)],
         )
         result = router.run(trace)
-        assert result.failures == 1
-        assert result.restarts == 3
+        assert result.timeline.failures == 1
+        assert result.timeline.restarts == 3
         # Static allocation reserves the full final context per request.
-        assert result.kv_lost_tokens == 3 * (64 + 100)
-        records = {r.request_id: r for r in result.fleet.request_records}
+        assert result.timeline.kv_lost_tokens == 3 * (64 + 100)
+        records = {r.request_id: r for r in result.request_records}
         assert len(records) == 6
         for victim_id in (0, 2, 4):
             assert records[victim_id].restarts == 1
@@ -149,7 +196,7 @@ class TestFailure:
             assert records[victim_id].latency_s > slowest_survivor
         # The failed segment bills exactly until the event and serves
         # nothing (all of its work was re-dispatched).
-        failed = [s for s in result.segments if s.reason == "failure"]
+        failed = [s for s in result.timeline.segments if s.reason == "failure"]
         assert len(failed) == 1
         assert failed[0].slot == 0
         assert failed[0].end_s == pytest.approx(0.5)
@@ -166,13 +213,13 @@ class TestFailure:
             ],
         )
         result = router.run(trace)
-        assert result.failures == 1
-        slot0 = [s for s in result.segments if s.slot == 0]
+        assert result.timeline.failures == 1
+        slot0 = [s for s in result.timeline.segments if s.slot == 0]
         assert [s.reason for s in slot0] == ["failure", "run-end"]
         assert slot0[1].start_s == pytest.approx(0.6)
         assert slot0[1].requests_served > 0  # arrivals after 0.6 land here
-        assert len(result.fleet.request_records) == 12
-        assert result.dropped == 0
+        assert len(result.request_records) == 12
+        assert result.router_dropped == 0
 
     def test_no_accepting_replica_drops(self):
         # Single replica downed at t=0.05: the in-flight victim and every
@@ -184,9 +231,9 @@ class TestFailure:
             events=[FleetEvent(at_s=0.05, kind="replica_down", replica=0)],
         )
         result = router.run(trace)
-        assert result.dropped == 4
-        assert result.fleet.request_records == ()
-        assert result.failures == 1
+        assert result.router_dropped == 4
+        assert result.request_records == ()
+        assert result.timeline.failures == 1
 
 
 class TestAutoscaling:
@@ -208,14 +255,14 @@ class TestAutoscaling:
         result = DynamicFleetRouter(
             toy_engine, initial_replicas=1, autoscaler=scaler
         ).run(trace)
-        ups = [d for d in result.decisions if d.action == SCALE_UP]
+        ups = [d for d in result.timeline.decisions if d.action == SCALE_UP]
         assert len(ups) == 2  # 1 -> 3 replicas, then capped at max
-        assert result.peak_replicas == 3
+        assert result.timeline.peak_replicas == 3
         assert all(d.signal_value > 2.0 for d in ups)
-        scaled_slots = {s.slot for s in result.segments if s.slot >= 1}
+        scaled_slots = {s.slot for s in result.timeline.segments if s.slot >= 1}
         assert scaled_slots == {1, 2}
-        assert sum(s.requests_served for s in result.segments if s.slot >= 1) > 0
-        assert len(result.fleet.request_records) == 60
+        assert sum(s.requests_served for s in result.timeline.segments if s.slot >= 1) > 0
+        assert len(result.request_records) == 60
 
     def test_scale_down_drains_idle_replicas(self):
         # Three replicas, trickle load: the controller must drain down to
@@ -234,13 +281,13 @@ class TestAutoscaling:
         result = DynamicFleetRouter(
             toy_engine, initial_replicas=3, autoscaler=scaler
         ).run(trace)
-        downs = [d for d in result.decisions if d.action == SCALE_DOWN]
+        downs = [d for d in result.timeline.decisions if d.action == SCALE_DOWN]
         assert len(downs) == 2  # 3 -> 1, floored at min_replicas
-        assert all(d.action == SCALE_DOWN for d in result.decisions)
-        drained = [s for s in result.segments if s.reason == "drain"]
+        assert all(d.action == SCALE_DOWN for d in result.timeline.decisions)
+        drained = [s for s in result.timeline.segments if s.reason == "drain"]
         assert len(drained) == 2
-        assert len(result.fleet.request_records) == 20
-        assert result.dropped == 0
+        assert len(result.request_records) == 20
+        assert result.router_dropped == 0
 
     def test_cold_start_delays_accepting(self):
         # Cold start longer than the arrival span: the scaled-up replica
@@ -259,8 +306,8 @@ class TestAutoscaling:
         result = DynamicFleetRouter(
             toy_engine, initial_replicas=1, autoscaler=scaler
         ).run(trace)
-        assert result.peak_replicas == 2
-        cold = [s for s in result.segments if s.slot == 1]
+        assert result.timeline.peak_replicas == 2
+        cold = [s for s in result.timeline.segments if s.slot == 1]
         assert len(cold) == 1
         assert cold[0].requests_served == 0
         assert cold[0].end_s > cold[0].start_s  # provisioned time is billed
@@ -281,7 +328,7 @@ class TestAutoscaling:
         result = DynamicFleetRouter(
             toy_engine, initial_replicas=1, autoscaler=scaler
         ).run(trace)
-        ups = [d for d in result.decisions if d.action == SCALE_UP]
+        ups = [d for d in result.timeline.decisions if d.action == SCALE_UP]
         assert ups, "queue pressure must drive the TTFT estimate past 0.12s"
         assert all(d.signal_value > 0.12 for d in ups)
 
