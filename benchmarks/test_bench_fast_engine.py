@@ -51,9 +51,8 @@ def _scenario_spec(num_requests: int, output_tokens: int, mode: str) -> Experime
                 "num_requests": num_requests,
                 "prompt_tokens": 256,
                 "output_tokens": output_tokens,
-                "arrival": "poisson",
-                "rate_rps": 800.0,
             },
+            "arrival": {"process": "poisson", "rate_rps": 800.0},
             "seed": 0,
             "step_stride": 1,
         }

@@ -45,8 +45,8 @@ def replica_scaling(base: ExperimentSpec) -> None:
             "trace.num_requests": 192,
             "trace.prompt_tokens": 512,
             "trace.output_tokens": 32,
-            "trace.arrival": "poisson",
-            "trace.rate_rps": 2000.0,
+            "arrival.process": "poisson",
+            "arrival.rate_rps": 2000.0,
         }
     )
     rows = []

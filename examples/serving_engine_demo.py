@@ -1,24 +1,20 @@
-"""Event-driven serving engine demo: arrivals, admission policies, cache.
+"""Event-driven serving engine demo: arrivals and admission policies.
 
-Three things the engine adds over the legacy ``simulate_serving`` loop,
-all driven through the declarative experiment API:
+Two things the engine adds over the legacy ``simulate_serving`` loop,
+both driven through the declarative experiment API:
 
 1. **Open-loop arrivals** -- requests arrive through a Poisson process
-   (``trace.arrival = "poisson"``) and every ``RunReport`` carries TTFT /
-   TPOT and end-to-end latency percentiles per admission policy.
+   (``arrival = {process: "poisson", rate_rps: 40}``) and every
+   ``RunReport`` carries TTFT / TPOT and end-to-end latency percentiles
+   per admission policy.
 2. **Pluggable admission** -- the same trace served under different
    ``admission.policy`` values shows the packing/fairness trade-off
    (every fourth request lands in an urgent SLO tier via ``tiers``).
-3. **Bucketed latency cache** -- a 1k-request sweep evaluated per-step
-   versus with ``latency_cache_bucket`` set, demonstrating the >=5x
-   wall-clock speedup with sub-percent throughput error.
 
 Run with:  python examples/serving_engine_demo.py
 """
 
-import time
-
-from repro.analysis.reporting import format_table, serving_summary_table
+from repro.analysis.reporting import serving_summary_table
 from repro.api import (
     AdmissionSpec,
     ExperimentSpec,
@@ -35,8 +31,8 @@ def admission_policy_comparison(base: ExperimentSpec) -> None:
     spec = base.with_overrides(
         {
             "trace.num_requests": 64,
-            "trace.arrival": "poisson",
-            "trace.rate_rps": 40.0,
+            "arrival.process": "poisson",
+            "arrival.rate_rps": 40.0,
             "tiers": [
                 {"name": "urgent", "priority": 5, "share": 0.25},
                 {"name": "standard", "priority": 0},
@@ -64,52 +60,6 @@ def admission_policy_comparison(base: ExperimentSpec) -> None:
     )
 
 
-def latency_cache_sweep(base: ExperimentSpec) -> None:
-    spec = base.with_overrides(
-        {"trace.num_requests": 1000, "trace.output_tokens": 64, "seed": 1, "step_stride": 1}
-    )
-
-    start = time.perf_counter()
-    uncached = run(spec)
-    uncached_wall = time.perf_counter() - start
-
-    cached_spec = spec.with_overrides({"latency_cache_bucket": 512})
-    start = time.perf_counter()
-    cached = run(cached_spec)
-    cached_wall = time.perf_counter() - start
-
-    speedup = uncached_wall / cached_wall
-    error = abs(
-        cached.throughput_tokens_per_s / uncached.throughput_tokens_per_s - 1.0
-    )
-    print()
-    print(
-        format_table(
-            ["mode", "wall s", "tokens/s", "p99 ms"],
-            [
-                ["per-step", uncached_wall, uncached.throughput_tokens_per_s,
-                 uncached.latency_p99_s * 1e3],
-                ["bucketed cache", cached_wall, cached.throughput_tokens_per_s,
-                 cached.latency_p99_s * 1e3],
-            ],
-            title="1k-request sweep: per-step evaluation vs bucketed latency cache",
-        )
-    )
-    cache_stats = cached.engine_result.metadata["latency_cache"]
-    print(
-        f"\ncache: {cache_stats['hits']} hits / {cache_stats['misses']} misses "
-        f"({cache_stats['hit_rate']:.1%} hit rate), "
-        f"wall-clock speedup {speedup:.1f}x, throughput error {error:.3%}"
-    )
-    if speedup < 5.0:
-        # Wall-clock ratios depend on host load; the robust cache properties
-        # (hit rate, throughput fidelity) are asserted in the benchmark suite.
-        print(
-            f"note: measured speedup {speedup:.1f}x is below the typical >=5x "
-            "(host under load?)"
-        )
-
-
 def main() -> None:
     base = ExperimentSpec(
         name="serving-engine-demo",
@@ -122,7 +72,6 @@ def main() -> None:
     )
     print("Serving LLM-7B-32K on a CENT-class PIM system with PIMphony")
     admission_policy_comparison(base)
-    latency_cache_sweep(base)
 
 
 if __name__ == "__main__":

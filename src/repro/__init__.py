@@ -24,8 +24,8 @@ System* (HPCA 2026).  It provides:
 * ``repro.serving`` -- the event-driven serving engine: pluggable admission
   and preemption policies (KV lifecycle with swap/recompute eviction),
   timestamped arrivals, per-request TTFT/TPOT/percentile metrics, prefill
-  cost models, a bucketed decode-step latency cache and the data-parallel
-  replica router with TPOT-EWMA feedback.
+  cost models and the data-parallel replica router with TPOT-EWMA
+  feedback.
 * ``repro.baselines`` -- CENT-like, NeuPIMs-like, ping-pong buffering and
   GPU (A100 + FlashDecoding + PagedAttention) baselines.
 * ``repro.workloads`` -- LongBench / LV-Eval statistical trace generators.
@@ -96,7 +96,6 @@ from repro.serving import (
     RoundRobinRouting,
     ServingEngine,
     SessionAffinityRouting,
-    StepLatencyCache,
     prefill_model_for,
     serve,
 )
@@ -109,7 +108,6 @@ from repro.workloads.traces import (
     generate_trace,
     multi_turn_trace,
     partition_trace,
-    periodic_priorities,
     poisson_arrivals,
     random_sessions,
     replay_arrivals,
@@ -137,7 +135,6 @@ __all__ = [
     "FCFSAdmission",
     "CapacityAwareAdmission",
     "PriorityAdmission",
-    "StepLatencyCache",
     # KV lifecycle + preemption
     "CapacityExceeded",
     "PreemptedState",
@@ -173,7 +170,6 @@ __all__ = [
     "warped_replay_arrivals",
     "partition_trace",
     "random_sessions",
-    "periodic_priorities",
     "assign_tiers",
     # declarative experiment API
     "ExperimentSpec",

@@ -33,7 +33,7 @@ from repro.api.registry import (
     TRACES,
 )
 from repro.api.report import RunReport
-from repro.api.spec import ExperimentSpec, TierSpec
+from repro.api.spec import ExperimentSpec
 from repro.core.orchestrator import PIMphonyConfig
 from repro.models.llm import LLMConfig, get_model
 from repro.serving.autoscaler import ReactiveAutoscaler
@@ -42,7 +42,6 @@ from repro.serving.engine import ServingEngine
 from repro.serving.fast_engine import FastServingEngine
 from repro.serving.fleet_events import DynamicFleetRouter, FleetEvent
 from repro.serving.interfaces import DecodeSystem
-from repro.serving.latency_cache import StepLatencyCache
 from repro.serving.preemption import PreemptionConfig, PreemptionCostModel
 from repro.serving.prefill import PrefillConfig
 from repro.serving.prefix_cache import PrefixCache
@@ -52,7 +51,6 @@ from repro.system.parallelism import ParallelismPlan
 from repro.workloads.traces import (
     RequestTrace,
     assign_tiers,
-    poisson_arrivals,
     random_sessions,
 )
 
@@ -113,12 +111,7 @@ def build_trace(spec: ExperimentSpec, model: LLMConfig | None = None) -> Request
     trace_seed, arrival_seed, session_seed = derived_seeds(spec.seed)
     source = TRACES.get(spec.trace.source)
     trace = source(spec.trace, model.context_window, trace_seed)
-    if spec.trace.arrival == "poisson":
-        trace = poisson_arrivals(trace, spec.trace.rate_rps, seed=arrival_seed)
     if spec.arrival is not None:
-        # First-class arrival process (validation guarantees it never
-        # stacks on the legacy trace.arrival shortcut).  "poisson" here is
-        # seed-for-seed identical to trace.arrival="poisson" above.
         process = ARRIVAL_PROCESSES.get(spec.arrival.process)
         trace = process(trace, spec.arrival, arrival_seed)
     if spec.trace.num_sessions > 0 and not any(
@@ -129,15 +122,6 @@ def build_trace(spec: ExperimentSpec, model: LLMConfig | None = None) -> Request
         trace = random_sessions(trace, spec.trace.num_sessions, seed=session_seed)
     if spec.tiers:
         trace = assign_tiers(trace, spec.tiers)
-    elif spec.trace.priority_every > 0:
-        # Deprecated periodic tagging, expressed through the same tier
-        # machinery: a share of 1/N tags exactly every N-th request.
-        legacy = TierSpec(
-            name=f"priority-{spec.trace.priority_value}",
-            priority=spec.trace.priority_value,
-            share=1.0 / spec.trace.priority_every,
-        )
-        trace = assign_tiers(trace, (legacy,))
     return trace
 
 
@@ -216,11 +200,6 @@ def build(spec: ExperimentSpec) -> BuiltExperiment:
     engine_cls = FastServingEngine if spec.engine.mode == "fast" else ServingEngine
 
     def engine_factory(engine_prefill: PrefillConfig | None = prefill) -> ServingEngine:
-        cache = (
-            StepLatencyCache(bucket_tokens=spec.latency_cache_bucket)
-            if spec.latency_cache_bucket is not None
-            else None
-        )
         # One PrefixCache per engine: prefixes live on the replica that
         # served them, which is what session-affinity routing exploits.
         prefix_cache = (
@@ -233,7 +212,6 @@ def build(spec: ExperimentSpec) -> BuiltExperiment:
             admission=admission_factory(),
             max_batch_size=spec.admission.max_batch_size,
             step_stride=spec.step_stride,
-            latency_cache=cache,
             prefill=engine_prefill,
             preemption=preemption_factory(),
             prefix_cache=prefix_cache,

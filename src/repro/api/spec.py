@@ -17,9 +17,11 @@ and dataset names) so a typo fails before anything is built.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import typing
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any, TypeVar
@@ -36,7 +38,7 @@ from repro.api.registry import (
 )
 from repro.memory.lifecycle import PREEMPTION_COST_MODES
 
-_SubSpecT = TypeVar("_SubSpecT")
+_SpecT = TypeVar("_SpecT")
 
 #: PIMphony feature presets accepted by :attr:`SystemSpec.pimphony`
 #: (resolved to :class:`~repro.core.orchestrator.PIMphonyConfig` factories
@@ -45,9 +47,6 @@ PIMPHONY_PRESETS = ("baseline", "tcp", "tcp+dcs", "full")
 
 #: Allocator overrides accepted by :attr:`AllocatorSpec.mode`.
 ALLOCATOR_MODES = ("auto", "static", "paged")
-
-#: Arrival processes accepted by :attr:`TraceSpec.arrival`.
-ARRIVAL_MODES = ("all-at-once", "poisson")
 
 #: Engine cores accepted by :attr:`EngineSpec.mode`.
 ENGINE_MODES = ("scalar", "fast")
@@ -110,13 +109,6 @@ def _check_name(value: object, where: str) -> None:
     )
 
 
-def _check_non_negative_float(value: object, where: str) -> None:
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool) and value >= 0,
-        f"{where} must be a non-negative number, got {value!r}",
-    )
-
-
 def _check_positive_float(value: object, where: str) -> None:
     _require(
         isinstance(value, (int, float))
@@ -137,18 +129,147 @@ def _check_finite_non_negative_float(value: object, where: str) -> None:
     )
 
 
-def _from_mapping(cls: type[_SubSpecT], data: Mapping[str, Any], where: str) -> _SubSpecT:
-    """Build a sub-spec dataclass from a mapping, rejecting unknown keys."""
+#: ``field(metadata=...)`` marker of a field that ``to_dict`` leaves out
+#: while it holds its default, so adding the field kept every older spec's
+#: canonical JSON (and ``spec_hash``) bit-for-bit.
+_ELIDED_AT_DEFAULT = {"elided_at_default": True}
+
+#: Retired spec keys and what replaces each; the unknown-field error names
+#: the replacement.
+_RETIRED_KEYS = {
+    "trace.arrival": 'use arrival: {process: "poisson", rate_rps: ...}',
+    "trace.rate_rps": 'use arrival: {process: "poisson", rate_rps: ...}',
+    "trace.priority_every": "use tiers: [{share: 1/N, priority: ...}]",
+    "trace.priority_value": "use tiers: [{share: 1/N, priority: ...}]",
+    "latency_cache_bucket": 'removed; use engine.mode: "fast"',
+}
+
+
+def _dotted(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
+@functools.cache
+def _sub_spec_fields(cls: type) -> dict[str, tuple[type, bool, bool]]:
+    """Map each field of ``cls`` that holds specs to ``(spec class, many, optional)``.
+
+    The field's type decides: ``X`` or ``X | None`` holds one spec ``X``,
+    ``tuple[X, ...]`` a list of them.  Primitive fields are left out; each
+    ``__post_init__`` checks those.
+    """
+    hints = typing.get_type_hints(cls)
+    sub_specs = {}
+    for spec_field in dataclasses.fields(cls):
+        hint = hints[spec_field.name]
+        args = typing.get_args(hint)
+        optional = type(None) in args
+        if optional:
+            (hint,) = (arg for arg in args if arg is not type(None))
+        many = typing.get_origin(hint) is tuple
+        inner = typing.get_args(hint)[0] if many else hint
+        if dataclasses.is_dataclass(inner):
+            sub_specs[spec_field.name] = (inner, many, optional)
+    return sub_specs
+
+
+def _check_sub_specs(spec: Any, path: str = "") -> None:
+    """Require every spec-typed field of ``spec`` to hold its declared type.
+
+    Lists of sub-specs are frozen into tuples.  ``path`` is the dotted
+    location of ``spec`` in the experiment, prefixed to error messages.
+    """
+    for name, (cls, many, optional) in _sub_spec_fields(type(spec)).items():
+        value = getattr(spec, name)
+        where = _dotted(path, name)
+        kind = ("an " if cls.__name__[0] in "AEIOU" else "a ") + cls.__name__
+        if many:
+            _require(
+                isinstance(value, (list, tuple)),
+                f"{where} must be a list of {cls.__name__}, got {type(value).__name__}",
+            )
+            for index, item in enumerate(value):
+                _require(
+                    isinstance(item, cls),
+                    f"{where}[{index}] must be {kind}, got {type(item).__name__}",
+                )
+            object.__setattr__(spec, name, tuple(value))
+        else:
+            _require(
+                isinstance(value, cls) or (optional and value is None),
+                f"{where} must be {kind}{' or null' if optional else ''}, "
+                f"got {type(value).__name__}",
+            )
+
+
+def _decode(cls: type[_SpecT], data: Any, path: str) -> _SpecT:
+    """Build spec ``cls`` from plain data, descending into its sub-specs.
+
+    ``path`` is the dotted location of ``data`` (empty for the experiment
+    itself).  Unknown keys raise naming it, and a retired key also names
+    its replacement.
+    """
+    where = path or "experiment spec"
     if not isinstance(data, Mapping):
         raise ValueError(f"{where} must be a mapping, got {type(data).__name__}")
-    known = {f.name for f in dataclasses.fields(cls)}
+    known = {spec_field.name for spec_field in dataclasses.fields(cls)}
     unknown = sorted(set(data) - known)
     if unknown:
+        notes = [
+            f"; {key} is retired: {_RETIRED_KEYS[key]}"
+            for key in (_dotted(path, name) for name in unknown)
+            if key in _RETIRED_KEYS
+        ]
         raise ValueError(
             f"{where}: unknown field(s) {', '.join(repr(k) for k in unknown)}; "
-            f"known fields: {', '.join(sorted(known))}"
+            f"known fields: {', '.join(sorted(known))}{''.join(notes)}"
         )
-    return cls(**data)
+    kwargs = dict(data)
+    for name, (sub, many, _) in _sub_spec_fields(cls).items():
+        value = kwargs.get(name)
+        if many and name in kwargs:
+            kwargs[name] = _decode_list(sub, value, _dotted(path, name))
+        elif not (many or value is None or isinstance(value, sub)):
+            kwargs[name] = _decode(sub, value, _dotted(path, name))
+    return cls(**kwargs)
+
+
+def _decode_list(cls: type[_SpecT], value: Any, where: str) -> tuple[_SpecT, ...]:
+    """Decode a list of ``cls`` mappings, prefixing errors with the index."""
+    if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Sequence):
+        raise ValueError(f"{where} must be a list of mappings, got {type(value).__name__}")
+    items: list[_SpecT] = []
+    for index, item in enumerate(value):
+        at = f"{where}[{index}]"
+        if isinstance(item, cls):
+            items.append(item)
+            continue
+        try:
+            items.append(_decode(cls, item, at))
+        except ValueError as error:
+            if str(error).startswith(at):
+                raise
+            raise ValueError(f"{at}.{error}") from None
+    return tuple(items)
+
+
+def _encode(value: Any) -> Any:
+    """Plain data for ``value``: specs become dicts, tuples become lists.
+
+    Fields marked :data:`_ELIDED_AT_DEFAULT` are left out while they hold
+    their default.
+    """
+    if dataclasses.is_dataclass(value):
+        return {
+            spec_field.name: _encode(getattr(value, spec_field.name))
+            for spec_field in dataclasses.fields(value)
+            if not (
+                spec_field.metadata.get("elided_at_default")
+                and getattr(value, spec_field.name) == spec_field.default
+            )
+        }
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -293,9 +414,9 @@ class PrefillSpec:
         _check_choice(self.mode, PREFILL_MODES, "prefill.mode")
         _check_name(self.model, "prefill.model")
         _check_positive_int(self.chunk_tokens, "prefill.chunk_tokens")
-        _check_non_negative_float(self.per_token_s, "prefill.per_token_s")
-        _check_non_negative_float(self.per_token_sq_s, "prefill.per_token_sq_s")
-        _check_non_negative_float(self.base_s, "prefill.base_s")
+        _check_finite_non_negative_float(self.per_token_s, "prefill.per_token_s")
+        _check_finite_non_negative_float(self.per_token_sq_s, "prefill.per_token_sq_s")
+        _check_finite_non_negative_float(self.base_s, "prefill.base_s")
 
 
 @dataclass(frozen=True)
@@ -330,17 +451,15 @@ class PreemptionSpec:
     mode: str = "recompute"
     swap_bandwidth_gbps: float = 64.0
     recompute_per_token_s: float = 0.0
-    starvation_limit: int | None = None
+    starvation_limit: int | None = field(default=None, metadata=_ELIDED_AT_DEFAULT)
 
     def __post_init__(self) -> None:
         _check_name(self.policy, "preemption.policy")
         _check_choice(self.mode, PREEMPTION_MODES, "preemption.mode")
-        _check_non_negative_float(self.swap_bandwidth_gbps, "preemption.swap_bandwidth_gbps")
-        _require(
-            self.swap_bandwidth_gbps > 0,
-            f"preemption.swap_bandwidth_gbps must be positive, got {self.swap_bandwidth_gbps!r}",
+        _check_positive_float(self.swap_bandwidth_gbps, "preemption.swap_bandwidth_gbps")
+        _check_finite_non_negative_float(
+            self.recompute_per_token_s, "preemption.recompute_per_token_s"
         )
-        _check_non_negative_float(self.recompute_per_token_s, "preemption.recompute_per_token_s")
         _check_positive_int(self.starvation_limit, "preemption.starvation_limit", optional=True)
 
 
@@ -386,7 +505,7 @@ class TierSpec:
     * ``sessions`` claims every request whose session id is listed.
     * ``share`` claims that fraction of the remaining trace,
       deterministically in trace order (``share=0.25`` tags every 4th
-      request, reproducing the deprecated ``trace.priority_every`` pattern).
+      request).
     * Neither makes the tier the single *catch-all* for leftover requests.
 
     Attributes:
@@ -454,46 +573,6 @@ class TierSpec:
         return self.share is None and self.sessions is None
 
 
-def _spec_list_from_data(
-    cls: type[_SubSpecT], value: Any, where: str
-) -> tuple[_SubSpecT, ...]:
-    """Parse a list of sub-spec mappings, prefixing errors with the index."""
-    if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Sequence):
-        raise ValueError(f"{where} must be a list of mappings, got {type(value).__name__}")
-    items: list[_SubSpecT] = []
-    for index, item in enumerate(value):
-        if isinstance(item, cls):
-            items.append(item)
-            continue
-        try:
-            items.append(_from_mapping(cls, item, f"{where}[{index}]"))
-        except ValueError as error:
-            message = str(error)
-            if message.startswith(f"{where}[{index}]"):
-                raise
-            raise ValueError(f"{where}[{index}].{message}") from None
-    return tuple(items)
-
-
-def _tiers_from_data(value: Any) -> tuple[TierSpec, ...]:
-    """Parse the ``tiers`` list, prefixing errors with the exact tier index."""
-    if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Sequence):
-        raise ValueError(f"tiers must be a list of tier mappings, got {type(value).__name__}")
-    tiers: list[TierSpec] = []
-    for index, item in enumerate(value):
-        if isinstance(item, TierSpec):
-            tiers.append(item)
-            continue
-        try:
-            tiers.append(_from_mapping(TierSpec, item, f"tiers[{index}]"))
-        except ValueError as error:
-            message = str(error)
-            if message.startswith(f"tiers[{index}]"):
-                raise
-            raise ValueError(f"tiers[{index}].{message}") from None
-    return tuple(tiers)
-
-
 @dataclass(frozen=True)
 class TraceSpec:
     """What workload arrives, when, and with which metadata.
@@ -511,8 +590,6 @@ class TraceSpec:
         heavy_every: In the synthetic source, promote every N-th request
             (0 disables).
         heavy_prompt_tokens: Prompt length of promoted requests.
-        arrival: ``"all-at-once"`` (closed loop) or ``"poisson"``.
-        rate_rps: Mean Poisson arrival rate (required when poisson).
         num_sessions: When positive, assign each request a random session
             id in ``[0, num_sessions)`` (seeded from the experiment seed).
             The ``"multi-turn"`` source instead reads this as the number
@@ -523,13 +600,11 @@ class TraceSpec:
             then equal ``num_sessions * turns_per_session``.
         followup_tokens: New user tokens added per follow-up turn.
         turn_gap_s: Deterministic inter-turn arrival spacing of the
-            ``"multi-turn"`` source (0 leaves arrivals to ``arrival``).
-        priority_every: Deprecated in favour of :attr:`ExperimentSpec.tiers`
-            (a tier with ``share=1/N`` tags the same requests).  When
-            positive, mark every N-th request with ``priority_value`` so
-            priority admission has work to do; mutually exclusive with a
-            non-empty tier list.
-        priority_value: Priority assigned by ``priority_every``.
+            ``"multi-turn"`` source (0 leaves arrivals to
+            :attr:`ExperimentSpec.arrival`).
+
+    Requests arrive all at once (a closed loop) unless
+    :attr:`ExperimentSpec.arrival` attaches timestamps.
     """
 
     source: str = "dataset"
@@ -539,14 +614,10 @@ class TraceSpec:
     prompt_tokens: int = 512
     heavy_every: int = 0
     heavy_prompt_tokens: int = 8192
-    arrival: str = "all-at-once"
-    rate_rps: float = 0.0
     num_sessions: int = 0
     turns_per_session: int = 0
     followup_tokens: int = 64
     turn_gap_s: float = 0.0
-    priority_every: int = 0
-    priority_value: int = 1
 
     def __post_init__(self) -> None:
         _check_name(self.source, "trace.source")
@@ -556,28 +627,10 @@ class TraceSpec:
         _check_positive_int(self.prompt_tokens, "trace.prompt_tokens")
         _check_non_negative_int(self.heavy_every, "trace.heavy_every")
         _check_positive_int(self.heavy_prompt_tokens, "trace.heavy_prompt_tokens")
-        _check_choice(self.arrival, ARRIVAL_MODES, "trace.arrival")
-        _check_non_negative_float(self.rate_rps, "trace.rate_rps")
-        _require(
-            self.arrival != "poisson" or self.rate_rps > 0,
-            "trace.rate_rps must be positive when trace.arrival is 'poisson', "
-            f"got {self.rate_rps!r}",
-        )
         _check_non_negative_int(self.num_sessions, "trace.num_sessions")
         _check_non_negative_int(self.turns_per_session, "trace.turns_per_session")
         _check_positive_int(self.followup_tokens, "trace.followup_tokens")
-        _check_non_negative_float(self.turn_gap_s, "trace.turn_gap_s")
-        _require(
-            not (self.turn_gap_s > 0 and self.arrival == "poisson"),
-            "trace.turn_gap_s and trace.arrival='poisson' are mutually exclusive: "
-            "the Poisson process would overwrite the source's deterministic "
-            "turn arrivals; set turn_gap_s to 0 or keep arrival='all-at-once'",
-        )
-        _check_non_negative_int(self.priority_every, "trace.priority_every")
-        _require(
-            _is_int(self.priority_value),
-            f"trace.priority_value must be an integer, got {self.priority_value!r}",
-        )
+        _check_finite_non_negative_float(self.turn_gap_s, "trace.turn_gap_s")
 
 
 @dataclass(frozen=True)
@@ -619,14 +672,12 @@ class WarpPhaseSpec:
 
 @dataclass(frozen=True)
 class ArrivalSpec:
-    """First-class arrival process, replacing the fixed-rate assumption.
+    """Arrival process attaching every request's arrival timestamp.
 
-    When present, this sub-spec overrides the legacy ``trace.arrival``
-    switch: the registered process (see
-    :func:`repro.api.register_arrival_process`) attaches every request's
-    arrival timestamp.  ``"poisson"`` with the same derived seed is
-    equivalence-pinned against ``trace.arrival='poisson'``.  Fields not
-    read by the selected process are ignored, mirroring :class:`TraceSpec`.
+    The registered process (see
+    :func:`repro.api.register_arrival_process`) stamps the trace; without
+    this sub-spec every request arrives at time zero.  Fields not read by
+    the selected process are ignored, mirroring :class:`TraceSpec`.
 
     Attributes:
         process: Registered arrival process (``"poisson"``, ``"replay"``,
@@ -653,7 +704,7 @@ class ArrivalSpec:
 
     def __post_init__(self) -> None:
         _check_name(self.process, "arrival.process")
-        _check_non_negative_float(self.rate_rps, "arrival.rate_rps")
+        _check_finite_non_negative_float(self.rate_rps, "arrival.rate_rps")
         _require(
             self.process not in ("poisson", "diurnal", "burst") or self.rate_rps > 0,
             f"arrival.rate_rps must be positive when arrival.process is "
@@ -672,18 +723,7 @@ class ArrivalSpec:
             and math.isfinite(self.phase_s),
             f"arrival.phase_s must be a finite number, got {self.phase_s!r}",
         )
-        _require(
-            isinstance(self.bursts, (list, tuple))
-            and all(isinstance(burst, BurstSpec) for burst in self.bursts),
-            f"arrival.bursts must be a list of BurstSpec, got {self.bursts!r}",
-        )
-        object.__setattr__(self, "bursts", tuple(self.bursts))
-        _require(
-            isinstance(self.warp, (list, tuple))
-            and all(isinstance(phase, WarpPhaseSpec) for phase in self.warp),
-            f"arrival.warp must be a list of WarpPhaseSpec, got {self.warp!r}",
-        )
-        object.__setattr__(self, "warp", tuple(self.warp))
+        _check_sub_specs(self, "arrival")
         if self.times is not None:
             _require(
                 isinstance(self.times, (list, tuple)) and len(self.times) > 0,
@@ -709,22 +749,6 @@ class ArrivalSpec:
                     f"({cleaned[index - 1]!r})",
                 )
             object.__setattr__(self, "times", tuple(cleaned))
-
-
-def _arrival_from_data(value: Any) -> ArrivalSpec | None:
-    """Parse the ``arrival`` mapping, descending into ``bursts``/``warp``."""
-    if value is None:
-        return None
-    if isinstance(value, ArrivalSpec):
-        return value
-    if not isinstance(value, Mapping):
-        raise ValueError(f"arrival must be a mapping, got {type(value).__name__}")
-    data: dict[str, Any] = dict(value)
-    if data.get("bursts") is not None and "bursts" in data:
-        data["bursts"] = _spec_list_from_data(BurstSpec, data["bursts"], "arrival.bursts")
-    if data.get("warp") is not None and "warp" in data:
-        data["warp"] = _spec_list_from_data(WarpPhaseSpec, data["warp"], "arrival.warp")
-    return _from_mapping(ArrivalSpec, data, "arrival")
 
 
 @dataclass(frozen=True)
@@ -756,15 +780,10 @@ class DisaggSpec:
 
     def __post_init__(self) -> None:
         _check_non_negative_int(self.prefill_replicas, "router.disagg.prefill_replicas")
-        _check_non_negative_float(
+        _check_positive_float(
             self.link_bandwidth_bytes_per_s, "router.disagg.link_bandwidth_bytes_per_s"
         )
-        _require(
-            self.link_bandwidth_bytes_per_s > 0,
-            "router.disagg.link_bandwidth_bytes_per_s must be positive, "
-            f"got {self.link_bandwidth_bytes_per_s!r}",
-        )
-        _check_non_negative_float(self.link_latency_s, "router.disagg.link_latency_s")
+        _check_finite_non_negative_float(self.link_latency_s, "router.disagg.link_latency_s")
         _check_name(self.decode_policy, "router.disagg.decode_policy")
 
 
@@ -793,39 +812,20 @@ class RouterSpec:
     policy: str = "round-robin"
     probe_context_tokens: int = 1024
     ewma_alpha: float = 0.3
-    topology: str = "colocated"
-    disagg: DisaggSpec | None = None
+    topology: str = field(default="colocated", metadata=_ELIDED_AT_DEFAULT)
+    disagg: DisaggSpec | None = field(default=None, metadata=_ELIDED_AT_DEFAULT)
 
     def __post_init__(self) -> None:
         _check_positive_int(self.replicas, "router.replicas")
         _check_name(self.policy, "router.policy")
         _check_positive_int(self.probe_context_tokens, "router.probe_context_tokens")
-        _check_non_negative_float(self.ewma_alpha, "router.ewma_alpha")
+        _check_finite_non_negative_float(self.ewma_alpha, "router.ewma_alpha")
         _require(
             self.ewma_alpha <= 1.0,
             f"router.ewma_alpha must be within [0, 1], got {self.ewma_alpha!r}",
         )
         _check_choice(self.topology, TOPOLOGIES, "router.topology")
-        _require(
-            self.disagg is None or isinstance(self.disagg, DisaggSpec),
-            f"router.disagg must be a DisaggSpec or null, got {type(self.disagg).__name__}",
-        )
-
-
-def _router_from_data(value: Any) -> RouterSpec | None:
-    """Parse the ``router`` mapping, descending into the nested ``disagg``."""
-    if value is None:
-        return None
-    if isinstance(value, RouterSpec):
-        return value
-    if not isinstance(value, Mapping):
-        raise ValueError(f"router must be a mapping, got {type(value).__name__}")
-    data: dict[str, Any] = dict(value)
-    if "disagg" in data:
-        disagg = data["disagg"]
-        if disagg is not None and not isinstance(disagg, DisaggSpec):
-            data["disagg"] = _from_mapping(DisaggSpec, disagg, "router.disagg")
-    return _from_mapping(RouterSpec, data, "router")
+        _check_sub_specs(self, "router")
 
 
 @dataclass(frozen=True)
@@ -853,11 +853,6 @@ class FleetEventSpec:
         _check_finite_non_negative_float(self.at_s, "at_s")
         _check_choice(self.kind, FLEET_EVENT_KINDS, "kind")
         _check_non_negative_int(self.replica, "replica")
-
-
-def _fleet_events_from_data(value: Any) -> tuple[FleetEventSpec, ...]:
-    """Parse the ``fleet_events`` list, prefixing errors with the index."""
-    return _spec_list_from_data(FleetEventSpec, value, "fleet_events")
 
 
 @dataclass(frozen=True)
@@ -947,8 +942,12 @@ class ExperimentSpec:
             process and session assignment (identical specs reproduce
             identical traces).
         step_stride: Decode steps advanced per latency evaluation.
-        latency_cache_bucket: When set, each engine memoises decode-step
-            latencies with this bucket size (tokens).
+
+    ``to_dict``/``from_dict`` follow the field types.  Fields added after
+    the first shipped specs (``arrival``, ``tiers``, ``fleet_events``, ...)
+    carry an ``elided_at_default`` field-metadata marker: ``to_dict`` leaves
+    them out at their defaults, so a spec that does not use them keeps its
+    canonical JSON and ``spec_hash``.
     """
 
     name: str = "experiment"
@@ -962,106 +961,33 @@ class ExperimentSpec:
     prefill: PrefillSpec = field(default_factory=PrefillSpec)
     prefix_cache: PrefixCacheSpec = field(default_factory=PrefixCacheSpec)
     trace: TraceSpec = field(default_factory=TraceSpec)
-    arrival: ArrivalSpec | None = None
-    tiers: tuple[TierSpec, ...] = ()
+    arrival: ArrivalSpec | None = field(default=None, metadata=_ELIDED_AT_DEFAULT)
+    tiers: tuple[TierSpec, ...] = field(default=(), metadata=_ELIDED_AT_DEFAULT)
     router: RouterSpec | None = None
-    fleet_events: tuple[FleetEventSpec, ...] = ()
-    autoscaler: AutoscalerSpec | None = None
-    window_s: float | None = None
+    fleet_events: tuple[FleetEventSpec, ...] = field(default=(), metadata=_ELIDED_AT_DEFAULT)
+    autoscaler: AutoscalerSpec | None = field(default=None, metadata=_ELIDED_AT_DEFAULT)
+    window_s: float | None = field(default=None, metadata=_ELIDED_AT_DEFAULT)
     seed: int = 0
     step_stride: int = 1
-    latency_cache_bucket: int | None = None
 
     def __post_init__(self) -> None:
         _check_name(self.name, "name")
-        _require(
-            isinstance(self.model, ModelSpec),
-            f"model must be a ModelSpec, got {type(self.model).__name__}",
-        )
-        _require(
-            isinstance(self.system, SystemSpec),
-            f"system must be a SystemSpec, got {type(self.system).__name__}",
-        )
-        _require(
-            isinstance(self.parallelism, ParallelismSpec),
-            f"parallelism must be a ParallelismSpec, got {type(self.parallelism).__name__}",
-        )
-        _require(
-            isinstance(self.allocator, AllocatorSpec),
-            f"allocator must be an AllocatorSpec, got {type(self.allocator).__name__}",
-        )
-        _require(
-            isinstance(self.engine, EngineSpec),
-            f"engine must be an EngineSpec, got {type(self.engine).__name__}",
-        )
-        _require(
-            isinstance(self.admission, AdmissionSpec),
-            f"admission must be an AdmissionSpec, got {type(self.admission).__name__}",
-        )
-        _require(
-            isinstance(self.preemption, PreemptionSpec),
-            f"preemption must be a PreemptionSpec, got {type(self.preemption).__name__}",
-        )
-        _require(
-            isinstance(self.prefill, PrefillSpec),
-            f"prefill must be a PrefillSpec, got {type(self.prefill).__name__}",
-        )
-        _require(
-            isinstance(self.prefix_cache, PrefixCacheSpec),
-            f"prefix_cache must be a PrefixCacheSpec, got {type(self.prefix_cache).__name__}",
-        )
-        _require(
-            isinstance(self.trace, TraceSpec),
-            f"trace must be a TraceSpec, got {type(self.trace).__name__}",
-        )
-        _require(
-            self.router is None or isinstance(self.router, RouterSpec),
-            f"router must be a RouterSpec or null, got {type(self.router).__name__}",
-        )
-        _require(
-            self.arrival is None or isinstance(self.arrival, ArrivalSpec),
-            f"arrival must be an ArrivalSpec or null, got {type(self.arrival).__name__}",
-        )
-        _require(
-            isinstance(self.fleet_events, (list, tuple)),
-            f"fleet_events must be a list of FleetEventSpec, "
-            f"got {type(self.fleet_events).__name__}",
-        )
-        for index, event in enumerate(self.fleet_events):
-            _require(
-                isinstance(event, FleetEventSpec),
-                f"fleet_events[{index}] must be a FleetEventSpec, "
-                f"got {type(event).__name__}",
-            )
-        object.__setattr__(self, "fleet_events", tuple(self.fleet_events))
-        _require(
-            self.autoscaler is None or isinstance(self.autoscaler, AutoscalerSpec),
-            f"autoscaler must be an AutoscalerSpec or null, "
-            f"got {type(self.autoscaler).__name__}",
-        )
+        _check_sub_specs(self)
         if self.window_s is not None:
             _check_positive_float(self.window_s, "window_s")
-        if self.arrival is not None:
-            _require(
-                self.trace.arrival == "all-at-once",
-                "arrival and trace.arrival are mutually exclusive ways to "
-                "attach timestamps; keep trace.arrival='all-at-once' when the "
-                f"arrival sub-spec is present (got {self.trace.arrival!r})",
-            )
-            _require(
-                self.trace.turn_gap_s <= 0,
-                "arrival and trace.turn_gap_s are mutually exclusive: the "
-                "arrival process would overwrite the multi-turn source's "
-                "deterministic turn arrivals; set turn_gap_s to 0 or drop "
-                "the arrival sub-spec",
-            )
+        _require(
+            self.arrival is None or self.trace.turn_gap_s <= 0,
+            "arrival and trace.turn_gap_s are mutually exclusive: the "
+            "arrival process would overwrite the multi-turn source's "
+            "deterministic turn arrivals; set turn_gap_s to 0 or drop "
+            "the arrival sub-spec",
+        )
         self._check_tiers()
         _require(
             _is_int(self.seed) and self.seed >= 0,
             f"seed must be a non-negative integer, got {self.seed!r}",
         )
         _check_positive_int(self.step_stride, "step_stride")
-        _check_positive_int(self.latency_cache_bucket, "latency_cache_bucket", optional=True)
         if self.system.num_modules is not None and self.parallelism.tensor_parallel is not None:
             product = self.parallelism.tensor_parallel * self.parallelism.pipeline_parallel
             _require(
@@ -1073,16 +999,6 @@ class ExperimentSpec:
 
     def _check_tiers(self) -> None:
         """Cross-tier validation; errors name the exact tier index."""
-        _require(
-            isinstance(self.tiers, (list, tuple)),
-            f"tiers must be a list of TierSpec, got {type(self.tiers).__name__}",
-        )
-        for index, tier in enumerate(self.tiers):
-            _require(
-                isinstance(tier, TierSpec),
-                f"tiers[{index}] must be a TierSpec, got {type(tier).__name__}",
-            )
-        object.__setattr__(self, "tiers", tuple(self.tiers))
         names: dict[str, int] = {}
         claimed_sessions: dict[int, int] = {}
         catch_all: int | None = None
@@ -1114,12 +1030,6 @@ class ExperimentSpec:
         _require(
             total_share <= 1.0 + 1e-9,
             f"tiers[*].share values must sum to at most 1, got {total_share!r}",
-        )
-        _require(
-            not (self.tiers and self.trace.priority_every > 0),
-            "tiers and trace.priority_every are mutually exclusive: the tier "
-            "list replaces periodic priority tagging; drop the deprecated "
-            "trace.priority_every or the tiers",
         )
 
     # -- registry-key validation -------------------------------------------
@@ -1297,44 +1207,7 @@ class ExperimentSpec:
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-data representation; ``from_dict`` round-trips it exactly."""
-        data = dataclasses.asdict(self)
-        if self.preemption.starvation_limit is None:
-            # A disabled guard keeps the pre-tier preemption schema (and
-            # spec_hash) bit-for-bit.
-            del data["preemption"]["starvation_limit"]
-        if not self.tiers:
-            # Untiered specs keep the pre-tier schema -- and therefore the
-            # same canonical JSON and spec_hash -- bit-for-bit.
-            del data["tiers"]
-        else:
-            data["tiers"] = [dataclasses.asdict(tier) for tier in self.tiers]
-        if self.router is not None:
-            # Colocated fleets keep the pre-disaggregation router schema
-            # (and spec_hash) bit-for-bit.
-            if self.router.topology == "colocated":
-                del data["router"]["topology"]
-            if self.router.disagg is None:
-                del data["router"]["disagg"]
-        # Static-world specs (no arrival process, no fleet timeline, no
-        # windowing) keep the pre-timeline schema and spec_hash bit-for-bit.
-        if self.arrival is None:
-            del data["arrival"]
-        else:
-            arrival = dict(data["arrival"])
-            arrival["bursts"] = [dataclasses.asdict(burst) for burst in self.arrival.bursts]
-            arrival["warp"] = [dataclasses.asdict(phase) for phase in self.arrival.warp]
-            if self.arrival.times is not None:
-                arrival["times"] = list(self.arrival.times)
-            data["arrival"] = arrival
-        if not self.fleet_events:
-            del data["fleet_events"]
-        else:
-            data["fleet_events"] = [dataclasses.asdict(event) for event in self.fleet_events]
-        if self.autoscaler is None:
-            del data["autoscaler"]
-        if self.window_s is None:
-            del data["window_s"]
-        return data
+        return _encode(self)
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> ExperimentSpec:
@@ -1343,47 +1216,7 @@ class ExperimentSpec:
         Missing sub-specs take their defaults; unknown keys raise with the
         field path so spec typos fail fast.
         """
-        if not isinstance(data, Mapping):
-            raise ValueError(f"experiment spec must be a mapping, got {type(data).__name__}")
-        known = {f.name for f in dataclasses.fields(ExperimentSpec)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"experiment spec: unknown field(s) {', '.join(repr(k) for k in unknown)}; "
-                f"known fields: {', '.join(sorted(known))}"
-            )
-        kwargs: dict[str, Any] = {}
-        sub_specs = {
-            "model": ModelSpec,
-            "system": SystemSpec,
-            "parallelism": ParallelismSpec,
-            "allocator": AllocatorSpec,
-            "engine": EngineSpec,
-            "admission": AdmissionSpec,
-            "preemption": PreemptionSpec,
-            "prefill": PrefillSpec,
-            "prefix_cache": PrefixCacheSpec,
-            "trace": TraceSpec,
-        }
-        for key, value in data.items():
-            if key in sub_specs:
-                kwargs[key] = _from_mapping(sub_specs[key], value, key)
-            elif key == "router":
-                kwargs[key] = _router_from_data(value)
-            elif key == "tiers":
-                kwargs[key] = _tiers_from_data(value)
-            elif key == "arrival":
-                kwargs[key] = _arrival_from_data(value)
-            elif key == "fleet_events":
-                kwargs[key] = _fleet_events_from_data(value)
-            elif key == "autoscaler":
-                if value is None or isinstance(value, AutoscalerSpec):
-                    kwargs[key] = value
-                else:
-                    kwargs[key] = _from_mapping(AutoscalerSpec, value, "autoscaler")
-            else:
-                kwargs[key] = value
-        return ExperimentSpec(**kwargs)
+        return _decode(ExperimentSpec, data, "")
 
     def to_json(self, indent: int | None = 2) -> str:
         """Canonical JSON encoding (sorted keys)."""
@@ -1479,7 +1312,6 @@ def apply_override(data: dict[str, Any], path: str, value: Any) -> None:
 
 __all__ = [
     "ALLOCATOR_MODES",
-    "ARRIVAL_MODES",
     "ENGINE_MODES",
     "FLEET_EVENT_KINDS",
     "PIMPHONY_PRESETS",

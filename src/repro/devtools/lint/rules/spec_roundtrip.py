@@ -53,7 +53,8 @@ _EXERCISE_BASES: tuple[dict[str, Any], ...] = (
             {"name": "lint-premium", "priority": 5, "share": 0.5},
             {"name": "lint-rest"},
         ],
-        "trace": {"arrival": "poisson", "rate_rps": 2.0, "num_sessions": 4},
+        "trace": {"num_sessions": 4},
+        "arrival": {"process": "poisson", "rate_rps": 2.0},
         "parallelism": {"tensor_parallel": 2, "pipeline_parallel": 1},
         "preemption": {"starvation_limit": 3},
     },

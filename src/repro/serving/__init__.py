@@ -33,8 +33,6 @@ Layering, from the outside in:
   :class:`KVAllocator` and :class:`KVLifecycle` protocols plus result
   types.
 * :mod:`repro.serving.lifecycle` -- per-request TTFT/TPOT/latency tracking.
-* :mod:`repro.serving.latency_cache` -- bucketed decode-step memoisation
-  for large sweeps.
 """
 
 from repro.serving.admission import (
@@ -74,7 +72,6 @@ from repro.serving.interfaces import (
     allocator_for,
     build_allocator,
 )
-from repro.serving.latency_cache import StepLatencyCache
 from repro.serving.lifecycle import (
     LatencyStats,
     LifecycleTracker,
@@ -160,7 +157,6 @@ __all__ = [
     "PreemptionConfig",
     "PreemptionCostModel",
     "PreemptionPolicy",
-    "StepLatencyCache",
     "LatencyStats",
     "LifecycleTracker",
     "RequestRecord",

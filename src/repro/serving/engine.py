@@ -70,10 +70,8 @@ from repro.serving.interfaces import (
     DecodeSystem,
     KVLifecycle,
     ServingResult,
-    StepResult,
     allocator_for,
 )
-from repro.serving.latency_cache import StepLatencyCache
 from repro.serving.lifecycle import LatencyStats, LifecycleTracker, RequestRecord
 from repro.serving.preemption import PreemptionCandidate, PreemptionConfig
 from repro.serving.prefill import PrefillConfig
@@ -192,8 +190,6 @@ class ServingEngine:
         step_stride: Decode steps advanced per latency evaluation; contexts
             change slowly, so strides of 4-16 keep large sweeps cheap with
             negligible error.
-        latency_cache: Optional memoisation of decode-step latencies; leave
-            ``None`` for exact per-step evaluation.
         prefill: Optional prefill cost model and charging discipline (see
             :mod:`repro.serving.prefill`).  ``None`` keeps the legacy
             behaviour of free prompt processing, which the parity tests pin.
@@ -220,7 +216,6 @@ class ServingEngine:
     admission: AdmissionPolicy = field(default_factory=FCFSAdmission)
     max_batch_size: int | None = None
     step_stride: int = 1
-    latency_cache: StepLatencyCache | None = None
     prefill: PrefillConfig | None = None
     preemption: PreemptionConfig | None = None
     prefix_cache: PrefixCache | None = None
@@ -505,12 +500,6 @@ class ServingEngine:
                 preempted.append(_PreemptedRequest(entry=victim, state=state))
                 preempted_now.add(victim_id)
 
-    def _price(self, contexts: list[int]) -> StepResult:
-        """Price one decode evaluation, through the latency cache if attached."""
-        if self.latency_cache is not None:
-            return self.latency_cache.evaluate(self.system, contexts)
-        return self.system.decode_step(contexts)
-
     def _finish(
         self,
         entry: _ActiveRequest,
@@ -619,9 +608,6 @@ class ServingEngine:
         steps = 0
         served = 0
         dropped: list[int] = []
-        if self.latency_cache is not None:
-            cache_hits_before = self.latency_cache.hits
-            cache_misses_before = self.latency_cache.misses
         prefix_before = self.prefix_cache.stats() if self.prefix_cache is not None else None
         peak_batch = 0
         # Running sums of the per-evaluation samples, accumulated one
@@ -636,8 +622,6 @@ class ServingEngine:
         fc_total = ZERO_BREAKDOWN
 
         span_fn = getattr(self.system, "decode_span", None)
-        if self.latency_cache is not None:
-            span_fn = None  # cache counters require per-evaluation pricing
         # Per-evaluation PIM utilization of a span step: a constant of the
         # system (0.0 for xpu-only, 1.0 for TCP PIM).
         span_util = getattr(self.system, "decode_span_utilization", 0.0)
@@ -776,7 +760,7 @@ class ServingEngine:
 
             if n_plan <= 1:
                 # -- single evaluation (an event is possible) -------------
-                step = self._price([entry.context for entry in decoding])
+                step = self.system.decode_step([entry.context for entry in decoding])
                 busy_seconds += step.seconds * stride + prefill_step_seconds
                 clock += step.seconds * stride + prefill_step_seconds
                 total_tokens += len(decoding) * stride
@@ -904,11 +888,11 @@ class ServingEngine:
                         break
                 first_eval_seconds = seconds[0]
             else:
-                # Order-dependent systems (PIM pipelines) or an attached
-                # latency cache: price each evaluation individually but keep
-                # the per-request bookkeeping amortised over the span.
+                # Order-dependent systems (PIM pipelines): price each
+                # evaluation individually but keep the per-request
+                # bookkeeping amortised over the span.
                 for j in range(n_plan):
-                    step = self._price(
+                    step = self.system.decode_step(
                         contexts if j == 0 else [context + stride * j for context in contexts]
                     )
                     advance = step.seconds * stride + prefill_step_seconds
@@ -985,18 +969,6 @@ class ServingEngine:
         metadata: dict = {}
         if dropped:
             metadata["dropped_request_ids"] = dropped
-        if self.latency_cache is not None:
-            # Deltas, not lifetime counters: the cache may be reused across
-            # runs and each result should report its own hit rate.
-            hits = self.latency_cache.hits - cache_hits_before
-            misses = self.latency_cache.misses - cache_misses_before
-            lookups = hits + misses
-            metadata["latency_cache"] = {
-                "bucket_tokens": self.latency_cache.bucket_tokens,
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": hits / lookups if lookups else 0.0,
-            }
 
         # Deltas, not lifetime counters: the prefix cache persists across
         # runs (that persistence is the whole point) but each result must
@@ -1060,7 +1032,6 @@ def serve(
     admission: AdmissionPolicy | None = None,
     max_batch_size: int | None = None,
     step_stride: int = 1,
-    latency_cache: StepLatencyCache | None = None,
     prefill: PrefillConfig | None = None,
     preemption: PreemptionConfig | None = None,
     prefix_cache: PrefixCache | None = None,
@@ -1072,7 +1043,6 @@ def serve(
         admission=admission if admission is not None else FCFSAdmission(),
         max_batch_size=max_batch_size,
         step_stride=step_stride,
-        latency_cache=latency_cache,
         prefill=prefill,
         preemption=preemption,
         prefix_cache=prefix_cache,

@@ -41,10 +41,9 @@ randomized admission x preemption x prefill x prefix-cache configurations.
 The independent oracle for the loop itself is the legacy copy in
 ``tests/serving/test_parity.py``.  Systems without ``decode_span``
 (HFP-packed or multi-stage PIM pipelines, whose greedy placement is
-order-dependent) and runs with a :class:`StepLatencyCache` attached price
-every evaluation individually inside the span, keeping cache counters and
-utilization/breakdown accumulation identical while still amortising the
-per-request bookkeeping.
+order-dependent) price every evaluation individually inside the span,
+keeping utilization/breakdown accumulation identical while still
+amortising the per-request bookkeeping.
 """
 
 from __future__ import annotations

@@ -28,8 +28,7 @@ the engine's arithmetic is bit-identical to the PR 4 behaviour, which
 ``tests/api/test_prefix_cache_spec.py`` pins.
 
 Counters (hits, misses, hit tokens, evictions) are monotonic over the
-cache's lifetime; the engine reports per-run deltas the same way it does
-for :class:`~repro.serving.latency_cache.StepLatencyCache`.
+cache's lifetime; the engine reports per-run deltas.
 """
 
 from __future__ import annotations

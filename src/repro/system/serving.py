@@ -1,8 +1,8 @@
 """Backward-compatible facade over the event-driven serving engine.
 
 The serving stack now lives in :mod:`repro.serving` -- admission policies,
-the :class:`~repro.serving.engine.ServingEngine` event loop, per-request
-lifecycle metrics and the decode-step latency cache.  This module keeps the
+the :class:`~repro.serving.engine.ServingEngine` event loop and per-request
+lifecycle metrics.  This module keeps the
 historical import surface (``StepResult``, ``DecodeSystem``,
 ``ServingResult``, ``simulate_serving``) working unchanged: on traces
 without arrival timestamps (the only kind that existed before, every

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -543,8 +542,7 @@ def assign_tiers(trace: RequestTrace, tiers: Sequence["TierSpec"]) -> RequestTra
       order by greedy quota: request ``i`` (counting unclaimed requests)
       joins the first share tier whose tagged count is still below
       ``share * (i + 1)``.  A share of ``1/N`` therefore tags exactly
-      every ``N``-th request (0, N, 2N, ...), reproducing the deprecated
-      :func:`periodic_priorities` pattern.
+      every ``N``-th request (0, N, 2N, ...).
     * At most one catch-all tier (neither predicate) takes the leftovers;
       with no catch-all, leftover requests stay untiered.
 
@@ -592,29 +590,6 @@ def assign_tiers(trace: RequestTrace, tiers: Sequence["TierSpec"]) -> RequestTra
                 )
             )
     return RequestTrace(dataset=trace.dataset, requests=tuple(requests))
-
-
-def periodic_priorities(trace: RequestTrace, every: int, priority: int) -> RequestTrace:
-    """Deprecated: mark every ``every``-th request with ``priority``.
-
-    Thin wrapper kept for backwards compatibility; it delegates to
-    :func:`assign_tiers` with a single ``share=1/every`` tier, which tags
-    exactly the same requests (0, every, 2*every, ...) with the same
-    priority.  Declare :class:`~repro.api.spec.TierSpec` entries on the
-    experiment spec instead.
-    """
-    warnings.warn(
-        "periodic_priorities is deprecated; declare SLO tiers instead "
-        "(ExperimentSpec.tiers, or assign_tiers with a share=1/every TierSpec)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if every <= 0:
-        raise ValueError("every must be positive")
-    from repro.api.spec import TierSpec
-
-    tier = TierSpec(name=f"priority-{priority}", priority=priority, share=1.0 / every)
-    return assign_tiers(trace, (tier,))
 
 
 def multi_turn_trace(

@@ -4,6 +4,7 @@ import pytest
 
 from repro.api import (
     AdmissionSpec,
+    ArrivalSpec,
     ExperimentSpec,
     ModelSpec,
     PrefillSpec,
@@ -68,9 +69,8 @@ def fleet_spec() -> ExperimentSpec:
             heavy_every=4,
             heavy_prompt_tokens=8192,
             output_tokens=16,
-            arrival="poisson",
-            rate_rps=1000.0,
         ),
+        arrival=ArrivalSpec(process="poisson", rate_rps=1000.0),
         router=RouterSpec(replicas=4, policy="capacity-aware"),
         seed=7,
         step_stride=8,
@@ -186,7 +186,7 @@ class TestSeedThreading:
 
     def test_arrivals_derive_from_spec_seed(self):
         spec = engine_spec().with_overrides(
-            {"trace.arrival": "poisson", "trace.rate_rps": 50.0}
+            {"arrival.process": "poisson", "arrival.rate_rps": 50.0}
         )
         trace_seed, arrival_seed, _ = derived_seeds(spec.seed)
         model = get_model("LLM-7B-32K")
@@ -239,8 +239,3 @@ class TestRunReportShape:
         paged = build(engine_spec().with_overrides({"allocator.mode": "paged"}))
         assert static.system.dynamic_memory is False
         assert paged.system.dynamic_memory is True
-
-    def test_latency_cache_bucket_attaches_cache(self):
-        built = build(engine_spec().with_overrides({"latency_cache_bucket": 512}))
-        assert built.engine.latency_cache is not None
-        assert built.engine.latency_cache.bucket_tokens == 512

@@ -1,14 +1,13 @@
-"""Dynamic-fleet specs: fast/scalar parity, equivalence pins, hash stability.
+"""Dynamic-fleet specs: fast/scalar parity and hash stability.
 
 The fleet timeline must not disturb anything that existed before it:
 shipped spec files keep their exact hashes (the new sub-specs elide at
-default), a plain ``arrival.process='poisson'`` reproduces the legacy
-``trace.arrival='poisson'`` switch seed for seed, and the vectorized
-engine reports exactly the same dynamic-fleet report as the scalar
-engine across a randomized sweep of arrival processes, failures and
-autoscaling.
+default), and the vectorized engine reports exactly the same
+dynamic-fleet report as the scalar engine across a randomized sweep of
+arrival processes, failures and autoscaling.
 """
 
+import dataclasses
 import json
 import pathlib
 import re
@@ -16,27 +15,140 @@ import re
 import pytest
 
 from repro.api import ExperimentSpec, run
-from repro.api.build import build, build_trace
+from repro.api.spec import (
+    ArrivalSpec,
+    AutoscalerSpec,
+    BurstSpec,
+    DisaggSpec,
+    FleetEventSpec,
+    PreemptionSpec,
+    RouterSpec,
+    TierSpec,
+    WarpPhaseSpec,
+)
+from repro.api.build import build
 from repro.serving import DynamicFleetRouter
 
 SPEC_DIR = pathlib.Path(__file__).resolve().parents[2] / "examples" / "specs"
 
 #: Pinned hashes of the specs shipped before the fleet timeline existed.
-#: These must never move: the new sub-specs (arrival / fleet_events /
-#: autoscaler / window_s) elide at their defaults, so a spec that does
-#: not use them serializes byte-for-byte as it always did.
+#: These move only when the canonical schema itself changes (recorded
+#: once, with the reason, in CHANGES.md): the newer sub-specs (arrival /
+#: fleet_events / autoscaler / window_s) elide at their defaults, so a
+#: spec that does not use them serializes byte-for-byte as it always did.
 LEGACY_SPEC_HASHES = {
-    "disagg_prompt_heavy.json": "e265e9e207e9",
-    "fleet_4replica_poisson.json": "8b51101ed76b",
-    "multi_turn_prefix_cache.json": "2917deaee010",
-    "pim_only_qmsum.json": "8b547d087e2e",
-    "preemption_evict_lru.json": "5ed9952102c7",
-    "tiered_slo_oversubscribed.json": "eae1ab494bef",
-    "xpu_only_qmsum.json": "8833e8330020",
-    "xpu_pim_long_context.json": "a4ce32d94c14",
+    "disagg_prompt_heavy.json": "72763b5eb2fa",
+    "fleet_4replica_poisson.json": "4d2c8219317f",
+    "multi_turn_prefix_cache.json": "327e7f07ded4",
+    "pim_only_qmsum.json": "a8f2a97a1159",
+    "preemption_evict_lru.json": "edefa6cb27c6",
+    "tiered_slo_oversubscribed.json": "fb42f927fc73",
+    "xpu_only_qmsum.json": "de0fa7155ed6",
+    "xpu_pim_long_context.json": "cade1f0e8a2d",
 }
 
 NEW_SPEC_KEYS = ("arrival", "fleet_events", "autoscaler", "window_s")
+
+#: The canonical schema: every key ``to_dict`` writes, by dotted location,
+#: for :func:`_every_key_spec`.  A field added to any spec class shows up
+#: here, so adding one is a deliberate choice between moving every
+#: ``spec_hash`` and marking the field to elide at its default.
+CANONICAL_KEYS = {
+    "": {
+        "name", "model", "system", "parallelism", "allocator", "engine",
+        "admission", "preemption", "prefill", "prefix_cache", "trace",
+        "arrival", "tiers", "router", "fleet_events", "autoscaler",
+        "window_s", "seed", "step_stride",
+    },
+    "model": {"name", "context_window"},
+    "system": {"kind", "num_modules", "pimphony"},
+    "parallelism": {"tensor_parallel", "pipeline_parallel"},
+    "allocator": {"mode"},
+    "engine": {"mode"},
+    "admission": {"policy", "max_batch_size"},
+    "preemption": {
+        "policy", "mode", "swap_bandwidth_gbps", "recompute_per_token_s",
+        "starvation_limit",
+    },
+    "prefill": {"mode", "model", "chunk_tokens", "per_token_s", "per_token_sq_s", "base_s"},
+    "prefix_cache": {"enabled", "capacity_tokens"},
+    "trace": {
+        "source", "dataset", "num_requests", "output_tokens", "prompt_tokens",
+        "heavy_every", "heavy_prompt_tokens", "num_sessions",
+        "turns_per_session", "followup_tokens", "turn_gap_s",
+    },
+    "arrival": {
+        "process", "rate_rps", "period_s", "amplitude", "phase_s", "bursts",
+        "times", "warp",
+    },
+    "arrival.bursts.0": {"start_s", "duration_s", "multiplier"},
+    "arrival.warp.0": {"start_s", "factor"},
+    "tiers.0": {
+        "name", "priority", "share", "sessions", "ttft_deadline_s", "tpot_deadline_s",
+    },
+    "router": {
+        "replicas", "policy", "probe_context_tokens", "ewma_alpha", "topology", "disagg",
+    },
+    "router.disagg": {
+        "prefill_replicas", "link_bandwidth_bytes_per_s", "link_latency_s", "decode_policy",
+    },
+    "fleet_events.0": {"at_s", "kind", "replica"},
+    "autoscaler": {
+        "signal", "scale_up_threshold", "scale_down_threshold", "min_replicas",
+        "max_replicas", "interval_s", "cooldown_s", "cold_start_s", "ewma_alpha",
+    },
+}
+
+#: Each field ``to_dict`` leaves out at its default, and a spec setting
+#: only that field to a non-default value (on top of a default fleet).
+ELIDED_AT_DEFAULT = {
+    "preemption.starvation_limit": {"preemption": PreemptionSpec(starvation_limit=2)},
+    "tiers": {"tiers": (TierSpec(),)},
+    "router.topology": {"router": RouterSpec(topology="disaggregated")},
+    "router.disagg": {"router": RouterSpec(disagg=DisaggSpec())},
+    "arrival": {"arrival": ArrivalSpec(process="replay")},
+    "fleet_events": {"fleet_events": (FleetEventSpec(),)},
+    "autoscaler": {"autoscaler": AutoscalerSpec()},
+    "window_s": {"window_s": 1.0},
+}
+
+
+def _every_key_spec() -> ExperimentSpec:
+    """Every sub-spec present once and every elided field set."""
+    return ExperimentSpec(
+        preemption=PreemptionSpec(starvation_limit=2),
+        arrival=ArrivalSpec(process="replay", bursts=(BurstSpec(),), warp=(WarpPhaseSpec(),)),
+        tiers=(TierSpec(),),
+        router=RouterSpec(topology="disaggregated", disagg=DisaggSpec()),
+        fleet_events=(FleetEventSpec(),),
+        autoscaler=AutoscalerSpec(),
+        window_s=1.0,
+    )
+
+
+def _key_sets(node, path: str = "") -> dict[str, set[str]]:
+    """The key set of every mapping inside ``node``, by dotted location."""
+    found: dict[str, set[str]] = {}
+    children = ()
+    if isinstance(node, dict):
+        found[path] = set(node)
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    for key, child in children:
+        found.update(_key_sets(child, _dotted(path, str(key))))
+    return found
+
+
+def _dotted(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _has(data: dict, dotted: str) -> bool:
+    *parents, last = dotted.split(".")
+    for part in parents:
+        data = data.get(part) or {}
+    return last in data
 
 
 def _load(name: str) -> ExperimentSpec:
@@ -52,9 +164,30 @@ class TestLegacySpecStability:
 
     def test_legacy_specs_serialize_without_new_keys(self):
         for name in LEGACY_SPEC_HASHES:
+            declared = json.loads((SPEC_DIR / name).read_text())
             payload = _load(name).to_dict()
             for key in NEW_SPEC_KEYS:
-                assert key not in payload, f"{name} grew a {key!r} key"
+                assert (key in payload) == (key in declared), f"{name} grew a {key!r} key"
+
+    def test_canonical_schema_is_pinned(self):
+        assert _key_sets(_every_key_spec().to_dict()) == CANONICAL_KEYS
+
+    def test_default_spec_writes_every_unmarked_key(self):
+        data = ExperimentSpec().to_dict()
+        expected = {
+            path: {key for key in keys if _dotted(path, key) not in ELIDED_AT_DEFAULT}
+            for path, keys in CANONICAL_KEYS.items()
+            if path == "" or isinstance(data.get(path), dict)
+        }
+        assert _key_sets(data) == expected
+
+    def test_marked_fields_appear_exactly_when_non_default(self):
+        base = ExperimentSpec(router=RouterSpec())
+        for dotted, overrides in ELIDED_AT_DEFAULT.items():
+            data = dataclasses.replace(base, **overrides).to_dict()
+            present = {other for other in ELIDED_AT_DEFAULT if _has(data, other)}
+            assert present == {dotted}, dotted
+            assert not any(_has(base.to_dict(), other) for other in ELIDED_AT_DEFAULT)
 
     def test_legacy_report_has_no_new_blocks(self):
         report = run(_load("pim_only_qmsum.json")).to_dict()
@@ -62,29 +195,6 @@ class TestLegacySpecStability:
         assert "windows" not in report["metrics"]
         assert "replica_hours" not in report["metrics"]
         assert "peak_replicas" not in report["metrics"]
-
-
-class TestArrivalEquivalencePin:
-    def test_arrival_poisson_matches_legacy_trace_switch(self):
-        base = {
-            "name": "pin",
-            "model": {"name": "LLM-7B-32K"},
-            "system": {"kind": "pim-only", "pimphony": "full"},
-            "trace": {
-                "source": "dataset",
-                "dataset": "qmsum",
-                "num_requests": 24,
-                "output_tokens": 8,
-            },
-            "seed": 11,
-        }
-        legacy = ExperimentSpec.from_dict(
-            {**base, "trace": {**base["trace"], "arrival": "poisson", "rate_rps": 40.0}}
-        )
-        modern = ExperimentSpec.from_dict(
-            {**base, "arrival": {"process": "poisson", "rate_rps": 40.0}}
-        )
-        assert build_trace(legacy) == build_trace(modern)
 
 
 def _dynamic_spec_data(seed: int) -> dict:

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.api import (
+    ArrivalSpec,
     ExperimentSpec,
     PrefillSpec,
     PrefixCacheSpec,
@@ -102,16 +103,21 @@ class TestSpecPlumbing:
         # silently discard the deterministic turn spacing the user asked
         # for (and deflate hit rates); the conflict must fail fast.
         with pytest.raises(ValueError, match="mutually exclusive"):
-            TraceSpec(turn_gap_s=40.0, arrival="poisson", rate_rps=0.5)
+            ExperimentSpec(
+                trace=TraceSpec(turn_gap_s=40.0),
+                arrival=ArrivalSpec(process="poisson", rate_rps=0.5),
+            )
         with pytest.raises(ValueError, match="mutually exclusive"):
             multi_turn_spec().with_overrides(
-                {"trace.arrival": "poisson", "trace.rate_rps": 0.5}
+                {"arrival.process": "poisson", "arrival.rate_rps": 0.5}
             )
         # Poisson multi-turn is still reachable by dropping the gap.
-        TraceSpec(
-            source="multi-turn", num_requests=4, num_sessions=2,
-            turns_per_session=2, turn_gap_s=0.0, arrival="poisson",
-            rate_rps=0.5,
+        ExperimentSpec(
+            trace=TraceSpec(
+                source="multi-turn", num_requests=4, num_sessions=2,
+                turns_per_session=2, turn_gap_s=0.0,
+            ),
+            arrival=ArrivalSpec(process="poisson", rate_rps=0.5),
         )
 
     def test_num_requests_must_match_sessions_times_turns(self):

@@ -1,18 +1,22 @@
 """ExperimentSpec construction, validation and serialization round-trips."""
 
 import json
+import math
+import re
 
 import pytest
 
 from repro.api import (
     AdmissionSpec,
     AllocatorSpec,
+    ArrivalSpec,
     ExperimentSpec,
     ModelSpec,
     ParallelismSpec,
     PrefillSpec,
     RouterSpec,
     SystemSpec,
+    TierSpec,
     TraceSpec,
 )
 
@@ -34,16 +38,13 @@ def full_spec() -> ExperimentSpec:
             prompt_tokens=512,
             heavy_every=4,
             heavy_prompt_tokens=4096,
-            arrival="poisson",
-            rate_rps=100.0,
             num_sessions=4,
-            priority_every=8,
-            priority_value=5,
         ),
+        arrival=ArrivalSpec(process="poisson", rate_rps=100.0),
+        tiers=(TierSpec(name="priority-5", priority=5, share=0.125),),
         router=RouterSpec(replicas=4, policy="session-affinity", probe_context_tokens=256),
         seed=42,
         step_stride=8,
-        latency_cache_bucket=512,
     )
 
 
@@ -105,8 +106,8 @@ class TestFieldValidation:
         [
             ({"trace": {"num_requests": 0}}, "trace.num_requests"),
             ({"trace": {"num_requests": -3}}, "trace.num_requests"),
-            ({"trace": {"arrival": "bursty"}}, "trace.arrival"),
-            ({"trace": {"arrival": "poisson"}}, "trace.rate_rps"),
+            ({"trace": {"arrival": "poisson"}}, "trace.arrival"),
+            ({"trace": {"rate_rps": 2.0}}, "trace.rate_rps"),
             ({"system": {"pimphony": "everything"}}, "system.pimphony"),
             ({"system": {"num_modules": 2.5}}, "system.num_modules"),
             ({"allocator": {"mode": "virtual"}}, "allocator.mode"),
@@ -121,6 +122,41 @@ class TestFieldValidation:
     def test_invalid_field_messages_carry_field_path(self, data, message):
         with pytest.raises(ValueError, match=message):
             ExperimentSpec.from_dict(data)
+
+    @pytest.mark.parametrize(
+        ("path", "value", "replacement"),
+        [
+            ("trace.arrival", "poisson", 'use arrival: {process: "poisson", rate_rps'),
+            ("trace.rate_rps", 40.0, 'use arrival: {process: "poisson", rate_rps'),
+            ("trace.priority_every", 4, "use tiers: [{share: 1/N, priority"),
+            ("trace.priority_value", 5, "use tiers: [{share: 1/N, priority"),
+            ("latency_cache_bucket", 512, 'removed; use engine.mode: "fast"'),
+        ],
+    )
+    def test_retired_keys_name_their_replacement(self, path, value, replacement):
+        message = f"{re.escape(path)} is retired: {re.escape(replacement)}"
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec().with_overrides({path: value})
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "prefill.per_token_s",
+            "prefill.per_token_sq_s",
+            "prefill.base_s",
+            "preemption.swap_bandwidth_gbps",
+            "preemption.recompute_per_token_s",
+            "trace.turn_gap_s",
+            "arrival.rate_rps",
+            "router.disagg.link_bandwidth_bytes_per_s",
+            "router.disagg.link_latency_s",
+            "router.ewma_alpha",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_numbers_are_rejected(self, path, value):
+        with pytest.raises(ValueError, match=rf"{re.escape(path)} must be a .*finite"):
+            ExperimentSpec().with_overrides({path: value})
 
     def test_parallelism_must_be_set_together(self):
         with pytest.raises(ValueError, match="parallelism.tensor_parallel"):

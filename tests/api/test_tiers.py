@@ -6,7 +6,6 @@ import pytest
 
 from repro.api import ExperimentSpec, TierSpec, run
 from repro.api.spec import (
-    PreemptionSpec,
     SystemSpec,
     TraceSpec,
     apply_override,
@@ -14,7 +13,6 @@ from repro.api.spec import (
 from repro.workloads.traces import (
     assign_tiers,
     generate_trace,
-    periodic_priorities,
     random_sessions,
 )
 from repro.workloads.datasets import get_dataset
@@ -101,12 +99,6 @@ class TestCrossTierValidation:
                     TierSpec(name="a", sessions=(3,)),
                     TierSpec(name="b", sessions=(3, 4)),
                 )
-            )
-
-    def test_tiers_exclude_deprecated_priority_every(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            tiered_spec(
-                trace=TraceSpec(source="synthetic", num_requests=8, priority_every=4)
             )
 
     def test_session_tier_requires_sessions_in_trace(self):
@@ -214,17 +206,6 @@ class TestAssignTiers:
         assert all(r.ttft_deadline_s == 1.0 for r in tagged_requests)
         assert all(r.tpot_deadline_s == 0.1 for r in tagged_requests)
 
-    def test_periodic_priorities_is_deprecated_but_equivalent(self):
-        trace = self.trace(n=23, seed=3)
-        with pytest.deprecated_call():
-            legacy = periodic_priorities(trace, every=4, priority=5)
-        tiered = assign_tiers(
-            trace, (TierSpec(name="priority-5", priority=5, share=0.25),)
-        )
-        assert legacy == tiered
-        priorities = [request.priority for request in legacy.requests]
-        assert priorities == [5 if i % 4 == 0 else 0 for i in range(23)]
-
 
 class TestTieredReports:
     def test_report_carries_per_tier_sections(self):
@@ -285,54 +266,6 @@ class TestTieredReports:
         assert premium.requests_finished == premium.num_requests
         assert premium.goodput == 0.0 and premium.tpot_attainment == 0.0
         assert strict.tier_report("best-effort").goodput == 1.0
-
-
-class TestLegacyPriorityParity:
-    def test_priority_every_reports_match_pre_tier_schema(self):
-        # The deprecated trace.priority_every path now routes through
-        # assign_tiers internally; reports must keep the untiered schema and
-        # tag the same requests with the same priorities.
-        spec = tiered_spec(
-            tiers=(),
-            trace=TraceSpec(
-                source="synthetic",
-                num_requests=12,
-                prompt_tokens=256,
-                output_tokens=32,
-                priority_every=4,
-                priority_value=5,
-            ),
-        )
-        report = run(spec)
-        assert report.tier_reports == ()
-        assert "tiers" not in report.to_dict()["metrics"]
-        records = report.fleet.request_records
-        assert sorted(record.priority for record in records) == [0] * 9 + [5] * 3
-
-    def test_priority_every_equals_equivalent_tier_spec(self):
-        legacy = run(
-            tiered_spec(
-                tiers=(),
-                trace=TraceSpec(
-                    source="synthetic",
-                    num_requests=12,
-                    prompt_tokens=256,
-                    output_tokens=32,
-                    priority_every=4,
-                    priority_value=5,
-                ),
-                preemption=PreemptionSpec(policy="evict-priority-lru"),
-            )
-        )
-        tiered = run(
-            tiered_spec(
-                tiers=(TierSpec(name="priority-5", priority=5, share=0.25),),
-                preemption=PreemptionSpec(policy="evict-priority-lru"),
-            )
-        )
-        assert legacy.latency == tiered.latency
-        assert legacy.makespan_s == tiered.makespan_s
-        assert legacy.preemptions == tiered.preemptions
 
 
 class TestCLI:

@@ -32,8 +32,6 @@ def _base_dict(**trace_overrides) -> dict:
         "num_requests": 8,
         "prompt_tokens": 2048,
         "output_tokens": 16,
-        "arrival": "poisson",
-        "rate_rps": 40.0,
     }
     trace.update(trace_overrides)
     return {
@@ -41,6 +39,7 @@ def _base_dict(**trace_overrides) -> dict:
         "model": {"name": "LLM-7B-32K"},
         "system": {"kind": "xpu-only", "num_modules": 2},
         "trace": trace,
+        "arrival": {"process": "poisson", "rate_rps": 40.0},
         "prefill": {"mode": "chunked", "model": "system", "chunk_tokens": 512},
         "router": {
             "replicas": 3,
@@ -105,7 +104,7 @@ class TestHandoffPricing:
         """Adding pure link latency delays every TTFT by exactly that much."""
         extra = 0.125
         base = _base_dict(num_requests=1)
-        del base["trace"]["arrival"], base["trace"]["rate_rps"]
+        del base["arrival"]
         data = _with_overrides(base, {"router.disagg.link_latency_s": 0.0})
         slow = _with_overrides(base, {"router.disagg.link_latency_s": extra})
         base_ttft = run(ExperimentSpec.from_dict(data)).latency.ttft_mean_s
@@ -115,7 +114,7 @@ class TestHandoffPricing:
     def test_tpot_excludes_transfer_and_prefill(self):
         """TPOT spans first-to-last token: pure decode, unmoved by the link."""
         data = _base_dict(num_requests=1)
-        del data["trace"]["arrival"], data["trace"]["rate_rps"]
+        del data["arrival"]
         slow = _with_overrides(data, {"router.disagg.link_latency_s": 0.125})
         base = run(ExperimentSpec.from_dict(data)).latency.tpot_mean_s
         delayed = run(ExperimentSpec.from_dict(slow)).latency.tpot_mean_s

@@ -111,9 +111,9 @@ def _random_spec_dict(rng: random.Random) -> dict:
         trace["output_tokens"] = rng.choice([8, 16])
         if rng.random() < 0.5:
             trace["turn_gap_s"] = 0.25
+    arrival: dict | None = None
     if rng.random() < 0.6:
-        trace["arrival"] = "poisson"
-        trace["rate_rps"] = rng.choice([20.0, 200.0, 2000.0])
+        arrival = {"process": "poisson", "rate_rps": rng.choice([20.0, 200.0, 2000.0])}
     if source != "multi-turn" and rng.random() < 0.3:
         trace["num_sessions"] = 2
     admission = rng.choice(["fcfs", "capacity-aware", "priority"])
@@ -129,7 +129,7 @@ def _random_spec_dict(rng: random.Random) -> dict:
         if rng.random() < 0.7:
             tiers.append({"name": "best-effort"})
     elif admission == "priority":
-        trace["priority_every"] = 2
+        tiers = [{"name": "priority-1", "priority": 1, "share": 0.5}]
 
     data: dict = {
         "name": "fast-parity-random",
@@ -144,6 +144,8 @@ def _random_spec_dict(rng: random.Random) -> dict:
         "seed": rng.randrange(1000),
         "step_stride": rng.choice([1, 4, 16]),
     }
+    if arrival is not None:
+        data["arrival"] = arrival
     if tiers is not None:
         data["tiers"] = tiers
     if rng.random() < 0.5:
@@ -168,8 +170,6 @@ def _random_spec_dict(rng: random.Random) -> dict:
     if rng.random() < 0.4:
         data["prefix_cache"] = {"enabled": True}
         trace.setdefault("num_sessions", 2)
-    if rng.random() < 0.3:
-        data["latency_cache_bucket"] = 512
     if rng.random() < 0.3:
         data["router"] = {
             "replicas": 2,

@@ -43,7 +43,6 @@ def test_documented_api_names_present():
         "generate_trace",
         "poisson_arrivals",
         "random_sessions",
-        "periodic_priorities",
     }
     assert documented <= set(repro.__all__)
 
