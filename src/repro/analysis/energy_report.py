@@ -50,6 +50,11 @@ def serving_energy(
     Background power is charged for every PIM channel in the system over the
     whole wall-clock time of the run, which is what makes low-utilisation
     baselines background-dominated (the effect Fig. 16 highlights).
+
+    The dynamic components come from ``result``'s cycle breakdowns, which
+    span-priced evaluations leave at zero: run the engine with
+    ``engine.mode=scalar`` (as :func:`~repro.system.serving.simulate_serving`
+    does) for TCP single-stage PIM systems.
     """
     energy_model = model if model is not None else EnergyModel()
     total_cycles = timing.seconds_to_cycles(result.total_seconds)

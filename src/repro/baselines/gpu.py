@@ -140,15 +140,16 @@ class GPUSystemModel:
     def decode_span(
         self, context_lengths: Sequence[int], stride: int, count: int
     ) -> np.ndarray:
-        """Latencies of ``count`` consecutive uniform decode evaluations.
+        """Seconds and PIM utilization of ``count`` uniform decode evaluations.
 
-        Element ``j`` equals ``decode_step([c + j * stride for c in
-        context_lengths]).seconds`` bit-for-bit: FC and TP-sync depend only
-        on the (constant) batch size, and attention is linear in the exact
-        integer context sum, reproduced with int64 arithmetic and float64
-        divisions in the same association order as :meth:`decode_step`.
-        The corresponding steps carry zero PIM utilization and zero cycle
-        breakdowns, so callers may skip accumulating those.
+        Row ``j`` of the ``(count, 2)`` result equals ``decode_step([c + j *
+        stride for c in context_lengths])``'s ``(seconds,
+        pim_utilization)`` bit-for-bit: FC and TP-sync depend only on the
+        (constant) batch size, and attention is linear in the exact integer
+        context sum, reproduced with int64 arithmetic and float64 divisions
+        in the same association order as :meth:`decode_step`.  A GPU has
+        no PIM, so the utilization column is zero; the steps also carry
+        zero cycle breakdowns.
 
         Preconditions (the fast engine guarantees both): every context is
         positive, and ``stride``/``count`` are positive.
@@ -180,7 +181,9 @@ class GPUSystemModel:
             2 * model.num_layers * self.interconnect.all_reduce_seconds(sync_bytes, self.num_gpus)
         )
 
-        return (fc_seconds + attention_seconds) + sync_seconds
+        priced = np.zeros((count, 2), dtype=np.float64)
+        priced[:, 0] = (fc_seconds + attention_seconds) + sync_seconds
+        return priced
 
 
 def _build_gpu(

@@ -13,12 +13,19 @@ Three kernel builders cover the decode-step operators:
 * :func:`build_fc_gemv_program` -- weight-stationary GEMV for FC layers.
 * :func:`build_qkt_program` -- the ``QK^T`` attention score kernel.
 * :func:`build_sv_program` -- the ``SV`` attention value kernel.
+
+:func:`attention_head_total_cycles` prices the two attention kernels over a
+whole array of token shares without building programs; the builders above
+stay its oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+from numpy.typing import NDArray
 
 from repro.dram.refresh import RefreshModel
 from repro.pim.config import ELEMENTS_PER_TILE, PIMChannelConfig
@@ -537,3 +544,89 @@ def attention_head_cycles(
     qkt = qkt_cycles(tokens, head_dim, channel, timing, policy, group_size, row_reuse)
     sv = sv_cycles(tokens, head_dim, channel, timing, policy, group_size, row_reuse)
     return qkt + sv
+
+
+def attention_head_total_cycles(
+    tokens: NDArray[np.int64],
+    head_dim: int,
+    channel: PIMChannelConfig,
+    timing: PIMTiming,
+    policy: str,
+    group_size: int = 1,
+    row_reuse: bool = True,
+) -> NDArray[np.float64]:
+    """:func:`attention_head_cycles` ``.total`` for an array of token slices.
+
+    Counts the commands and row activations of :func:`build_qkt_program`
+    and :func:`build_sv_program` in closed form, in int64, for every
+    element of ``tokens`` (any shape).  Every busy-cycle term is an exact
+    integer below 2**53, so one conversion to float64 reproduces
+    :func:`estimate_cycles`' float accumulation exactly; refresh is then
+    added per kernel as ``busy + busy * overhead_fraction``, ``QK^T``
+    before ``SV``, as the :class:`CycleBreakdown` sum does.  Covers the
+    ``static`` and ``dcs`` policies.
+    """
+    if policy not in ("static", "dcs"):
+        raise ValueError(f"closed form covers 'static' and 'dcs', not {policy!r}")
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if group_size <= 0:
+        return np.zeros(tokens.shape, dtype=np.float64)
+    occ_wr, occ_mac, occ_rd = timing.wr_inp_occupancy, timing.mac_occupancy, timing.rd_out_occupancy
+    lat_wr, lat_mac, lat_rd = (
+        timing.wr_inp_latency_cycles,
+        timing.mac_latency_cycles,
+        timing.rd_out_latency_cycles,
+    )
+    fill_drain = lat_wr + lat_mac + lat_rd
+    tiles_per_row = channel_tiles_per_row(channel)
+    reuse = row_reuse and group_size > 1
+    # Without row reuse every query of the group re-opens every row.
+    switch = (1 if row_reuse else group_size) * timing.dram.row_switch_cycles
+
+    # QK^T: one WR_INP phase of q_wr tiles, then g * q_og repetitions of
+    # (MAC q_in, RD_OUT 1).
+    q_in = _ceil_div(head_dim, ELEMENTS_PER_TILE)
+    q_wr = q_in * group_size
+    if reuse:
+        q_wr = int(math.ceil(q_wr * GQA_ROW_REUSE_REFETCH))
+    q_og = (tokens + (channel.num_banks - 1)) // channel.num_banks
+    q_act = (q_og * q_in + (tiles_per_row - 1)) // tiles_per_row * switch
+    if policy == "static":
+        q_rep = group_size * ((q_in - 1) * occ_mac + lat_mac + lat_rd)
+        q_busy = q_og * q_rep + q_act + ((q_wr - 1) * occ_wr + lat_wr)
+    else:
+        q_io = q_og * (group_size * occ_rd) + q_wr * occ_wr
+        q_busy = np.maximum(q_io, q_og * (group_size * q_in * occ_mac) + q_act) + fill_drain
+
+    # SV: per query, s_in score tiles stream through the GBuf in blocks of
+    # ``block`` tiles (the last one partial); each block is one WR_INP phase
+    # followed by (MAC, RD_OUT 1) per output group.  GQA row reuse shrinks
+    # the block and adds one refetch WR_INP phase of refetch_wr tiles per
+    # score tile.
+    s_og = _ceil_div(head_dim, channel.num_banks)
+    block = caps_for_policy(channel, policy).gbuf_entries
+    refetch_wr = 0
+    if reuse:
+        block = max(1, block // group_size)
+        refetch_wr = int(GQA_ROW_REUSE_REFETCH - 1.0) * group_size
+    s_in = (tokens + (ELEMENTS_PER_TILE - 1)) // ELEMENTS_PER_TILE
+    s_act = (s_in * s_og + (tiles_per_row - 1)) // tiles_per_row * switch
+    if policy == "static":
+        full, rem = np.divmod(s_in, block)
+        full_rep = (block - 1) * occ_wr + lat_wr + s_og * ((block - 1) * occ_mac + lat_mac + lat_rd)
+        rem_rep = rem * (occ_wr + s_og * occ_mac) + (
+            lat_wr - occ_wr + s_og * (lat_mac - occ_mac + lat_rd)
+        )
+        s_busy = group_size * (full * full_rep + np.where(rem > 0, rem_rep, 0)) + s_act
+        if refetch_wr:
+            s_busy += (s_in * refetch_wr - 1) * occ_wr + lat_wr
+    else:
+        blocks = (s_in + (block - 1)) // block
+        s_io = blocks * (group_size * s_og * occ_rd) + s_in * ((group_size + refetch_wr) * occ_wr)
+        s_busy = np.maximum(s_io, s_in * (group_size * s_og * occ_mac) + s_act) + fill_drain
+
+    refresh_fraction = RefreshModel(timing.dram).overhead_fraction
+    qkt = q_busy.astype(np.float64)
+    sv = s_busy.astype(np.float64)
+    total = (qkt + qkt * refresh_fraction) + (sv + sv * refresh_fraction)
+    return np.where(tokens > 0, total, 0.0)

@@ -89,6 +89,12 @@ class EngineResult(ServingResult):
     ``total_seconds`` (and therefore ``throughput_tokens_per_s``) counts
     busy decode time only, matching the legacy loop; ``makespan_s`` adds
     the idle gaps an open-loop arrival process introduces.
+
+    ``attention_breakdown`` and ``fc_breakdown`` sum the cycle breakdowns
+    of evaluations priced by ``decode_step``; evaluations priced by a
+    system's ``decode_span`` (xpu-only, gpu, TCP single-stage pim-only and
+    xpu-pim in fast mode) add zero.  Energy accounting therefore needs
+    ``engine.mode=scalar``.
     """
 
     makespan_s: float = 0.0
@@ -622,9 +628,6 @@ class ServingEngine:
         fc_total = ZERO_BREAKDOWN
 
         span_fn = getattr(self.system, "decode_span", None)
-        # Per-evaluation PIM utilization of a span step: a constant of the
-        # system (0.0 for xpu-only, 1.0 for TCP PIM).
-        span_util = getattr(self.system, "decode_span_utilization", 0.0)
         span_hint = 64
         capacity_bytes = allocator.capacity_bytes
         cap_enabled = capacity_bytes > 0
@@ -868,17 +871,19 @@ class ServingEngine:
             first_eval_end = 0.0
             first_eval_seconds = 0.0
             if span_fn is not None:
-                # Closed-form systems: all latencies in one vectorized call,
-                # then a tight scalar loop for the (order-sensitive) float
-                # accumulation and the crossing check.  Spans of these
-                # systems carry zero breakdowns and a constant per-step
-                # utilization.
-                seconds = span_fn(contexts, stride, n_plan).tolist()
+                # Closed-form systems: every evaluation's (seconds, PIM
+                # utilization) in one vectorized call, then a tight scalar
+                # loop for the (order-sensitive) float accumulation and the
+                # crossing check.  Spans of these systems carry zero
+                # breakdowns.
+                priced = span_fn(contexts, stride, n_plan)
+                seconds = priced[:, 0].tolist()
+                utilizations = priced[:, 1].tolist()
                 for j in range(n_plan):
                     advance = seconds[j] * stride + prefill_step_seconds
                     busy_seconds += advance
                     clock += advance
-                    utilization_sum += span_util
+                    utilization_sum += utilizations[j]
                     if cap_enabled:
                         capacity_sum += (used_bytes + j * used_increment) / capacity_bytes
                     if j == 0:

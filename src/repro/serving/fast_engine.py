@@ -9,9 +9,12 @@ becoming ready, or any chunked-prefill work -- batch membership is constant
 and every decoding request advances uniformly by ``step_stride`` tokens per
 evaluation.  Over such a span:
 
-* the per-evaluation latencies form a closed-form sequence on systems whose
-  decode step is batch-plus-context-sum shaped (``xpu-only``, ``gpu``, TCP
-  single-stage PIM), exposed as ``decode_span`` and evaluated in one call;
+* the per-evaluation latencies and PIM utilizations form a closed-form
+  sequence on ``xpu-only`` and ``gpu`` (batch-plus-context-sum shaped) and
+  on TCP single-stage ``pim-only`` and ``xpu-pim`` (per-request channel
+  shares priced by the array kernel closed form), exposed as
+  ``decode_span`` and evaluated in one call returning a ``(count, 2)``
+  array;
 * clock/busy accumulation, capacity sampling and batch statistics reduce to
   a tight loop over the precomputed latencies, adding one evaluation at a
   time in the same order a span of one would;
@@ -43,7 +46,8 @@ The independent oracle for the loop itself is the legacy copy in
 (HFP-packed or multi-stage PIM pipelines, whose greedy placement is
 order-dependent) price every evaluation individually inside the span,
 keeping utilization/breakdown accumulation identical while still
-amortising the per-request bookkeeping.
+amortising the per-request bookkeeping.  Span-priced evaluations add no
+cycle breakdown, so runs whose energy is wanted use ``engine.mode=scalar``.
 """
 
 from __future__ import annotations

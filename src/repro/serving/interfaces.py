@@ -76,6 +76,15 @@ class DecodeSystem(Protocol):
 
     def decode_step(self, context_lengths: Sequence[int]) -> StepResult: ...
 
+    # Systems whose uniform decode spans have a closed form additionally
+    # expose ``decode_span(context_lengths, stride, count)``, returning a
+    # ``(count, 2)`` float64 array: row ``j`` is the ``(seconds,
+    # pim_utilization)`` of ``decode_step([c + j * stride for c in
+    # context_lengths])``, bit for bit.  Span-priced evaluations carry zero
+    # cycle breakdowns.  xpu-only, gpu and TCP single-stage pim-only and
+    # xpu-pim have one; the attribute is absent or ``None`` otherwise, and
+    # the engine prices each evaluation with ``decode_step``.
+    #
     # Systems that can price their own prompt-processing phase additionally
     # implement ``prefill_seconds(prompt_tokens) -> float`` (see
     # :class:`~repro.serving.prefill.SupportsPrefill`);

@@ -12,9 +12,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+from numpy.typing import NDArray
+
 from repro.core.orchestrator import PIMphonyConfig
 from repro.pim.config import PIMModuleConfig
-from repro.pim.kernels import attention_head_cycles, fc_gemv_cycles
+from repro.pim.kernels import attention_head_cycles, attention_head_total_cycles, fc_gemv_cycles
 from repro.pim.simulator import CycleBreakdown, ZERO_BREAKDOWN
 
 
@@ -119,6 +122,32 @@ def module_attention_time(
     else:
         utilization = 0.0
     return module_cycles, utilization, aggregate
+
+
+def tcp_attention_cycles(
+    shares: NDArray[np.int64],
+    kv_heads_per_module: int,
+    group_size: int,
+    head_dim: int,
+    module: PIMModuleConfig,
+    config: PIMphonyConfig,
+) -> NDArray[np.float64]:
+    """Each request's term of :func:`module_attention_time`'s TCP sum.
+
+    ``shares`` holds per-channel token shares (``ceil(context /
+    num_channels)``) of any shape; folding the result over requests in
+    batch order gives the TCP module cycles bit for bit.
+    """
+    per_head = attention_head_total_cycles(
+        shares,
+        head_dim=head_dim,
+        channel=module.channel,
+        timing=module.timing,
+        policy=_policy_of(config),
+        group_size=group_size,
+        row_reuse=config.row_reuse,
+    )
+    return per_head * kv_heads_per_module
 
 
 #: FC matrices of one decoder layer as (in_dim multiplier, out_dim multiplier)

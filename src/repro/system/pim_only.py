@@ -11,21 +11,21 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
+from numpy.typing import NDArray
 
 from repro.api.registry import register_system
 from repro.core.orchestrator import PIMphonyConfig
 from repro.models.llm import LLMConfig
 from repro.pim.config import PIMModuleConfig, cent_module_config
-from repro.pim.kernels import attention_head_cycles
-from repro.pim.simulator import CycleBreakdown, ZERO_BREAKDOWN
 from repro.serving.interfaces import StepResult
 from repro.serving.prefill import transformer_prefill_flops
 from repro.system.interconnect import InterconnectConfig
-from repro.system.layers import module_attention_time, module_fc_time
+from repro.system.layers import module_attention_time, module_fc_time, tcp_attention_cycles
 from repro.system.parallelism import ParallelismPlan
-from repro.system.pipeline import StageCost, pipeline_decode_step
+from repro.system.pipeline import StageCost, pipeline_decode_step, tcp_single_stage_span
 
 
 @dataclass
@@ -51,20 +51,10 @@ class PIMOnlySystem:
     #: Closed-form span evaluator consumed by the fast engine; installed in
     #: ``__post_init__`` when the configuration admits one (TCP attention,
     #: single pipeline stage), ``None`` otherwise.
-    decode_span: Callable[[Sequence[int], int, int], np.ndarray] | None = field(
+    decode_span: Callable[[Sequence[int], int, int], NDArray[np.float64]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: PIM utilization of every span-evaluated step.  Under TCP all channels
-    #: carry identical work, so each executed step's utilization is exactly
-    #: 1.0; the fast engine accumulates this constant in its span path.
-    decode_span_utilization: float = field(default=0.0, init=False, repr=False, compare=False)
-    _span_share_cycles: dict[int, CycleBreakdown] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
     _span_batch_cache: dict[int, tuple[float, float, float]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _span_stage_cache: dict[tuple[int, ...], float] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -79,12 +69,11 @@ class PIMOnlySystem:
         self.plan.validate_for(self.model)
         # TCP shares depend only on each context's channel-share ceiling and
         # a single stage makes the pipeline scan closed-form, so spans can be
-        # evaluated from memoized stage times bit-identically to
-        # ``decode_step``.  HFP's greedy packing and multi-stage pipelines
-        # are order-dependent; those fall back to per-step evaluation.
+        # priced over arrays bit-identically to ``decode_step``.  HFP's
+        # greedy packing and multi-stage pipelines are order-dependent;
+        # those fall back to per-step evaluation.
         if self.pimphony.tcp and self.plan.pipeline_parallel == 1:
             self.decode_span = self._tcp_decode_span
-            self.decode_span_utilization = 1.0
 
     # -- capacity ------------------------------------------------------------
 
@@ -196,77 +185,52 @@ class PIMOnlySystem:
             self._span_batch_cache[batch_size] = cached
         return cached
 
-    def _span_stage_seconds(self, shares: tuple[int, ...]) -> float:
-        """Seconds of one TCP stage given per-request channel-share ceilings.
+    def _span_stage_cost(
+        self, attention_cycles: NDArray[np.float64], batch_size: int
+    ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """:meth:`_stage_cost`'s seconds and utilization over TCP attention cycles.
 
-        Replicates :meth:`_stage_cost` arithmetic (same fold order, same
-        association) so memoized values are bit-identical to the per-step
-        path.
+        Seconds follow the scalar path's arithmetic and association.  The
+        utilization is exactly 1.0: the scalar path's ``(a * u + f) / (a +
+        f)`` has ``u = 1.0`` whenever ``a > 0`` (so ``a * u == a``, also for
+        ``a == 0``) and FC work ``f > 0`` in every micro-batch.
         """
-        cached = self._span_stage_cache.get(shares)
-        if cached is not None:
-            return cached
-        kv_heads_per_module = self.plan.kv_heads_per_module(self.model)
-        attention_cycles = 0.0
-        if kv_heads_per_module > 0:
-            per_channel = ZERO_BREAKDOWN
-            for share in shares:
-                scaled = self._span_share_cycles.get(share)
-                if scaled is None:
-                    scaled = attention_head_cycles(
-                        tokens=share,
-                        head_dim=self.model.head_dim,
-                        channel=self.module.channel,
-                        timing=self.module.timing,
-                        policy="dcs" if self.pimphony.dcs else "static",
-                        group_size=self.model.gqa_group_size,
-                        row_reuse=self.pimphony.row_reuse,
-                    ).scaled(kv_heads_per_module)
-                    self._span_share_cycles[share] = scaled
-                per_channel = per_channel + scaled
-            attention_cycles = per_channel.total
-        fc_cycles, two_all_reduce, point_to_point = self._span_batch_terms(len(shares))
+        fc_cycles, two_all_reduce, point_to_point = self._span_batch_terms(batch_size)
         layer_seconds = self.module.timing.cycles_to_seconds(attention_cycles + fc_cycles)
         layer_seconds += two_all_reduce
         stage_seconds = self.plan.layers_per_stage(self.model) * layer_seconds
         stage_seconds += point_to_point
-        self._span_stage_cache[shares] = stage_seconds
-        return stage_seconds
+        return stage_seconds, np.ones_like(stage_seconds)
 
     def _tcp_decode_span(
         self, context_lengths: Sequence[int], stride: int, count: int
-    ) -> np.ndarray:
-        """Latencies of ``count`` consecutive uniform decode evaluations.
+    ) -> NDArray[np.float64]:
+        """Seconds and PIM utilization of ``count`` uniform decode evaluations.
 
-        Element ``j`` equals ``decode_step([c + j * stride for c in
-        context_lengths]).seconds`` bit-for-bit.  With one pipeline stage
-        the candidate micro-batch counts are ``{1, n}``: the single
-        micro-batch time comes from one memoized stage lookup, and the
-        fully-split time is the sum of per-request stage times.  A uniform
-        ``+ j * stride`` shift preserves the stable descending sort of the
-        contexts, so the share tuple can be derived from one up-front sort.
-        The corresponding steps carry zero cycle breakdowns; utilization is
-        the constant :attr:`decode_span_utilization`.
+        Row ``j`` equals ``decode_step([c + j * stride for c in
+        context_lengths])``'s ``(seconds, pim_utilization)`` bit-for-bit
+        (see :func:`~repro.system.pipeline.tcp_single_stage_span`).  The
+        corresponding steps carry zero cycle breakdowns.
 
         Preconditions (the fast engine guarantees both): every context is
         positive, and ``stride``/``count`` are positive.
         """
-        num_channels = self.module.num_channels
-        base = sorted((length for length in context_lengths if length > 0), reverse=True)
-        seconds = np.zeros(count, dtype=np.float64)
-        if not base:
-            return seconds
-        for j in range(count):
-            offset = j * stride
-            shares = tuple(-(-(length + offset) // num_channels) for length in base)
-            single = self._span_stage_seconds(shares)
-            if len(shares) > 1:
-                times = [self._span_stage_seconds((share,)) for share in shares]
-                split = max(sum(times), max(times))
-                seconds[j] = split if split < single else single
-            else:
-                seconds[j] = single
-        return seconds
+        share_cycles = partial(
+            tcp_attention_cycles,
+            kv_heads_per_module=self.plan.kv_heads_per_module(self.model),
+            group_size=self.model.gqa_group_size,
+            head_dim=self.model.head_dim,
+            module=self.module,
+            config=self.pimphony,
+        )
+        return tcp_single_stage_span(
+            context_lengths,
+            stride,
+            count,
+            self.module.num_channels,
+            share_cycles,
+            self._span_stage_cost,
+        )
 
     def prefill_seconds(self, prompt_tokens: int) -> float:
         """Prefill latency on a system with no matrix units.

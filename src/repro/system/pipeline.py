@@ -20,6 +20,9 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+from numpy.typing import NDArray
+
 from repro.pim.simulator import CycleBreakdown, ZERO_BREAKDOWN
 
 
@@ -121,3 +124,58 @@ def pipeline_decode_step(
             best = step
     assert best is not None
     return best
+
+
+#: Span form of a system's ``_stage_cost``: (attention cycles of a
+#: micro-batch, micro-batch size) -> (stage seconds, stage PIM utilization),
+#: elementwise over arrays of attention cycles.
+SpanStageCost = Callable[
+    [NDArray[np.float64], int], tuple[NDArray[np.float64], NDArray[np.float64]]
+]
+
+
+def tcp_single_stage_span(
+    contexts: Sequence[int],
+    stride: int,
+    count: int,
+    num_channels: int,
+    share_cycles: Callable[[NDArray[np.int64]], NDArray[np.float64]],
+    stage_cost: SpanStageCost,
+) -> NDArray[np.float64]:
+    """Seconds and PIM utilization of ``count`` uniform single-stage TCP steps.
+
+    Row ``j`` of the ``(count, 2)`` result equals ``pipeline_decode_step``'s
+    ``(seconds, pim_utilization)`` for ``[c + j * stride for c in
+    contexts]`` with one stage, bit for bit.  Under TCP a request's
+    attention cost depends only on its per-channel token share, so the
+    (requests x span) grid of shares is priced in one ``share_cycles`` call.
+    Rows of that grid follow the stable descending sort
+    :func:`split_microbatches` applies (a uniform shift preserves it), and
+    requests are folded in that order with ``cumsum``, which adds
+    sequentially like the scalar path.  The micro-batch candidates are
+    ``{1, n}``: the whole batch as one micro-batch, or one per request.
+    """
+    active = sorted((context for context in contexts if context > 0), reverse=True)
+    if not active:
+        return np.zeros((count, 2), dtype=np.float64)
+    # Ceiling division: offsets carry the ``num_channels - 1`` round-up.
+    offsets = np.arange(
+        num_channels - 1, num_channels - 1 + count * stride, stride, dtype=np.int64
+    )
+    shares = (np.array(active, dtype=np.int64)[:, None] + offsets) // num_channels
+    per_request = share_cycles(shares)
+
+    seconds, utilization = stage_cost(np.cumsum(per_request, axis=0)[-1], len(active))
+    # The busy-weighted mean of one micro-batch, (t * u) / t, need not round
+    # back to u.
+    utilization = np.minimum(1.0, seconds * utilization / seconds)
+    if len(active) > 1:
+        times, utilizations = stage_cost(per_request, 1)
+        # A sequential sum of non-negative floats is never below an addend,
+        # so the pipeline's max(sum, stages * max) is the sum at one stage.
+        split = np.cumsum(times, axis=0)[-1]
+        split_utilization = np.minimum(1.0, np.cumsum(times * utilizations, axis=0)[-1] / split)
+        better = split < seconds
+        seconds = np.where(better, split, seconds)
+        utilization = np.where(better, split_utilization, utilization)
+    return np.stack((seconds, utilization), axis=1)

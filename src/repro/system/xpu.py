@@ -165,16 +165,17 @@ class XPUOnlySystem:
     def decode_span(
         self, context_lengths: Sequence[int], stride: int, count: int
     ) -> np.ndarray:
-        """Latencies of ``count`` consecutive uniform decode evaluations.
+        """Seconds and PIM utilization of ``count`` uniform decode evaluations.
 
-        Element ``j`` equals ``decode_step([c + j * stride for c in
-        context_lengths]).seconds`` bit-for-bit: the FC roofline depends
-        only on the (constant) batch size, and attention is linear in the
-        exact integer context sum, which int64 arithmetic and a single
-        float64 division reproduce as long as every intermediate stays
-        below 2**53 (always true for realistic KV capacities).  The
-        corresponding steps carry zero PIM utilization and zero cycle
-        breakdowns, so callers may skip accumulating those.
+        Row ``j`` of the ``(count, 2)`` result equals ``decode_step([c + j *
+        stride for c in context_lengths])``'s ``(seconds,
+        pim_utilization)`` bit-for-bit: the FC roofline depends only on the
+        (constant) batch size, and attention is linear in the exact integer
+        context sum, which int64 arithmetic and a single float64 division
+        reproduce as long as every intermediate stays below 2**53 (always
+        true for realistic KV capacities).  There is no PIM, so the
+        utilization column is zero; the steps also carry zero cycle
+        breakdowns.
 
         Preconditions (the fast engine guarantees both): every context is
         positive, and ``stride``/``count`` are positive.
@@ -194,7 +195,9 @@ class XPUOnlySystem:
         sums = sum(contexts) + np.arange(count, dtype=np.int64) * (stride * len(contexts))
         kv_bytes = sums * model.kv_bytes_per_token / self.num_modules
         attention_seconds = kv_bytes / self.xpu.memory_bandwidth_bytes
-        return fc_seconds + attention_seconds
+        priced = np.zeros((count, 2), dtype=np.float64)
+        priced[:, 0] = fc_seconds + attention_seconds
+        return priced
 
     def prefill_seconds(self, prompt_tokens: int) -> float:
         """Roofline latency of prefilling one ``prompt_tokens``-long prompt.

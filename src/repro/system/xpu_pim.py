@@ -9,8 +9,12 @@ synchronisation overhead.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import partial
+
+import numpy as np
+from numpy.typing import NDArray
 
 from repro.api.registry import register_system
 from repro.core.orchestrator import PIMphonyConfig
@@ -20,9 +24,9 @@ from repro.pim.simulator import ZERO_BREAKDOWN
 from repro.serving.interfaces import StepResult
 from repro.serving.prefill import transformer_prefill_flops
 from repro.system.interconnect import InterconnectConfig
-from repro.system.layers import module_attention_time
+from repro.system.layers import module_attention_time, tcp_attention_cycles
 from repro.system.parallelism import ParallelismPlan
-from repro.system.pipeline import StageCost, pipeline_decode_step
+from repro.system.pipeline import StageCost, pipeline_decode_step, tcp_single_stage_span
 from repro.system.xpu import XPUConfig, fc_layer_seconds
 
 #: Fraction of the slower engine's time added per layer for xPU/PIM
@@ -43,6 +47,12 @@ class XPUPIMSystem:
     interconnect: InterconnectConfig = field(
         default_factory=lambda: InterconnectConfig(bandwidth_bytes_per_s=300e9, latency_s=1e-6)
     )
+    #: Closed-form span evaluator consumed by the fast engine; installed in
+    #: ``__post_init__`` for TCP attention on a single pipeline stage,
+    #: ``None`` otherwise.
+    decode_span: Callable[[Sequence[int], int, int], NDArray[np.float64]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.num_modules <= 0:
@@ -53,6 +63,11 @@ class XPUPIMSystem:
                 f"system has {self.num_modules}"
             )
         self.plan.validate_for(self.model)
+        # Same rule as pim-only: TCP shares make attention a per-request
+        # closed form and one stage makes the pipeline choice closed-form.
+        # HFP placement and multi-stage pipelines depend on request order.
+        if self.pimphony.tcp and self.plan.pipeline_parallel == 1:
+            self.decode_span = self._tcp_decode_span
 
     # -- capacity ------------------------------------------------------------
 
@@ -122,6 +137,66 @@ class XPUPIMSystem:
             seconds=stage_seconds,
             pim_utilization=utilization * pim_busy_fraction,
             attention_breakdown=attention_breakdown.scaled(layers),
+        )
+
+    def _span_stage_cost(
+        self, attention_cycles: NDArray[np.float64], batch_size: int
+    ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """:meth:`_stage_cost`'s seconds and utilization over TCP attention cycles."""
+        tensor_parallel = self.plan.tensor_parallel
+        attention_seconds = self.module.timing.cycles_to_seconds(attention_cycles)
+        fc_seconds = fc_layer_seconds(
+            xpu=self.xpu,
+            batch_size=batch_size,
+            d_model=self.model.d_model,
+            kv_dim=self.model.kv_dim,
+            ffn_dim=self.model.ffn_dim,
+            gated_ffn=self.model.gated_ffn,
+            tensor_parallel=tensor_parallel,
+            dtype_bytes=self.model.dtype_bytes,
+        )
+        layer_seconds = np.maximum(attention_seconds, fc_seconds) * (1.0 + SYNC_OVERHEAD_FRAC)
+        sync_bytes = batch_size * self.model.d_model * self.model.dtype_bytes
+        layer_seconds += 2 * self.interconnect.all_reduce_seconds(sync_bytes, tensor_parallel)
+        stage_seconds = self.plan.layers_per_stage(self.model) * layer_seconds
+        stage_seconds += self.interconnect.point_to_point_seconds(sync_bytes)
+
+        pim_busy_fraction = np.where(
+            layer_seconds > 0,
+            np.minimum(1.0, attention_seconds / np.maximum(layer_seconds, 1e-30)),
+            0.0,
+        )
+        attention_utilization = np.where(attention_cycles > 0, 1.0, 0.0)
+        return stage_seconds, attention_utilization * pim_busy_fraction
+
+    def _tcp_decode_span(
+        self, context_lengths: Sequence[int], stride: int, count: int
+    ) -> NDArray[np.float64]:
+        """Seconds and PIM utilization of ``count`` uniform decode evaluations.
+
+        Row ``j`` equals ``decode_step([c + j * stride for c in
+        context_lengths])``'s ``(seconds, pim_utilization)`` bit-for-bit
+        (see :func:`~repro.system.pipeline.tcp_single_stage_span`).  The
+        corresponding steps carry zero cycle breakdowns.
+
+        Preconditions (the fast engine guarantees both): every context is
+        positive, and ``stride``/``count`` are positive.
+        """
+        share_cycles = partial(
+            tcp_attention_cycles,
+            kv_heads_per_module=self.plan.kv_heads_per_module(self.model),
+            group_size=self.model.gqa_group_size,
+            head_dim=self.model.head_dim,
+            module=self.module,
+            config=self.pimphony,
+        )
+        return tcp_single_stage_span(
+            context_lengths,
+            stride,
+            count,
+            self.module.num_channels,
+            share_cycles,
+            self._span_stage_cost,
         )
 
     def decode_step(self, context_lengths: Sequence[int]) -> StepResult:

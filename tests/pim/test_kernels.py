@@ -1,14 +1,22 @@
 """Tests for phase-level kernel programs and the closed-form estimators."""
 
+import numpy as np
 import pytest
 
 from repro.compiler.lowering import lower_gemv_to_commands
 from repro.core.dcs import DCSScheduler
-from repro.pim.config import PIMChannelConfig
+from repro.pim.config import (
+    ELEMENTS_PER_TILE,
+    PIMChannelConfig,
+    cent_module_config,
+    neupims_module_config,
+)
 from repro.pim.isa import PIMOpcode
 from repro.pim.kernels import (
     BufferCaps,
     EMPTY_PROGRAM,
+    attention_head_cycles,
+    attention_head_total_cycles,
     build_fc_gemv_program,
     build_qkt_program,
     build_sv_program,
@@ -185,3 +193,50 @@ class TestEstimatorCrossValidation:
             mc = sum(1 for c in commands if c.opcode is PIMOpcode.MAC)
             rd = sum(1 for c in commands if c.opcode is PIMOpcode.RD_OUT)
             assert (program.n_wr_inp, program.n_mac, program.n_rd_out) == (wr, mc, rd)
+
+
+def _boundary_tokens(channel, group_size):
+    """Tokens 0..1024 plus both sides of every tiling boundary up to 2**20."""
+    tokens = set(range(1025))
+    sv_block = max(1, channel.gbuf_entries // group_size) * ELEMENTS_PER_TILE
+    for unit in (channel.num_banks, ELEMENTS_PER_TILE, sv_block):
+        multiple = unit
+        while multiple <= 2**20:
+            tokens.update((multiple - 1, multiple, multiple + 1))
+            multiple *= 2
+    tokens.add(2**20)
+    return np.array(sorted(tokens), dtype=np.int64)
+
+
+class TestAttentionHeadTotalCycles:
+    """The array closed form must equal the program-building path exactly."""
+
+    @pytest.mark.parametrize(
+        "module", [cent_module_config(), neupims_module_config()], ids=["cent", "neupims"]
+    )
+    @pytest.mark.parametrize("policy", ["static", "dcs"])
+    @pytest.mark.parametrize("group_size", [1, 2, 4, 8])
+    @pytest.mark.parametrize("row_reuse", [True, False])
+    @pytest.mark.parametrize("head_dim", [64, 128])
+    def test_matches_program_oracle(self, module, policy, group_size, row_reuse, head_dim):
+        tokens = _boundary_tokens(module.channel, group_size)
+        closed = attention_head_total_cycles(
+            tokens, head_dim, module.channel, module.timing, policy, group_size, row_reuse
+        )
+        assert closed.dtype == np.float64
+        for count, value in zip(tokens.tolist(), closed.tolist(), strict=True):
+            oracle = attention_head_cycles(
+                count, head_dim, module.channel, module.timing, policy, group_size, row_reuse
+            )
+            assert value == oracle.total, count
+
+    def test_keeps_the_shape_of_its_input(self, channel, timing):
+        grid = np.arange(12, dtype=np.int64).reshape(3, 4) * 1000
+        closed = attention_head_total_cycles(grid, 128, channel, timing, "dcs", 4)
+        assert closed.shape == (3, 4)
+        assert closed[0, 0] == 0.0
+        assert closed[2, 3] == attention_head_cycles(11000, 128, channel, timing, "dcs", 4).total
+
+    def test_pingpong_rejected(self, channel, timing):
+        with pytest.raises(ValueError, match="pingpong"):
+            attention_head_total_cycles(np.array([64]), 128, channel, timing, "pingpong")

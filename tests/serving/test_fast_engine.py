@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import ExperimentSpec, run
+from repro.api.build import build
 from repro.api.spec import apply_override
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -84,6 +85,50 @@ def test_engine_mode_recorded_in_report():
     report = run(ExperimentSpec.from_dict(data))
     assert report.engine_mode == "fast"
     assert report.to_dict()["engine_mode"] == "fast"
+
+
+def test_long_xpu_pim_spans_match_scalar():
+    """Long closed-form xpu-pim spans keep full RunReport parity.
+
+    The long-context benchmark's shape at small size: 20k-120k-token
+    prompts, chunked prefill, stride 4 and 512 output tokens, with arrivals
+    close enough for batches to overlap.  After the last arrival nothing
+    can cut a span short, so the long spans priced there all run.
+    """
+    spec_data = {
+        "name": "long-context-xpu-pim-spans",
+        "model": {"name": "LLM-7B-128K"},
+        "system": {"kind": "xpu-pim", "pimphony": "full"},
+        "trace": {
+            "source": "dataset",
+            "dataset": "multifieldqa",
+            "num_requests": 6,
+            "output_tokens": 512,
+        },
+        "arrival": {"process": "replay", "times": [2.0 * index for index in range(6)]},
+        "prefill": {"mode": "chunked", "model": "system", "chunk_tokens": 16384},
+        "seed": 1,
+        "step_stride": 4,
+    }
+    scalar = run_report_dict(spec_data, "scalar")
+
+    data = json.loads(json.dumps(spec_data))
+    apply_override(data, "engine.mode", "fast")
+    built = build(ExperimentSpec.from_dict(data))
+    span = built.system.decode_span
+    assert span is not None
+    priced: list[int] = []
+
+    def counting_span(contexts, stride, count):
+        priced.append(count)
+        return span(contexts, stride, count)
+
+    built.system.decode_span = counting_span
+    fast = built.run().to_dict()
+    for key in MODE_KEYS:
+        fast.pop(key, None)
+    assert max(priced) >= 64
+    assert_equal(scalar, fast)
 
 
 # ---------------------------------------------------------------------------

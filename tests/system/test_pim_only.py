@@ -80,7 +80,7 @@ class TestDecodeStep:
 
 
 class TestDecodeSpan:
-    """The memoized TCP span must replicate ``decode_step`` bit-for-bit."""
+    """The closed-form TCP span must replicate ``decode_step`` bit-for-bit."""
 
     CASES = [
         ([1], 1, 5),
@@ -100,17 +100,13 @@ class TestDecodeSpan:
     def test_span_matches_decode_step_bitwise(self, llm_7b, contexts, stride, count):
         system = make_system(llm_7b)
         span = system.decode_span(contexts, stride, count)
+        assert span.shape == (count, 2)
         for j in range(count):
             step = system.decode_step([c + j * stride for c in contexts])
-            assert float(span[j]) == step.seconds
-            assert step.pim_utilization == system.decode_span_utilization
-
-    def test_span_utilization_constant_is_one(self, llm_7b):
-        system = make_system(llm_7b)
-        assert system.decode_span_utilization == 1.0
-        assert make_system(llm_7b, config=PIMphonyConfig.baseline()).decode_span_utilization == 0.0
+            assert float(span[j, 0]) == step.seconds
+            assert float(span[j, 1]) == step.pim_utilization
 
     def test_empty_contexts_priced_at_zero(self, llm_7b):
         span = make_system(llm_7b).decode_span([], 8, 3)
-        assert span.shape == (3,)
+        assert span.shape == (3, 2)
         assert (span == 0.0).all()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines.neupims import neupims_system_config
 from repro.core.orchestrator import PIMphonyConfig
 from repro.pim.config import neupims_module_config
 from repro.system.parallelism import ParallelismPlan
@@ -64,3 +65,48 @@ class TestXPUPIMSystem:
                 plan=ParallelismPlan(2, 1),
                 module=neupims_module_config(),
             )
+
+
+class TestDecodeSpan:
+    """The closed-form TCP span must replicate ``decode_step`` bit-for-bit."""
+
+    CASES = [
+        ([1], 1, 5),
+        ([120000], 4, 64),
+        ([20000, 20000, 20000], 4, 33),
+        ([512, 300, 17], 8, 9),
+        ([33, 33, 33], 3, 11),
+        ([120000, 20000, 120000, 20000], 4, 4096),
+        ([20000, 5, 5, 5, 900], 8, 5),
+    ]
+
+    def test_installed_only_for_tcp_single_stage(self, llm_7b, llm_72b_gqa):
+        assert make_system(llm_7b, config=PIMphonyConfig.full()).decode_span is not None
+        assert make_system(llm_7b, config=PIMphonyConfig.baseline()).decode_span is None
+        assert make_system(llm_7b, tp=2, pp=2, config=PIMphonyConfig.full()).decode_span is None
+        default_72b = neupims_system_config(llm_72b_gqa, pimphony=PIMphonyConfig.full())
+        assert default_72b.plan.pipeline_parallel > 1
+        assert default_72b.decode_span is None
+
+    @pytest.mark.parametrize(("contexts", "stride", "count"), CASES)
+    def test_span_matches_decode_step_bitwise(self, llm_7b_gqa, contexts, stride, count):
+        system = make_system(llm_7b_gqa)
+        span = system.decode_span(contexts, stride, count)
+        assert span.shape == (count, 2)
+        # Long spans are sampled; every row of a short one is checked.
+        rows = sorted({*range(0, count, max(1, count // 32)), count - 1})
+        for j in rows:
+            step = system.decode_step([c + j * stride for c in contexts])
+            assert float(span[j, 0]) == step.seconds
+            assert float(span[j, 1]) == step.pim_utilization
+
+    def test_utilization_varies_with_context(self, llm_7b_gqa):
+        """At batch 1 the xPU FC stream hides short attention, so the PIM
+        busy fraction rises with context: the column is not a constant."""
+        span = make_system(llm_7b_gqa).decode_span([4096], 4096, 32)
+        assert 0.0 < span[0, 1] < span[-1, 1] <= 1.0
+
+    def test_empty_contexts_priced_at_zero(self, llm_7b):
+        span = make_system(llm_7b).decode_span([], 8, 3)
+        assert span.shape == (3, 2)
+        assert (span == 0.0).all()

@@ -2,6 +2,7 @@
 
 from itertools import pairwise
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +12,14 @@ from repro.memory.chunked_alloc import ChunkedAllocator
 from repro.memory.static_alloc import AllocationError
 from repro.pim.config import PIMChannelConfig
 from repro.pim.isa import PIMOpcode, mac, read_output, write_input
-from repro.pim.kernels import build_fc_gemv_program, build_sv_program, caps_for_policy, estimate_cycles
+from repro.pim.kernels import (
+    attention_head_cycles,
+    attention_head_total_cycles,
+    build_fc_gemv_program,
+    build_sv_program,
+    caps_for_policy,
+    estimate_cycles,
+)
 from repro.pim.scheduling import StaticScheduler
 from repro.pim.timing import aimx_timing, illustrative_timing
 
@@ -262,3 +270,27 @@ def test_estimates_are_positive_and_policy_ordered(tokens, group, policy):
         "dcs",
     )
     assert dcs.total <= breakdown.total * 1.001
+
+
+@given(
+    shares=st.lists(st.integers(min_value=0, max_value=2**20), min_size=1, max_size=8),
+    head_dim=st.sampled_from([32, 64, 80, 128, 256]),
+    num_banks=st.sampled_from([8, 16, 32]),
+    gbuf_tiles=st.sampled_from([16, 32, 64, 100]),
+    group=st.sampled_from([1, 2, 3, 4, 8]),
+    policy=st.sampled_from(["static", "dcs"]),
+    row_reuse=st.booleans(),
+    timing=st.sampled_from([aimx_timing(), illustrative_timing()]),
+)
+@settings(max_examples=60, deadline=None)
+def test_attention_closed_form_equals_program_path(
+    shares, head_dim, num_banks, gbuf_tiles, group, policy, row_reuse, timing
+):
+    """The array closed form is the program-building estimator, bit for bit."""
+    channel = PIMChannelConfig(num_banks=num_banks, gbuf_bytes=gbuf_tiles * 32)
+    closed = attention_head_total_cycles(
+        np.array(shares, dtype=np.int64), head_dim, channel, timing, policy, group, row_reuse
+    )
+    for tokens, value in zip(shares, closed.tolist(), strict=True):
+        oracle = attention_head_cycles(tokens, head_dim, channel, timing, policy, group, row_reuse)
+        assert value == oracle.total
