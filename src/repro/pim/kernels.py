@@ -15,8 +15,9 @@ Three kernel builders cover the decode-step operators:
 * :func:`build_sv_program` -- the ``SV`` attention value kernel.
 
 :func:`attention_head_total_cycles` prices the two attention kernels over a
-whole array of token shares without building programs; the builders above
-stay its oracle.
+whole array of token shares, and :func:`fc_gemv_breakdown` gives an FC GEMV's
+full cycle breakdown, both without building programs; the builders above
+stay their oracle.
 """
 
 from __future__ import annotations
@@ -499,6 +500,77 @@ def fc_gemv_cycles(
     caps = caps_for_policy(channel, policy)
     program = build_fc_gemv_program(in_dim, out_dim, channel, caps, n_vectors, row_reuse)
     return estimate_cycles(program, timing, policy)
+
+
+def fc_gemv_breakdown(
+    in_dim: int,
+    out_dim: int,
+    channel: PIMChannelConfig,
+    timing: PIMTiming,
+    policy: str,
+    n_vectors: int = 1,
+    row_reuse: bool = True,
+) -> CycleBreakdown:
+    """:func:`fc_gemv_cycles` without building the program.
+
+    Counts the commands and row activations of :func:`build_fc_gemv_program`
+    in closed form, in Python ints.  Every busy-cycle term is an exact
+    integer below 2**53, which :func:`estimate_cycles`' float accumulation
+    also reaches exactly; refresh and the pipeline penalty then follow its
+    float expressions verbatim.  Covers the ``static`` and ``dcs`` policies.
+    """
+    if policy not in ("static", "dcs"):
+        raise ValueError(f"closed form covers 'static' and 'dcs', not {policy!r}")
+    if in_dim <= 0 or out_dim <= 0 or n_vectors <= 0:
+        return CycleBreakdown(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    occ_wr, occ_mac, occ_rd = timing.wr_inp_occupancy, timing.mac_occupancy, timing.rd_out_occupancy
+    lat_wr, lat_mac, lat_rd = (
+        timing.wr_inp_latency_cycles,
+        timing.mac_latency_cycles,
+        timing.rd_out_latency_cycles,
+    )
+    n_in = _ceil_div(in_dim, ELEMENTS_PER_TILE)
+    n_og = _ceil_div(out_dim, channel.num_banks)
+    # Per vector, the input tiles pass through the GBuf (which both policies
+    # map in full) in n_blocks blocks, one when they all fit.  Each block is
+    # one WR_INP phase followed by (MAC, RD_OUT 1) per output group.
+    n_blocks = _ceil_div(n_in, channel.gbuf_entries)
+    activations = _ceil_div(n_in * n_og, channel_tiles_per_row(channel))
+    if not row_reuse:
+        activations *= n_vectors
+    act = activations * timing.dram.row_switch_cycles
+
+    n_wr = n_vectors * n_in
+    n_mac = n_wr * n_og
+    n_rd = n_vectors * n_og * n_blocks
+    if policy == "static":
+        # Phases serialise: a phase of k commands takes (k - 1) * occupancy
+        # + latency cycles, so each block adds the latency-minus-occupancy
+        # terms once and each tile its occupancies.
+        per_tile = occ_wr + n_og * occ_mac
+        per_block = lat_wr - occ_wr + n_og * (lat_mac - occ_mac + lat_rd)
+        busy_cycles = n_vectors * (n_in * per_tile + n_blocks * per_block) + act
+    else:
+        fill_drain = lat_wr + lat_mac + lat_rd
+        busy_cycles = max(n_wr * occ_wr + n_rd * occ_rd, n_mac * occ_mac + act) + fill_drain
+
+    mac_cycles = n_mac * occ_mac
+    dt_gbuf = n_wr * occ_wr
+    dt_outreg = n_rd * occ_rd
+    act_cycles = float(act)
+    busy = float(busy_cycles)
+    refresh = busy * RefreshModel(timing.dram).overhead_fraction
+    total = busy + refresh
+    penalty = total - (mac_cycles + dt_gbuf + dt_outreg + act_cycles + refresh)
+    return CycleBreakdown(
+        mac=float(mac_cycles),
+        dt_gbuf=float(dt_gbuf),
+        dt_outreg=float(dt_outreg),
+        act_pre=act_cycles,
+        refresh=refresh,
+        pipeline_penalty=max(0.0, penalty),
+        total=total,
+    )
 
 
 def qkt_cycles(

@@ -1,7 +1,7 @@
 """Multi-node PIM system models and the decode serving loop."""
 
 from repro.system.interconnect import InterconnectConfig
-from repro.system.layers import ModuleLayerTimes, module_attention_time, module_fc_time
+from repro.system.layers import module_attention_time, module_fc_time
 from repro.system.parallelism import ParallelismPlan, enumerate_plans, best_plan
 from repro.system.pim_only import PIMOnlySystem
 from repro.system.serving import EngineResult, ServingResult, simulate_serving
@@ -13,7 +13,6 @@ __all__ = [
     "enumerate_plans",
     "best_plan",
     "InterconnectConfig",
-    "ModuleLayerTimes",
     "module_attention_time",
     "module_fc_time",
     "XPUConfig",

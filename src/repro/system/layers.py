@@ -2,46 +2,28 @@
 
 These helpers aggregate the channel-level kernel estimators of
 ``repro.pim.kernels`` into module-level times, applying the intra-module
-partitioning strategy (HFP vs TCP) for attention.  They are the hot path of
-the serving simulator, so per-unique-context kernel estimates are cached
-within a call instead of re-evaluated per task.
+partitioning strategy (HFP vs TCP) for attention.  FC layers are priced in
+closed form (:func:`~repro.pim.kernels.fc_gemv_breakdown`), and so are TCP
+attention totals over arrays of shares (:func:`tcp_attention_cycles`).
+Attention cycle breakdowns still come from the program-building estimator,
+once per distinct token slice in a call.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.core.orchestrator import PIMphonyConfig
 from repro.pim.config import PIMModuleConfig
-from repro.pim.kernels import attention_head_cycles, attention_head_total_cycles, fc_gemv_cycles
+from repro.pim.kernels import (
+    attention_head_cycles,
+    attention_head_total_cycles,
+    fc_gemv_breakdown,
+)
 from repro.pim.simulator import CycleBreakdown, ZERO_BREAKDOWN
-
-
-@dataclass(frozen=True)
-class ModuleLayerTimes:
-    """Timing of one decoder layer's PIM work on one module.
-
-    Attributes:
-        attention_cycles: End-to-end attention time (slowest channel).
-        fc_cycles: End-to-end FC time on PIM (zero when FC runs on an xPU).
-        attention_utilization: Mean channel busy fraction during attention.
-        attention_breakdown: Aggregate breakdown across channels (for energy).
-        fc_breakdown: Aggregate FC breakdown across channels (for energy).
-    """
-
-    attention_cycles: float
-    fc_cycles: float
-    attention_utilization: float
-    attention_breakdown: CycleBreakdown
-    fc_breakdown: CycleBreakdown
-
-    @property
-    def total_cycles(self) -> float:
-        return self.attention_cycles + self.fc_cycles
 
 
 def _policy_of(config: PIMphonyConfig) -> str:
@@ -67,37 +49,16 @@ def module_attention_time(
     if not active or kv_heads_per_module <= 0:
         return 0.0, 0.0, ZERO_BREAKDOWN
 
-    policy = _policy_of(config)
-    channel = module.channel
-    timing = module.timing
     num_channels = module.num_channels
-    row_reuse = config.row_reuse
-
-    cycles_cache: dict[int, CycleBreakdown] = {}
-
-    def head_cycles(tokens: int) -> CycleBreakdown:
-        if tokens <= 0:
-            return ZERO_BREAKDOWN
-        if tokens not in cycles_cache:
-            cycles_cache[tokens] = attention_head_cycles(
-                tokens=tokens,
-                head_dim=head_dim,
-                channel=channel,
-                timing=timing,
-                policy=policy,
-                group_size=group_size,
-                row_reuse=row_reuse,
-            )
-        return cycles_cache[tokens]
-
     if config.tcp:
         # Every channel processes an equal token share of every task; the
         # per-channel time is identical across channels by construction.
+        shares = [-(-length // num_channels) for length in active]
         per_channel = ZERO_BREAKDOWN
-        for length in active:
-            share = -(-length // num_channels)
-            slice_breakdown = head_cycles(share)
-            per_channel = per_channel + slice_breakdown.scaled(kv_heads_per_module)
+        for term in tcp_attention_breakdowns(
+            shares, kv_heads_per_module, group_size, head_dim, module, config
+        ):
+            per_channel = per_channel + term
         module_cycles = per_channel.total
         utilization = 1.0 if module_cycles > 0 else 0.0
         aggregate = per_channel.scaled(num_channels)
@@ -105,6 +66,7 @@ def module_attention_time(
 
     # HFP: whole (request, KV head) tasks are placed on the least loaded
     # channel; the module finishes with its slowest channel.
+    head_cycles = _head_cycles(active, group_size, head_dim, module, config)
     channel_cycles = [0.0] * num_channels
     aggregate = ZERO_BREAKDOWN
     tasks: list[int] = []
@@ -112,7 +74,7 @@ def module_attention_time(
         tasks.extend([length] * kv_heads_per_module)
     tasks.sort(reverse=True)
     for length in tasks:
-        breakdown = head_cycles(length)
+        breakdown = head_cycles[length]
         target = min(range(num_channels), key=lambda index: channel_cycles[index])
         channel_cycles[target] += breakdown.total
         aggregate = aggregate + breakdown
@@ -122,6 +84,48 @@ def module_attention_time(
     else:
         utilization = 0.0
     return module_cycles, utilization, aggregate
+
+
+def _head_cycles(
+    tokens: Sequence[int],
+    group_size: int,
+    head_dim: int,
+    module: PIMModuleConfig,
+    config: PIMphonyConfig,
+) -> dict[int, CycleBreakdown]:
+    """:func:`attention_head_cycles` of every distinct token slice, priced once."""
+    policy = _policy_of(config)
+    return {
+        count: attention_head_cycles(
+            tokens=count,
+            head_dim=head_dim,
+            channel=module.channel,
+            timing=module.timing,
+            policy=policy,
+            group_size=group_size,
+            row_reuse=config.row_reuse,
+        )
+        for count in dict.fromkeys(tokens)
+    }
+
+
+def tcp_attention_breakdowns(
+    shares: Sequence[int],
+    kv_heads_per_module: int,
+    group_size: int,
+    head_dim: int,
+    module: PIMModuleConfig,
+    config: PIMphonyConfig,
+) -> list[CycleBreakdown]:
+    """Each request's per-channel term of :func:`module_attention_time`'s TCP sum.
+
+    The breakdown counterpart of :func:`tcp_attention_cycles`: each term's
+    ``total`` is that function's value for its share, and folding the terms
+    in batch order gives the TCP per-channel breakdown, both bit for bit.
+    Every distinct share is priced once.
+    """
+    head_cycles = _head_cycles(shares, group_size, head_dim, module, config)
+    return [head_cycles[share].scaled(kv_heads_per_module) for share in shares]
 
 
 def tcp_attention_cycles(
@@ -193,7 +197,7 @@ def module_fc_time(
     per_channel = ZERO_BREAKDOWN
     for in_dim, out_dim in _layer_fc_shapes(d_model, kv_dim, ffn_dim, gated_ffn):
         out_per_channel = max(channel.num_banks, out_dim // shard)
-        per_channel = per_channel + fc_gemv_cycles(
+        per_channel = per_channel + fc_gemv_breakdown(
             in_dim=in_dim,
             out_dim=out_per_channel,
             channel=channel,

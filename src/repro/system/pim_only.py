@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import partial
+from typing import TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -20,12 +21,25 @@ from repro.api.registry import register_system
 from repro.core.orchestrator import PIMphonyConfig
 from repro.models.llm import LLMConfig
 from repro.pim.config import PIMModuleConfig, cent_module_config
+from repro.pim.simulator import CycleBreakdown
 from repro.serving.interfaces import StepResult
 from repro.serving.prefill import transformer_prefill_flops
 from repro.system.interconnect import InterconnectConfig
-from repro.system.layers import module_attention_time, module_fc_time, tcp_attention_cycles
+from repro.system.layers import (
+    module_attention_time,
+    module_fc_time,
+    tcp_attention_breakdowns,
+    tcp_attention_cycles,
+)
 from repro.system.parallelism import ParallelismPlan
-from repro.system.pipeline import StageCost, pipeline_decode_step, tcp_single_stage_span
+from repro.system.pipeline import (
+    StageCost,
+    pipeline_decode_step,
+    tcp_single_stage_span,
+    tcp_single_stage_step,
+)
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -54,9 +68,6 @@ class PIMOnlySystem:
     decode_span: Callable[[Sequence[int], int, int], NDArray[np.float64]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    _span_batch_cache: dict[int, tuple[float, float, float]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.num_modules <= 0:
@@ -68,10 +79,10 @@ class PIMOnlySystem:
             )
         self.plan.validate_for(self.model)
         # TCP shares depend only on each context's channel-share ceiling and
-        # a single stage makes the pipeline scan closed-form, so spans can be
-        # priced over arrays bit-identically to ``decode_step``.  HFP's
-        # greedy packing and multi-stage pipelines are order-dependent;
-        # those fall back to per-step evaluation.
+        # a single stage makes the pipeline scan closed-form, so spans (and
+        # ``decode_step`` with them) are priced over arrays.  HFP's greedy
+        # packing and multi-stage pipelines are order-dependent; those scan
+        # micro-batches with ``_stage_cost`` per step.
         if self.pimphony.tcp and self.plan.pipeline_parallel == 1:
             self.decode_span = self._tcp_decode_span
 
@@ -121,16 +132,7 @@ class PIMOnlySystem:
             module=self.module,
             config=self.pimphony,
         )
-        fc_cycles, fc_breakdown = module_fc_time(
-            batch_size=len(microbatch),
-            d_model=self.model.d_model,
-            kv_dim=self.model.kv_dim,
-            ffn_dim=self.model.ffn_dim,
-            gated_ffn=self.model.gated_ffn,
-            tensor_parallel=tensor_parallel,
-            module=self.module,
-            config=self.pimphony,
-        )
+        fc_cycles, fc_breakdown = self._fc_time(len(microbatch))
         layer_seconds = timing.cycles_to_seconds(attention_cycles + fc_cycles)
         sync_bytes = len(microbatch) * self.model.d_model * self.model.dtype_bytes
         layer_seconds += 2 * self.interconnect.all_reduce_seconds(sync_bytes, tensor_parallel)
@@ -149,11 +151,35 @@ class PIMOnlySystem:
             fc_breakdown=fc_breakdown.scaled(layers),
         )
 
+    def _fc_time(self, batch_size: int) -> tuple[float, CycleBreakdown]:
+        """:func:`module_fc_time` of one layer for a micro-batch size."""
+        return module_fc_time(
+            batch_size=batch_size,
+            d_model=self.model.d_model,
+            kv_dim=self.model.kv_dim,
+            ffn_dim=self.model.ffn_dim,
+            gated_ffn=self.model.gated_ffn,
+            tensor_parallel=self.plan.tensor_parallel,
+            module=self.module,
+            config=self.pimphony,
+        )
+
     def decode_step(self, context_lengths: Sequence[int]) -> StepResult:
         """Latency of one decode step (every active request emits one token)."""
-        step = pipeline_decode_step(
-            context_lengths, self.plan.pipeline_parallel, self._stage_cost
-        )
+        # A span evaluator is installed exactly for TCP on one stage.
+        if self.decode_span is None:
+            step = pipeline_decode_step(
+                context_lengths, self.plan.pipeline_parallel, self._stage_cost
+            )
+        else:
+            step = tcp_single_stage_step(
+                context_lengths,
+                self.module.num_channels,
+                self._span_stage_cost,
+                self._tcp_attention(tcp_attention_breakdowns),
+                self.plan.layers_per_stage(self.model),
+                lambda batch_size: self._fc_time(batch_size)[1],
+            )
         scale = self.plan.tensor_parallel
         return StepResult(
             seconds=step.seconds,
@@ -162,73 +188,60 @@ class PIMOnlySystem:
             fc_breakdown=step.fc_breakdown.scaled(scale),
         )
 
-    def _span_batch_terms(self, batch_size: int) -> tuple[float, float, float]:
-        """Batch-size-only stage terms: (fc cycles, 2x all-reduce s, p2p s)."""
-        cached = self._span_batch_cache.get(batch_size)
-        if cached is None:
-            fc_cycles, _ = module_fc_time(
-                batch_size=batch_size,
-                d_model=self.model.d_model,
-                kv_dim=self.model.kv_dim,
-                ffn_dim=self.model.ffn_dim,
-                gated_ffn=self.model.gated_ffn,
-                tensor_parallel=self.plan.tensor_parallel,
-                module=self.module,
-                config=self.pimphony,
-            )
-            sync_bytes = batch_size * self.model.d_model * self.model.dtype_bytes
-            two_all_reduce = 2 * self.interconnect.all_reduce_seconds(
-                sync_bytes, self.plan.tensor_parallel
-            )
-            point_to_point = self.interconnect.point_to_point_seconds(sync_bytes)
-            cached = (fc_cycles, two_all_reduce, point_to_point)
-            self._span_batch_cache[batch_size] = cached
-        return cached
-
     def _span_stage_cost(
         self, attention_cycles: NDArray[np.float64], batch_size: int
     ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
         """:meth:`_stage_cost`'s seconds and utilization over TCP attention cycles.
 
-        Seconds follow the scalar path's arithmetic and association.  The
-        utilization is exactly 1.0: the scalar path's ``(a * u + f) / (a +
-        f)`` has ``u = 1.0`` whenever ``a > 0`` (so ``a * u == a``, also for
-        ``a == 0``) and FC work ``f > 0`` in every micro-batch.
+        Seconds follow the scalar path's arithmetic and association, and
+        the FC cycles come from the same :meth:`_fc_time`, which prices the
+        FC GEMVs in closed form on every call.  The utilization is exactly
+        1.0: the scalar path's ``(a * u + f) / (a + f)`` has ``u = 1.0``
+        whenever ``a > 0`` (so ``a * u == a``, also for ``a == 0``) and FC
+        work ``f > 0`` in every micro-batch.
         """
-        fc_cycles, two_all_reduce, point_to_point = self._span_batch_terms(batch_size)
+        fc_cycles, _ = self._fc_time(batch_size)
         layer_seconds = self.module.timing.cycles_to_seconds(attention_cycles + fc_cycles)
-        layer_seconds += two_all_reduce
+        sync_bytes = batch_size * self.model.d_model * self.model.dtype_bytes
+        layer_seconds += 2 * self.interconnect.all_reduce_seconds(
+            sync_bytes, self.plan.tensor_parallel
+        )
         stage_seconds = self.plan.layers_per_stage(self.model) * layer_seconds
-        stage_seconds += point_to_point
+        stage_seconds += self.interconnect.point_to_point_seconds(sync_bytes)
         return stage_seconds, np.ones_like(stage_seconds)
 
-    def _tcp_decode_span(
-        self, context_lengths: Sequence[int], stride: int, count: int
-    ) -> NDArray[np.float64]:
-        """Seconds and PIM utilization of ``count`` uniform decode evaluations.
-
-        Row ``j`` equals ``decode_step([c + j * stride for c in
-        context_lengths])``'s ``(seconds, pim_utilization)`` bit-for-bit
-        (see :func:`~repro.system.pipeline.tcp_single_stage_span`).  The
-        corresponding steps carry zero cycle breakdowns.
-
-        Preconditions (the fast engine guarantees both): every context is
-        positive, and ``stride``/``count`` are positive.
-        """
-        share_cycles = partial(
-            tcp_attention_cycles,
+    def _tcp_attention(self, pricing: Callable[..., _T]) -> Callable[..., _T]:
+        """A TCP share pricing function of :mod:`repro.system.layers`, bound
+        to this system's model, plan, module and PIMphony configuration."""
+        return partial(
+            pricing,
             kv_heads_per_module=self.plan.kv_heads_per_module(self.model),
             group_size=self.model.gqa_group_size,
             head_dim=self.model.head_dim,
             module=self.module,
             config=self.pimphony,
         )
+
+    def _tcp_decode_span(
+        self, context_lengths: Sequence[int], stride: int, count: int
+    ) -> NDArray[np.float64]:
+        """Seconds and PIM utilization of ``count`` uniform decode evaluations.
+
+        Row ``j`` is ``decode_step([c + j * stride for c in
+        context_lengths])``'s ``(seconds, pim_utilization)``, which equals
+        the micro-batch scan over :meth:`_stage_cost` bit for bit (see
+        :func:`~repro.system.pipeline.tcp_single_stage_span`).  Span-priced
+        evaluations carry zero cycle breakdowns.
+
+        Preconditions (the fast engine guarantees both): every context is
+        positive, and ``stride``/``count`` are positive.
+        """
         return tcp_single_stage_span(
             context_lengths,
             stride,
             count,
             self.module.num_channels,
-            share_cycles,
+            self._tcp_attention(tcp_attention_cycles),
             self._span_stage_cost,
         )
 

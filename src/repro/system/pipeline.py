@@ -163,19 +163,88 @@ def tcp_single_stage_span(
         num_channels - 1, num_channels - 1 + count * stride, stride, dtype=np.int64
     )
     shares = (np.array(active, dtype=np.int64)[:, None] + offsets) // num_channels
-    per_request = share_cycles(shares)
+    seconds, utilization, _ = _tcp_candidates(share_cycles(shares), stage_cost)
+    return np.stack((seconds, utilization), axis=1)
 
-    seconds, utilization = stage_cost(np.cumsum(per_request, axis=0)[-1], len(active))
+
+def _tcp_candidates(
+    per_request: NDArray[np.float64], stage_cost: SpanStageCost
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.bool_]]:
+    """Seconds, utilization and split-wins columns of single-stage TCP steps.
+
+    ``per_request`` holds each request's attention cycles (rows, in
+    descending context order) at each step (columns).  The first two
+    results are :func:`tcp_single_stage_span`'s columns; the third marks
+    the steps where one micro-batch per request beat the whole batch.
+    """
+    batch_size = len(per_request)
+    seconds, utilization = stage_cost(np.cumsum(per_request, axis=0)[-1], batch_size)
     # The busy-weighted mean of one micro-batch, (t * u) / t, need not round
     # back to u.
     utilization = np.minimum(1.0, seconds * utilization / seconds)
-    if len(active) > 1:
+    better = np.zeros(seconds.shape, dtype=np.bool_)
+    if batch_size > 1:
         times, utilizations = stage_cost(per_request, 1)
         # A sequential sum of non-negative floats is never below an addend,
         # so the pipeline's max(sum, stages * max) is the sum at one stage.
         split = np.cumsum(times, axis=0)[-1]
         split_utilization = np.minimum(1.0, np.cumsum(times * utilizations, axis=0)[-1] / split)
+        # ``pipeline_decode_step`` keeps the whole batch on a tie.
         better = split < seconds
         seconds = np.where(better, split, seconds)
         utilization = np.where(better, split_utilization, utilization)
-    return np.stack((seconds, utilization), axis=1)
+    return seconds, utilization, better
+
+
+def tcp_single_stage_step(
+    contexts: Sequence[int],
+    num_channels: int,
+    stage_cost: SpanStageCost,
+    share_breakdowns: Callable[[list[int]], list[CycleBreakdown]],
+    layers: int,
+    fc_breakdown: Callable[[int], CycleBreakdown] | None = None,
+) -> PipelineStep:
+    """``pipeline_decode_step`` at one stage under TCP, each unit of work priced once.
+
+    ``share_breakdowns`` maps per-channel token shares to each request's
+    per-channel attention term.  Their totals are the span's
+    ``share_cycles`` values, so the seconds and utilization are row 0 of
+    :func:`tcp_single_stage_span` for ``contexts``.  The cycle breakdowns
+    fold those terms and the module FC breakdown of a micro-batch size
+    (``fc_breakdown``; none when FC runs off PIM) in the winning
+    candidate's order and association, as :func:`_evaluate` over the
+    system's stage cost does: a module's attention breakdown is its
+    per-channel sum scaled by ``num_channels``, and each micro-batch's
+    stage breakdowns are scaled by ``layers``.
+    """
+    active = sorted((context for context in contexts if context > 0), reverse=True)
+    if not active:
+        return PipelineStep(
+            seconds=0.0,
+            pim_utilization=0.0,
+            attention_breakdown=ZERO_BREAKDOWN,
+            fc_breakdown=ZERO_BREAKDOWN,
+            num_microbatches=0,
+        )
+    terms = share_breakdowns([-(-context // num_channels) for context in active])
+    per_request = np.array([[term.total] for term in terms], dtype=np.float64)
+    seconds, utilization, split = _tcp_candidates(per_request, stage_cost)
+    attention = fc = ZERO_BREAKDOWN
+    if split[0]:
+        fc_one = fc_breakdown(1).scaled(layers) if fc_breakdown else ZERO_BREAKDOWN
+        for term in terms:
+            attention = attention + term.scaled(num_channels).scaled(layers)
+            fc = fc + fc_one
+    else:
+        for term in terms:
+            attention = attention + term
+        attention = attention.scaled(num_channels).scaled(layers)
+        if fc_breakdown:
+            fc = fc_breakdown(len(active)).scaled(layers)
+    return PipelineStep(
+        seconds=float(seconds[0]),
+        pim_utilization=float(utilization[0]),
+        attention_breakdown=attention,
+        fc_breakdown=fc,
+        num_microbatches=len(active) if split[0] else 1,
+    )

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import partial
+from typing import TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -24,14 +25,25 @@ from repro.pim.simulator import ZERO_BREAKDOWN
 from repro.serving.interfaces import StepResult
 from repro.serving.prefill import transformer_prefill_flops
 from repro.system.interconnect import InterconnectConfig
-from repro.system.layers import module_attention_time, tcp_attention_cycles
+from repro.system.layers import (
+    module_attention_time,
+    tcp_attention_breakdowns,
+    tcp_attention_cycles,
+)
 from repro.system.parallelism import ParallelismPlan
-from repro.system.pipeline import StageCost, pipeline_decode_step, tcp_single_stage_span
+from repro.system.pipeline import (
+    StageCost,
+    pipeline_decode_step,
+    tcp_single_stage_span,
+    tcp_single_stage_step,
+)
 from repro.system.xpu import XPUConfig, fc_layer_seconds
 
 #: Fraction of the slower engine's time added per layer for xPU/PIM
 #: synchronisation under sub-batch interleaving.
 SYNC_OVERHEAD_FRAC = 0.05
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -64,8 +76,9 @@ class XPUPIMSystem:
             )
         self.plan.validate_for(self.model)
         # Same rule as pim-only: TCP shares make attention a per-request
-        # closed form and one stage makes the pipeline choice closed-form.
-        # HFP placement and multi-stage pipelines depend on request order.
+        # closed form and one stage makes the pipeline choice closed-form,
+        # for spans and ``decode_step`` alike.  HFP placement and
+        # multi-stage pipelines depend on request order.
         if self.pimphony.tcp and self.plan.pipeline_parallel == 1:
             self.decode_span = self._tcp_decode_span
 
@@ -169,40 +182,55 @@ class XPUPIMSystem:
         attention_utilization = np.where(attention_cycles > 0, 1.0, 0.0)
         return stage_seconds, attention_utilization * pim_busy_fraction
 
-    def _tcp_decode_span(
-        self, context_lengths: Sequence[int], stride: int, count: int
-    ) -> NDArray[np.float64]:
-        """Seconds and PIM utilization of ``count`` uniform decode evaluations.
-
-        Row ``j`` equals ``decode_step([c + j * stride for c in
-        context_lengths])``'s ``(seconds, pim_utilization)`` bit-for-bit
-        (see :func:`~repro.system.pipeline.tcp_single_stage_span`).  The
-        corresponding steps carry zero cycle breakdowns.
-
-        Preconditions (the fast engine guarantees both): every context is
-        positive, and ``stride``/``count`` are positive.
-        """
-        share_cycles = partial(
-            tcp_attention_cycles,
+    def _tcp_attention(self, pricing: Callable[..., _T]) -> Callable[..., _T]:
+        """A TCP share pricing function of :mod:`repro.system.layers`, bound
+        to this system's model, plan, module and PIMphony configuration."""
+        return partial(
+            pricing,
             kv_heads_per_module=self.plan.kv_heads_per_module(self.model),
             group_size=self.model.gqa_group_size,
             head_dim=self.model.head_dim,
             module=self.module,
             config=self.pimphony,
         )
+
+    def _tcp_decode_span(
+        self, context_lengths: Sequence[int], stride: int, count: int
+    ) -> NDArray[np.float64]:
+        """Seconds and PIM utilization of ``count`` uniform decode evaluations.
+
+        Row ``j`` is ``decode_step([c + j * stride for c in
+        context_lengths])``'s ``(seconds, pim_utilization)``, which equals
+        the micro-batch scan over :meth:`_stage_cost` bit for bit (see
+        :func:`~repro.system.pipeline.tcp_single_stage_span`).  Span-priced
+        evaluations carry zero cycle breakdowns.
+
+        Preconditions (the fast engine guarantees both): every context is
+        positive, and ``stride``/``count`` are positive.
+        """
         return tcp_single_stage_span(
             context_lengths,
             stride,
             count,
             self.module.num_channels,
-            share_cycles,
+            self._tcp_attention(tcp_attention_cycles),
             self._span_stage_cost,
         )
 
     def decode_step(self, context_lengths: Sequence[int]) -> StepResult:
-        step = pipeline_decode_step(
-            context_lengths, self.plan.pipeline_parallel, self._stage_cost
-        )
+        # A span evaluator is installed exactly for TCP on one stage.
+        if self.decode_span is None:
+            step = pipeline_decode_step(
+                context_lengths, self.plan.pipeline_parallel, self._stage_cost
+            )
+        else:
+            step = tcp_single_stage_step(
+                context_lengths,
+                self.module.num_channels,
+                self._span_stage_cost,
+                self._tcp_attention(tcp_attention_breakdowns),
+                self.plan.layers_per_stage(self.model),
+            )
         return StepResult(
             seconds=step.seconds,
             pim_utilization=step.pim_utilization,

@@ -22,6 +22,7 @@ from repro.pim.kernels import (
     build_sv_program,
     caps_for_policy,
     estimate_cycles,
+    fc_gemv_breakdown,
     fc_gemv_cycles,
     qkt_cycles,
     sv_cycles,
@@ -240,3 +241,64 @@ class TestAttentionHeadTotalCycles:
     def test_pingpong_rejected(self, channel, timing):
         with pytest.raises(ValueError, match="pingpong"):
             attention_head_total_cycles(np.array([64]), 128, channel, timing, "pingpong")
+
+
+def _boundary_dims(channel):
+    """Dimensions on both sides of the first multiples of every tiling unit.
+
+    The units are the input tile, the bank count (output groups) and the
+    GBuf in tiles and in elements (where a resident input becomes a
+    blocked stream).
+    """
+    dims = {1, 2}
+    for unit in (ELEMENTS_PER_TILE, channel.num_banks, channel.gbuf_entries):
+        for multiple in (unit, 2 * unit, 3 * unit):
+            dims.update((multiple - 1, multiple, multiple + 1))
+    resident = channel.gbuf_entries * ELEMENTS_PER_TILE
+    for multiple in (resident, 2 * resident):
+        dims.update((multiple - 1, multiple, multiple + 1))
+    return sorted(dims)
+
+
+_MODULES = pytest.mark.parametrize(
+    "module", [cent_module_config(), neupims_module_config()], ids=["cent", "neupims"]
+)
+
+
+class TestFCGemvBreakdown:
+    """The FC closed form must equal the program-building path on every field."""
+
+    @_MODULES
+    @pytest.mark.parametrize("policy", ["static", "dcs"])
+    @pytest.mark.parametrize("row_reuse", [True, False])
+    def test_matches_program_oracle_across_tiling_boundaries(self, module, policy, row_reuse):
+        channel, timing = module.channel, module.timing
+        dims = _boundary_dims(channel)
+        for in_dim in dims:
+            for out_dim in dims:
+                for n_vectors in (1, 3, 64):
+                    args = (in_dim, out_dim, channel, timing, policy, n_vectors, row_reuse)
+                    assert fc_gemv_breakdown(*args) == fc_gemv_cycles(*args), args
+
+    @_MODULES
+    @pytest.mark.parametrize("policy", ["static", "dcs"])
+    @pytest.mark.parametrize("row_reuse", [True, False])
+    def test_matches_program_oracle_for_every_batch(self, module, policy, row_reuse):
+        channel, timing = module.channel, module.timing
+        resident = channel.gbuf_entries * ELEMENTS_PER_TILE
+        shapes = [(17, 33), (resident, channel.num_banks), (resident + 1, 100), (4096, 512)]
+        for in_dim, out_dim in shapes:
+            for n_vectors in range(1, 65):
+                args = (in_dim, out_dim, channel, timing, policy, n_vectors, row_reuse)
+                assert fc_gemv_breakdown(*args) == fc_gemv_cycles(*args), args
+
+    def test_empty_gemv_is_zero(self, channel, timing):
+        for args in ((0, 64, 1), (64, 0, 1), (64, 64, 0)):
+            in_dim, out_dim, n_vectors = args
+            closed = fc_gemv_breakdown(in_dim, out_dim, channel, timing, "dcs", n_vectors)
+            assert closed == fc_gemv_cycles(in_dim, out_dim, channel, timing, "dcs", n_vectors)
+            assert closed.total == 0.0
+
+    def test_pingpong_rejected(self, channel, timing):
+        with pytest.raises(ValueError, match="pingpong"):
+            fc_gemv_breakdown(64, 64, channel, timing, "pingpong")

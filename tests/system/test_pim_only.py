@@ -1,21 +1,44 @@
 """Tests for the PIM-only (CENT-style) system model."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.orchestrator import PIMphonyConfig
 from repro.pim.config import cent_module_config
+from repro.serving.interfaces import StepResult
+from repro.system.interconnect import InterconnectConfig
 from repro.system.parallelism import ParallelismPlan
 from repro.system.pim_only import PIMOnlySystem
+from repro.system.pipeline import _evaluate, pipeline_decode_step, split_microbatches
 
 
-def make_system(model, tp=8, pp=1, config=None):
+def make_system(model, tp=8, pp=1, config=None, **kwargs):
     return PIMOnlySystem(
         model=model,
         num_modules=tp * pp,
         plan=ParallelismPlan(tp, pp),
         pimphony=config or PIMphonyConfig.full(),
         module=cent_module_config(),
+        **kwargs,
     )
+
+
+def oracle_step(system, contexts):
+    """The step as the micro-batch scan over ``_stage_cost`` prices it.
+
+    Returns the TP-scaled :class:`StepResult` and the winning micro-batch
+    count.
+    """
+    step = pipeline_decode_step(contexts, system.plan.pipeline_parallel, system._stage_cost)
+    scale = system.plan.tensor_parallel
+    result = StepResult(
+        seconds=step.seconds,
+        pim_utilization=step.pim_utilization,
+        attention_breakdown=step.attention_breakdown.scaled(scale),
+        fc_breakdown=step.fc_breakdown.scaled(scale),
+    )
+    return result, step.num_microbatches
 
 
 class TestConstruction:
@@ -102,7 +125,7 @@ class TestDecodeSpan:
         span = system.decode_span(contexts, stride, count)
         assert span.shape == (count, 2)
         for j in range(count):
-            step = system.decode_step([c + j * stride for c in contexts])
+            step, _ = oracle_step(system, [c + j * stride for c in contexts])
             assert float(span[j, 0]) == step.seconds
             assert float(span[j, 1]) == step.pim_utilization
 
@@ -110,3 +133,52 @@ class TestDecodeSpan:
         span = make_system(llm_7b).decode_span([], 8, 3)
         assert span.shape == (3, 2)
         assert (span == 0.0).all()
+
+
+class TestOnePassStep:
+    """TCP single-stage ``decode_step`` prices each unit of work once and
+    must equal the micro-batch scan over ``_stage_cost`` on every field."""
+
+    @pytest.mark.parametrize(
+        ("contexts", "microbatches"),
+        [
+            ([4200], 1),
+            ([300, 500, 4200, 4400, 17, 8191, 8192, 8193, 1, 2, 64, 65, 300, 500, 9000, 12], 1),
+            ([4096] * 4, 1),
+            ([33, 33, 33, 0, -1], 1),
+            ([20000, 5, 5, 5, 900], 1),
+        ],
+    )
+    def test_step_matches_pipeline_oracle(self, llm_7b, contexts, microbatches):
+        system = make_system(llm_7b)
+        expected, count = oracle_step(system, contexts)
+        assert count == microbatches
+        assert system.decode_step(contexts) == expected
+
+    @pytest.mark.parametrize(
+        ("contexts", "microbatches"), [([578, 579, 563], 3), ([374, 513, 1], 1)]
+    )
+    def test_step_matches_oracle_at_rounding_margins(self, llm_7b, contexts, microbatches):
+        """Without DCS, row reuse or link latency, FC work and syncs scale
+        linearly with batch, so rounding alone separates the candidates:
+        the first batch runs faster as one micro-batch per request, and the
+        second ties, which keeps the whole batch.  At 30 layers the two
+        candidates' breakdown sums round apart, so the fold order shows."""
+        model = dataclasses.replace(llm_7b, num_layers=30)
+        config = PIMphonyConfig(tcp=True, dcs=False, row_reuse=False)
+        system = make_system(model, config=config, interconnect=InterconnectConfig(latency_s=0.0))
+        whole, split = (
+            _evaluate(split_microbatches(contexts, count), 1, system._stage_cost)
+            for count in (1, len(contexts))
+        )
+        assert whole.attention_breakdown != split.attention_breakdown
+        assert whole.fc_breakdown != split.fc_breakdown
+        assert (split.seconds < whole.seconds) == (microbatches > 1)
+        assert split.seconds <= whole.seconds
+        expected, count = oracle_step(system, contexts)
+        assert count == microbatches
+        assert system.decode_step(contexts) == expected
+
+    def test_step_for_empty_batch_matches_oracle(self, llm_7b):
+        system = make_system(llm_7b)
+        assert system.decode_step([0, -3]) == oracle_step(system, [0, -3])[0]

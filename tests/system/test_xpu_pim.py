@@ -1,22 +1,43 @@
 """Tests for the heterogeneous xPU+PIM (NeuPIMs-style) system model."""
 
+import dataclasses
+
 import pytest
 
 from repro.baselines.neupims import neupims_system_config
 from repro.core.orchestrator import PIMphonyConfig
 from repro.pim.config import neupims_module_config
+from repro.serving.interfaces import StepResult
+from repro.system.interconnect import InterconnectConfig
 from repro.system.parallelism import ParallelismPlan
+from repro.system.pipeline import _evaluate, pipeline_decode_step, split_microbatches
 from repro.system.xpu_pim import XPUPIMSystem
 
 
-def make_system(model, tp=4, pp=1, config=None):
+def make_system(model, tp=4, pp=1, config=None, **kwargs):
     return XPUPIMSystem(
         model=model,
         num_modules=tp * pp,
         plan=ParallelismPlan(tp, pp),
         pimphony=config or PIMphonyConfig.full(),
         module=neupims_module_config(),
+        **kwargs,
     )
+
+
+def oracle_step(system, contexts):
+    """The step as the micro-batch scan over ``_stage_cost`` prices it.
+
+    Returns the TP-scaled :class:`StepResult` (FC runs on the xPU, so no
+    FC breakdown) and the winning micro-batch count.
+    """
+    step = pipeline_decode_step(contexts, system.plan.pipeline_parallel, system._stage_cost)
+    result = StepResult(
+        seconds=step.seconds,
+        pim_utilization=step.pim_utilization,
+        attention_breakdown=step.attention_breakdown.scaled(system.plan.tensor_parallel),
+    )
+    return result, step.num_microbatches
 
 
 class TestXPUPIMSystem:
@@ -96,7 +117,7 @@ class TestDecodeSpan:
         # Long spans are sampled; every row of a short one is checked.
         rows = sorted({*range(0, count, max(1, count // 32)), count - 1})
         for j in rows:
-            step = system.decode_step([c + j * stride for c in contexts])
+            step, _ = oracle_step(system, [c + j * stride for c in contexts])
             assert float(span[j, 0]) == step.seconds
             assert float(span[j, 1]) == step.pim_utilization
 
@@ -110,3 +131,49 @@ class TestDecodeSpan:
         span = make_system(llm_7b).decode_span([], 8, 3)
         assert span.shape == (3, 2)
         assert (span == 0.0).all()
+
+
+class TestOnePassStep:
+    """TCP single-stage ``decode_step`` prices each unit of work once and
+    must equal the micro-batch scan over ``_stage_cost`` on every field."""
+
+    @pytest.mark.parametrize(
+        ("contexts", "microbatches"),
+        [
+            ([120000], 1),
+            ([512, 300, 17, 20000, 4096, 4097, 65, 64, 1, 2, 120000, 33, 99999, 7, 8, 9], 1),
+            ([20000] * 3, 1),
+            ([33, 33, 33, 0, -1], 1),
+            ([120000, 20000, 120000, 20000], 1),
+        ],
+    )
+    def test_step_matches_pipeline_oracle(self, llm_7b_gqa, contexts, microbatches):
+        system = make_system(llm_7b_gqa)
+        expected, count = oracle_step(system, contexts)
+        assert count == microbatches
+        assert system.decode_step(contexts) == expected
+
+    @pytest.mark.parametrize(
+        ("contexts", "microbatches"), [([120352, 121478], 2), ([110155, 101654], 1)]
+    )
+    def test_step_matches_oracle_at_rounding_margins(self, llm_7b_gqa, contexts, microbatches):
+        """Without link latency only rounding separates the candidates: the
+        first batch runs faster as one micro-batch per request, and the
+        second ties, which keeps the whole batch.  At 30 layers the two
+        candidates' attention sums round apart, so the fold order shows."""
+        model = dataclasses.replace(llm_7b_gqa, num_layers=30)
+        system = make_system(model, tp=1, interconnect=InterconnectConfig(latency_s=0.0))
+        whole, split = (
+            _evaluate(split_microbatches(contexts, count), 1, system._stage_cost)
+            for count in (1, len(contexts))
+        )
+        assert whole.attention_breakdown != split.attention_breakdown
+        assert (split.seconds < whole.seconds) == (microbatches > 1)
+        assert split.seconds <= whole.seconds
+        expected, count = oracle_step(system, contexts)
+        assert count == microbatches
+        assert system.decode_step(contexts) == expected
+
+    def test_step_for_empty_batch_matches_oracle(self, llm_7b_gqa):
+        system = make_system(llm_7b_gqa)
+        assert system.decode_step([0, -3]) == oracle_step(system, [0, -3])[0]

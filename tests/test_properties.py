@@ -19,6 +19,8 @@ from repro.pim.kernels import (
     build_sv_program,
     caps_for_policy,
     estimate_cycles,
+    fc_gemv_breakdown,
+    fc_gemv_cycles,
 )
 from repro.pim.scheduling import StaticScheduler
 from repro.pim.timing import aimx_timing, illustrative_timing
@@ -294,3 +296,23 @@ def test_attention_closed_form_equals_program_path(
     for tokens, value in zip(shares, closed.tolist(), strict=True):
         oracle = attention_head_cycles(tokens, head_dim, channel, timing, policy, group, row_reuse)
         assert value == oracle.total
+
+
+@given(
+    in_dim=st.integers(min_value=0, max_value=20_000),
+    out_dim=st.integers(min_value=0, max_value=2_000),
+    n_vectors=st.integers(min_value=0, max_value=64),
+    num_banks=st.sampled_from([8, 16, 32]),
+    gbuf_tiles=st.sampled_from([16, 32, 64, 100]),
+    policy=st.sampled_from(["static", "dcs"]),
+    row_reuse=st.booleans(),
+    timing=st.sampled_from([aimx_timing(), illustrative_timing()]),
+)
+@settings(max_examples=60, deadline=None)
+def test_fc_closed_form_equals_program_path(
+    in_dim, out_dim, n_vectors, num_banks, gbuf_tiles, policy, row_reuse, timing
+):
+    """The FC closed form is the program-building estimator on every field."""
+    channel = PIMChannelConfig(num_banks=num_banks, gbuf_bytes=gbuf_tiles * 32)
+    args = (in_dim, out_dim, channel, timing, policy, n_vectors, row_reuse)
+    assert fc_gemv_breakdown(*args) == fc_gemv_cycles(*args)
