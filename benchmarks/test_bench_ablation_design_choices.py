@@ -52,7 +52,7 @@ def sweep_chunk_sizes():
         for request in trace.requests:
             if not allocator.can_admit(request.prompt_tokens):
                 break
-            allocator.admit(request.request_id, request.prompt_tokens)
+            allocator.reserve(request.request_id, request.prompt_tokens)
             admitted += 1
         rows.append(
             [

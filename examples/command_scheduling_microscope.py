@@ -77,7 +77,7 @@ def compile_and_dispatch() -> None:
     body = lower_operator_to_instructions(pattern.qkt, channel_mask=0xFFFF, op_size=8)
     dispatcher = OnModuleDispatcher(va2pa=VA2PATable(chunk_bytes=1024 * 1024))
     dispatcher.load_kernel("qkt", encode_attention_loop(body))
-    dispatcher.va2pa.map(request_id=1, virtual_chunk=0, physical_chunk=42)
+    dispatcher.va2pa.extend(request_id=1, chunks=[42])
     dispatcher.assign_request(1, initial_tokens=4096)
 
     before = dispatcher.expanded_length("qkt", 1)

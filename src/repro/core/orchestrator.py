@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.dcs import DCSScheduler
-from repro.core.dpa import DPAController, make_static_allocator
+from repro.core.dpa import DPAController
 from repro.core.partitioning import HeadFirstPartitioner, Partitioner, TokenCentricPartitioner
-from repro.memory.chunked_alloc import ChunkedAllocator
 from repro.memory.static_alloc import StaticAllocator
 from repro.pim.config import PIMChannelConfig
 from repro.pim.scheduling import StaticScheduler
@@ -115,14 +114,15 @@ class PIMphony:
         capacity_bytes: int,
         bytes_per_token: int,
         max_context_tokens: int,
-    ) -> ChunkedAllocator | StaticAllocator:
+    ) -> DPAController | StaticAllocator:
         """KV-cache allocator implied by the configuration."""
         if self.config.dpa:
-            controller = DPAController(
-                capacity_bytes=capacity_bytes, bytes_per_token=bytes_per_token
-            )
-            return controller.allocator
-        return make_static_allocator(capacity_bytes, bytes_per_token, max_context_tokens)
+            return DPAController(capacity_bytes=capacity_bytes, bytes_per_token=bytes_per_token)
+        return StaticAllocator(
+            capacity_bytes=capacity_bytes,
+            max_context_tokens=max_context_tokens,
+            bytes_per_token=bytes_per_token,
+        )
 
     def dpa_controller(self, capacity_bytes: int, bytes_per_token: int) -> DPAController:
         """Build a DPA controller for one module (requires DPA enabled)."""

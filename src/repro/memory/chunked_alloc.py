@@ -122,6 +122,18 @@ class ChunkedAllocator:
 
     # -- allocation lifecycle ----------------------------------------------
 
+    def _map(self, request_id: int, count: int) -> None:
+        """Move ``count`` free chunks to the end of a request's VA2PA list.
+
+        One slice takes the same chunks, in the same order, as ``count``
+        successive ``pop()``s would, so placement does not depend on how a
+        request's growth is batched.
+        """
+        if count > 0:
+            free = self._free_chunks
+            self._table.extend(request_id, free[-count:][::-1])
+            del free[-count:]
+
     def reserve(
         self, request_id: int, initial_tokens: int, final_tokens: int | None = None
     ) -> None:
@@ -147,24 +159,11 @@ class ChunkedAllocator:
         committed = self.chunks_needed(final_tokens)
         if committed > self.uncommitted_chunk_count:
             raise CapacityExceeded("insufficient free chunks to admit request")
-        for virtual_chunk in range(self.chunks_needed(initial_tokens)):
-            self._table.map(request_id, virtual_chunk, self._free_chunks.pop())
+        self._map(request_id, self.chunks_needed(initial_tokens))
         self._tokens[request_id] = initial_tokens
         self._committed[request_id] = committed
         self._committed_total += committed
         self.host_interventions += 1
-
-    def admit(self, request_id: int, initial_tokens: int) -> None:
-        """Admit a request committing only its current prefix.
-
-        Equivalent to :meth:`reserve` without ``final_tokens``: the
-        commitment grows with :meth:`grow`, which may fail mid-decode when
-        the allocator fills up.
-
-        Raises:
-            CapacityExceeded: if the request's current KV cache does not fit.
-        """
-        self.reserve(request_id, initial_tokens)
 
     def grow(self, request_id: int, count: int = 1) -> None:
         """Grow a request's KV cache, allocating a new chunk when needed.
@@ -187,15 +186,14 @@ class ChunkedAllocator:
                 raise CapacityExceeded("out of chunks while growing the KV cache")
             self._committed[request_id] = need
             self._committed_total += need - committed
-        for virtual_chunk in range(have, need):
-            self._table.map(request_id, virtual_chunk, self._free_chunks.pop())
         if need > have:
+            self._map(request_id, need - have)
             self.host_interventions += 1
         self._tokens[request_id] = current + count
 
-    def append_token(self, request_id: int, count: int = 1) -> None:
-        """Legacy alias of :meth:`grow` (kept for the PR 1 protocol)."""
-        self.grow(request_id, count)
+    # Kept only as a name: perfbench/layers.py patches it on the class, and the
+    # frozen legacy oracle in tests/serving/test_parity.py calls it.
+    append_token = grow
 
     def preempt(self, request_id: int) -> PreemptedState:
         """Page a request out: free its chunks and return a restore receipt.
@@ -205,8 +203,7 @@ class ChunkedAllocator:
         """
         if request_id not in self._tokens:
             raise KeyError(f"request {request_id} is not admitted")
-        freed = self._table.release(request_id)
-        self._free_chunks.extend(freed)
+        self._free_chunks.extend(self._table.release(request_id))
         tokens = self._tokens.pop(request_id)
         committed = self._committed.pop(request_id)
         self._committed_total -= committed
@@ -235,8 +232,7 @@ class ChunkedAllocator:
         committed = max(mapped, state.committed_chunks)
         if committed > self.uncommitted_chunk_count:
             raise CapacityExceeded("insufficient free chunks to restore request")
-        for virtual_chunk in range(mapped):
-            self._table.map(request_id, virtual_chunk, self._free_chunks.pop())
+        self._map(request_id, mapped)
         self._tokens[request_id] = state.tokens
         self._committed[request_id] = committed
         self._committed_total += committed
@@ -246,8 +242,7 @@ class ChunkedAllocator:
         """Free every chunk owned by or committed to a request."""
         if request_id not in self._tokens:
             return
-        freed = self._table.release(request_id)
-        self._free_chunks.extend(freed)
+        self._free_chunks.extend(self._table.release(request_id))
         del self._tokens[request_id]
         self._committed_total -= self._committed.pop(request_id)
         self.host_interventions += 1

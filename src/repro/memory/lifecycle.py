@@ -1,33 +1,34 @@
 """The request-lifecycle vocabulary shared by every KV-cache allocator.
 
-PR 1 unified admission behind ``can_admit``/``reserve``/``release``, but
-that contract only speaks admit-to-completion: once a request is in, the
-allocator has promised its *final* context and nothing can be paged out.
-The types here extend the vocabulary so allocators can support true
-incremental growth and preemption:
+Every allocator has one verb per lifecycle step -- ``can_admit``,
+``reserve``, ``grow``, ``preempt``, ``restore``, ``release`` and
+``could_ever_fit`` -- specified by
+:class:`repro.serving.interfaces.KVLifecycle` and implemented by
+:class:`~repro.memory.static_alloc.StaticAllocator` and
+:class:`~repro.memory.chunked_alloc.ChunkedAllocator` (whose DPA flavour is
+:class:`~repro.core.dpa.DPAController`).  The types here are what those
+verbs raise and return:
 
-* :class:`CapacityExceeded` -- raised by ``grow``/``restore`` when a
-  request needs memory the allocator cannot hand out right now.  It
-  subclasses :class:`AllocationError`, so legacy callers that treated any
-  allocation failure as fatal keep working unchanged.
+* :class:`AllocationError` -- a request can never be served as asked (for
+  example its final context exceeds a static ``T_max``).
+* :class:`CapacityExceeded` -- its subclass for "does not fit *now*":
+  raised by ``reserve``, ``grow`` and ``restore`` when the allocator cannot
+  hand the memory out at the moment.  Catching it is how the serving
+  engine decides to run its preemption policy.
 * :class:`PreemptedState` -- the token receipt ``preempt`` returns and
   ``restore`` consumes.  It records exactly what the victim held so a
   later restore rebuilds the same reservation, and exposes ``kv_bytes``
   for swap-cost models.
-
-The full contract (``can_admit`` / ``reserve`` / ``grow`` / ``preempt`` /
-``restore`` / ``release`` / ``could_ever_fit``) is specified by
-:class:`repro.serving.interfaces.KVLifecycle` and implemented by
-:class:`~repro.memory.static_alloc.StaticAllocator`,
-:class:`~repro.memory.chunked_alloc.ChunkedAllocator` and
-:class:`~repro.core.dpa.DPAController`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.memory.static_alloc import AllocationError
+
+class AllocationError(RuntimeError):
+    """Raised when a reservation does not fit into the remaining capacity."""
+
 
 #: How evicted KV state is materialised again: ``"swap"`` pages the bytes
 #: out to host memory and back; ``"recompute"`` drops them and re-runs

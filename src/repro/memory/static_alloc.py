@@ -10,16 +10,8 @@ real long-context workloads (Fig. 19 baseline).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    # Imported lazily at runtime: repro.memory.lifecycle subclasses
-    # AllocationError, so a module-level import here would be circular.
-    from repro.memory.lifecycle import PreemptedState
-
-
-class AllocationError(RuntimeError):
-    """Raised when a reservation does not fit into the remaining capacity."""
+from repro.memory.lifecycle import AllocationError, CapacityExceeded, PreemptedState
 
 
 @dataclass
@@ -79,22 +71,6 @@ class StaticAllocator:
         """Whether ``tokens`` of context fits an *empty* allocator at all."""
         return tokens <= self.max_context_tokens and self.capacity_bytes >= self.reservation_bytes
 
-    def admit(self, request_id: int, initial_tokens: int) -> None:
-        """Reserve worst-case space for a new request.
-
-        Raises:
-            AllocationError: if the reservation does not fit.
-            ValueError: if the request is already admitted or too long.
-        """
-        if request_id in self._reservations:
-            raise ValueError(f"request {request_id} already admitted")
-        if initial_tokens > self.max_context_tokens:
-            raise ValueError("initial context exceeds the static maximum")
-        if not self.can_admit():
-            raise AllocationError("insufficient capacity for a worst-case reservation")
-        self._reservations[request_id] = self.reservation_bytes
-        self._used_tokens[request_id] = initial_tokens
-
     def reserve(
         self, request_id: int, initial_tokens: int, final_tokens: int | None = None
     ) -> None:
@@ -105,16 +81,23 @@ class StaticAllocator:
         (and may be omitted under the incremental lifecycle contract).
 
         Raises:
-            AllocationError: if the worst-case reservation does not fit or
-                the request's final context exceeds the static maximum.
+            ValueError: if the request is already admitted or
+                ``final_tokens`` is below ``initial_tokens``.
+            AllocationError: if the final context exceeds the static maximum.
+            CapacityExceeded: if the worst-case reservation does not fit now.
         """
+        if request_id in self._reservations:
+            raise ValueError(f"request {request_id} already admitted")
         if final_tokens is None:
             final_tokens = initial_tokens
         if final_tokens < initial_tokens:
             raise ValueError("final_tokens must be >= initial_tokens")
         if final_tokens > self.max_context_tokens:
             raise AllocationError("final context exceeds the static maximum")
-        self.admit(request_id, initial_tokens)
+        if not self.can_admit():
+            raise CapacityExceeded("insufficient capacity for a worst-case reservation")
+        self._reservations[request_id] = self.reservation_bytes
+        self._used_tokens[request_id] = initial_tokens
 
     def grow(self, request_id: int, count: int = 1) -> None:
         """Record generated tokens; the reservation never grows or shrinks.
@@ -131,9 +114,9 @@ class StaticAllocator:
             raise AllocationError("request exceeded the static maximum context")
         self._used_tokens[request_id] = new_total
 
-    def append_token(self, request_id: int, count: int = 1) -> None:
-        """Legacy alias of :meth:`grow` (kept for the PR 1 protocol)."""
-        self.grow(request_id, count)
+    # Kept only as a name: perfbench/layers.py patches it on the class, and the
+    # frozen legacy oracle in tests/serving/test_parity.py calls it.
+    append_token = grow
 
     def preempt(self, request_id: int) -> PreemptedState:
         """Free a request's reservation and return a restore receipt.
@@ -141,8 +124,6 @@ class StaticAllocator:
         Raises:
             KeyError: if the request is not admitted.
         """
-        from repro.memory.lifecycle import PreemptedState
-
         if request_id not in self._reservations:
             raise KeyError(f"request {request_id} is not admitted")
         tokens = self._used_tokens.pop(request_id)
@@ -159,8 +140,6 @@ class StaticAllocator:
         Raises:
             CapacityExceeded: if a worst-case reservation does not fit yet.
         """
-        from repro.memory.lifecycle import CapacityExceeded
-
         if request_id in self._reservations:
             raise ValueError(f"request {request_id} already admitted")
         if not self.can_admit(state.tokens):

@@ -1,16 +1,18 @@
 """Virtual-to-physical address translation table (paper Sec. VI-C).
 
-The on-module dispatcher keeps, per request, a mapping from virtual chunk
-indices (the logical, contiguous view of that request's KV cache) to
-physical chunk indices in the module's DRAM.  The table is what allows DPA
+The on-module dispatcher keeps, per request, the list of physical chunks
+backing that request's KV cache in virtual order: entry ``i`` is the
+physical chunk of virtual chunk ``i``.  The table is what allows DPA
 instructions to reference dynamically allocated, non-contiguous memory.
+A request's KV cache only ever grows at its end, so the allocator appends
+whole runs of chunks with :meth:`VA2PATable.extend` and hands them all back
+with :meth:`VA2PATable.release`.
 """
 
 from __future__ import annotations
 
-import types
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from collections.abc import Mapping
 
 
 class TranslationError(KeyError):
@@ -21,74 +23,44 @@ class TranslationError(KeyError):
 class VA2PATable:
     """Per-module VA-to-PA chunk translation table.
 
-    Mappings are stored per request so the hot lifecycle operations --
-    ``chunks_of`` and ``release`` on one request -- cost O(chunks of that
-    request) instead of O(all mappings in the table), which dominated
-    serving-sweep profiles when thousands of requests churn through the
-    allocator.
-
     Attributes:
         chunk_bytes: Size of one allocation chunk.
     """
 
     chunk_bytes: int
-    _per_request: dict[int, dict[int, int]] = field(default_factory=dict, repr=False)
+    _chunks: dict[int, list[int]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.chunk_bytes <= 0:
             raise ValueError("chunk_bytes must be positive")
 
-    def map(self, request_id: int, virtual_chunk: int, physical_chunk: int) -> None:
-        """Install a mapping for one virtual chunk of a request."""
-        if virtual_chunk < 0 or physical_chunk < 0:
+    def extend(self, request_id: int, chunks: Sequence[int]) -> None:
+        """Map ``chunks`` to a request's next virtual chunks, in order."""
+        if chunks and min(chunks) < 0:
             raise ValueError("chunk indices must be non-negative")
-        mappings = self._per_request.setdefault(request_id, {})
-        existing = mappings.get(virtual_chunk)
-        if existing is not None and existing != physical_chunk:
-            raise ValueError(
-                f"virtual chunk {(request_id, virtual_chunk)} is already mapped to {existing}"
-            )
-        mappings[virtual_chunk] = physical_chunk
+        self._chunks.setdefault(request_id, []).extend(chunks)
 
     def translate(self, request_id: int, virtual_address: int) -> int:
         """Translate a virtual byte address of a request to a physical one."""
         if virtual_address < 0:
             raise ValueError("virtual_address must be non-negative")
         virtual_chunk, offset = divmod(virtual_address, self.chunk_bytes)
-        physical = self._per_request.get(request_id, {}).get(virtual_chunk)
-        if physical is None:
+        chunks = self._chunks.get(request_id, ())
+        if virtual_chunk >= len(chunks):
             raise TranslationError(f"no mapping for request {request_id} chunk {virtual_chunk}")
-        return physical * self.chunk_bytes + offset
+        return chunks[virtual_chunk] * self.chunk_bytes + offset
 
     def chunks_of(self, request_id: int) -> list[int]:
         """Physical chunks mapped for a request, in virtual order."""
-        mappings = self._per_request.get(request_id, {})
-        return [physical for _, physical in sorted(mappings.items())]
+        return list(self._chunks.get(request_id, ()))
 
     def release(self, request_id: int) -> list[int]:
         """Remove all mappings of a request and return the freed chunks."""
-        freed = self.chunks_of(request_id)
-        self._per_request.pop(request_id, None)
-        return freed
-
-    @property
-    def entries(self) -> Mapping[tuple[int, int], int]:
-        """Flat ``(request_id, virtual_chunk) -> physical_chunk`` view.
-
-        Kept for compatibility with the original flat-dict storage, but
-        read-only: it is rebuilt on access, so a write through it could
-        only corrupt a throwaway copy -- mutating raises instead.  Use
-        :meth:`map` / :meth:`release` to change mappings.
-        """
-        return types.MappingProxyType({
-            (request_id, virtual): physical
-            for request_id, mappings in self._per_request.items()
-            for virtual, physical in mappings.items()
-        })
+        return self._chunks.pop(request_id, [])
 
     @property
     def num_entries(self) -> int:
-        return sum(len(mappings) for mappings in self._per_request.values())
+        return sum(len(chunks) for chunks in self._chunks.values())
 
     @property
     def table_bytes(self) -> int:

@@ -29,9 +29,8 @@ Layering, from the outside in:
 * :mod:`repro.serving.prefix_cache` -- per-replica prefix/KV reuse for
   multi-turn sessions (LRU over cached session prefixes, counted in KV
   tokens), discounting prefill and recompute-restore work.
-* :mod:`repro.serving.interfaces` -- the :class:`DecodeSystem`,
-  :class:`KVAllocator` and :class:`KVLifecycle` protocols plus result
-  types.
+* :mod:`repro.serving.interfaces` -- the :class:`DecodeSystem` and
+  :class:`KVLifecycle` protocols plus result types.
 * :mod:`repro.serving.lifecycle` -- per-request TTFT/TPOT/latency tracking.
 """
 
@@ -64,7 +63,6 @@ from repro.serving.fleet_events import (
 from repro.serving.interfaces import (
     CapacityExceeded,
     DecodeSystem,
-    KVAllocator,
     KVLifecycle,
     PreemptedState,
     ServingResult,
@@ -139,7 +137,6 @@ __all__ = [
     "ScalingDecision",
     "CapacityExceeded",
     "DecodeSystem",
-    "KVAllocator",
     "KVLifecycle",
     "PreemptedState",
     "ServingResult",

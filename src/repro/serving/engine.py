@@ -459,21 +459,23 @@ class ServingEngine:
     ) -> float:
         """Grow ``entry`` by ``stride``, evicting victims until it fits.
 
-        Victims leave ``active`` for the restore queue; their ids are added
-        to ``preempted_now`` so the caller skips their turn this stride.
-        Returns the clock charge of the evictions.
+        The preemption policy is consulted only when a grow raises
+        :class:`CapacityExceeded`, which only the incremental contract
+        can.  Victims leave ``active`` for the restore queue; their ids are
+        added to ``preempted_now`` so the caller skips their turn this
+        stride.  Returns the clock charge of the evictions.
 
         Raises:
             AllocationError: if no victim remains and the grow still fails
                 (unreachable when admission enforces ``could_ever_fit``).
         """
-        assert self.preemption is not None
         overhead_s = 0.0
         while True:
             try:
                 allocator.grow(entry.request_id, stride)
                 return overhead_s
             except CapacityExceeded:
+                assert self.preemption is not None
                 candidates = [
                     PreemptionCandidate(
                         request_id=other.request_id,
@@ -586,8 +588,7 @@ class ServingEngine:
         arrived: deque[AdmissionCandidate] = deque()
         active: dict[int, _ActiveRequest] = {}
         preempted: deque[_PreemptedRequest] = deque()
-        lifecycle = self.lifecycle_admission
-        chunked_lifecycle = lifecycle and isinstance(allocator, ChunkedAllocator)
+        chunked_lifecycle = self.lifecycle_admission and isinstance(allocator, ChunkedAllocator)
         preemption_count = 0
         preemption_overhead_s = 0.0
         # Preemption terminates (each eviction lets the grower advance and
@@ -782,41 +783,31 @@ class ServingEngine:
                     capacity_sum += allocator.used_bytes / capacity_bytes
                     capacity_count += 1
 
-                if lifecycle:
-                    # Incremental contract: grow each request chunk by chunk,
-                    # resolving CapacityExceeded by evicting victims.
-                    # Finished requests release immediately so later growers
-                    # in the same stride see the freed chunks before
-                    # resorting to eviction.
-                    finished_any = False
-                    preempted_now: set[int] = set()
-                    evict_overhead_s = 0.0
-                    lost_tokens = 0
-                    for entry in decoding:
-                        if entry.request_id in preempted_now:
-                            # Evicted by an earlier grower this stride: the
-                            # batch-wide token count charged above never
-                            # materialised for this request.
-                            lost_tokens += stride
-                            continue
-                        evict_overhead_s += self._grow_or_evict(
-                            entry,
-                            stride,
-                            active,
-                            allocator,
-                            tracker,
-                            clock,
-                            preempted,
-                            preempted_now,
-                        )
-                        entry.context += stride
-                        entry.remaining -= stride
-                        entry.last_step_s = clock
-                        tracker.on_tokens(entry.request_id, stride, clock, step.seconds)
-                        if entry.remaining <= 0:
-                            self._finish(entry, active, allocator, tracker, clock)
-                            finished_any = True
-                    total_tokens -= lost_tokens
+                # Grow each request in place.  Only the incremental contract
+                # can raise CapacityExceeded, which evicts victims; finished
+                # requests release immediately so later growers in the same
+                # stride see the freed chunks before resorting to eviction.
+                finished_any = False
+                preempted_now: set[int] = set()
+                evict_overhead_s = 0.0
+                for entry in decoding:
+                    if entry.request_id in preempted_now:
+                        # Evicted by an earlier grower this stride: the
+                        # batch-wide token count charged above never
+                        # materialised for this request.
+                        total_tokens -= stride
+                        continue
+                    evict_overhead_s += self._grow_or_evict(
+                        entry, stride, active, allocator, tracker, clock, preempted, preempted_now
+                    )
+                    entry.context += stride
+                    entry.remaining -= stride
+                    entry.last_step_s = clock
+                    tracker.on_tokens(entry.request_id, stride, clock, step.seconds)
+                    if entry.remaining <= 0:
+                        self._finish(entry, active, allocator, tracker, clock)
+                        finished_any = True
+                if preempted_now:
                     preemption_count += len(preempted_now)
                     if preemption_count > preemption_budget:
                         raise AllocationError(
@@ -824,25 +815,11 @@ class ServingEngine:
                             f"guard ({preemption_budget}); the policy "
                             f"{self.preemption.policy.name!r} is thrashing"
                         )
-                    if evict_overhead_s:
-                        busy_seconds += evict_overhead_s
-                        clock += evict_overhead_s
-                        preemption_overhead_s += evict_overhead_s
-                    if finished_any or preempted_now:
-                        admission_dirty = True
-                else:
-                    finished: list[_ActiveRequest] = []
-                    for entry in decoding:
-                        allocator.append_token(entry.request_id, stride)
-                        entry.context += stride
-                        entry.remaining -= stride
-                        tracker.on_tokens(entry.request_id, stride, clock, step.seconds)
-                        if entry.remaining <= 0:
-                            finished.append(entry)
-                    for entry in finished:
-                        self._finish(entry, active, allocator, tracker, clock)
-                    if finished:
-                        admission_dirty = True
+                    busy_seconds += evict_overhead_s
+                    clock += evict_overhead_s
+                    preemption_overhead_s += evict_overhead_s
+                if finished_any or preempted_now:
+                    admission_dirty = True
                 continue
 
             # -- span execution (n_plan >= 2 provably uneventful evals) ----
@@ -927,38 +904,22 @@ class ServingEngine:
             # one decode step into the span's first stride.
             first_token_s = first_eval_end - first_eval_seconds * (stride - 1)
 
-            if lifecycle:
-                finished_any = False
-                for entry in decoding:
-                    allocator.grow(entry.request_id, grown)
-                    entry.context += grown
-                    entry.remaining -= grown
-                    entry.last_step_s = clock
-                    record = records[entry.request_id]
-                    if record.generated == 0:
-                        record.first_token_s = first_token_s
-                    record.generated += grown
-                    if entry.remaining <= 0:
-                        self._finish(entry, active, allocator, tracker, clock)
-                        finished_any = True
-                if finished_any:
-                    admission_dirty = True
-            else:
-                finished = []
-                for entry in decoding:
-                    allocator.append_token(entry.request_id, grown)
-                    entry.context += grown
-                    entry.remaining -= grown
-                    record = records[entry.request_id]
-                    if record.generated == 0:
-                        record.first_token_s = first_token_s
-                    record.generated += grown
-                    if entry.remaining <= 0:
-                        finished.append(entry)
-                for entry in finished:
+            # The span was planned so that none of these grows can raise.
+            finished_any = False
+            for entry in decoding:
+                allocator.grow(entry.request_id, grown)
+                entry.context += grown
+                entry.remaining -= grown
+                entry.last_step_s = clock
+                record = records[entry.request_id]
+                if record.generated == 0:
+                    record.first_token_s = first_token_s
+                record.generated += grown
+                if entry.remaining <= 0:
                     self._finish(entry, active, allocator, tracker, clock)
-                if finished:
-                    admission_dirty = True
+                    finished_any = True
+            if finished_any:
+                admission_dirty = True
 
             # Adapt the hint: grow after full spans, shrink after truncated
             # ones.  Affects only how much latency work a crossing wastes,

@@ -7,9 +7,15 @@ interfaces defined here:
   request to try next;
 * the **engine** (:mod:`repro.serving.engine`) owns the event loop, the
   simulation clock and per-request lifecycle tracking;
-* the **memory system** is any :class:`KVAllocator` and the **compute
-  system** any :class:`DecodeSystem` -- both pluggable, so new hardware
-  models and allocation policies slot in without touching the engine.
+* the **memory system** is any :class:`KVLifecycle` allocator and the
+  **compute system** any :class:`DecodeSystem` -- both pluggable, so new
+  hardware models and allocation policies slot in without touching the
+  engine.
+
+:class:`KVLifecycle` is the one allocator protocol: one verb per lifecycle
+step, implemented by :class:`~repro.memory.static_alloc.StaticAllocator`
+and :class:`~repro.memory.chunked_alloc.ChunkedAllocator` (and so by its
+subclass :class:`~repro.core.dpa.DPAController`).
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ __all__ = [
     "StepResult",
     "DecodeSystem",
     "SupportsPrefill",
-    "KVAllocator",
     "KVLifecycle",
     "CapacityExceeded",
     "PreemptedState",
@@ -93,20 +98,22 @@ class DecodeSystem(Protocol):
 
 
 @runtime_checkable
-class KVAllocator(Protocol):
-    """Unified KV-cache allocator interface (the PR 1 admission contract).
+class KVLifecycle(Protocol):
+    """KV-cache allocator contract: one verb per request-lifecycle step.
 
-    ``can_admit(tokens)`` answers whether a request needing ``tokens`` of
-    context fits right now; ``reserve`` admits it.  Passing
-    ``final_tokens`` commits the request's final context up front (the
-    legacy admit-to-completion guarantee); omitting it admits against only
-    the current context, deferring growth to :meth:`KVLifecycle.grow`.
-
-    :class:`~repro.memory.static_alloc.StaticAllocator`,
-    :class:`~repro.memory.chunked_alloc.ChunkedAllocator` and
-    :class:`~repro.core.dpa.DPAController` all implement this protocol
-    (and the full :class:`KVLifecycle` extension), so the engine never
-    inspects the concrete allocator type.
+    * ``can_admit(tokens)`` answers whether a request needing ``tokens`` of
+      context fits right now, and ``reserve`` admits it.  Passing
+      ``final_tokens`` commits the request's final context up front (the
+      admit-to-completion guarantee: growth inside it never fails);
+      omitting it admits against only the current context.
+    * ``grow`` extends a request's context.  It, ``reserve`` and
+      ``restore`` raise :class:`~repro.memory.lifecycle.CapacityExceeded`
+      when the memory they need is not free right now.
+    * ``preempt`` / ``restore`` page a victim out and back in when a
+      :class:`~repro.serving.preemption.PreemptionPolicy` picks one.
+    * ``release`` frees a finished request.
+    * ``could_ever_fit`` distinguishes transient pressure from requests
+      that can never be served (they exceed total capacity).
     """
 
     capacity_bytes: int
@@ -119,37 +126,19 @@ class KVAllocator(Protocol):
 
     def can_admit(self, tokens: int) -> bool: ...
 
+    def could_ever_fit(self, tokens: int) -> bool: ...
+
     def reserve(
         self, request_id: int, initial_tokens: int, final_tokens: int | None = None
     ) -> None: ...
-
-    def append_token(self, request_id: int, count: int = 1) -> None: ...
-
-    def release(self, request_id: int) -> None: ...
-
-
-@runtime_checkable
-class KVLifecycle(KVAllocator, Protocol):
-    """Request-lifecycle allocator contract: grow, preempt, restore.
-
-    The lifecycle extension is what makes preemption-aware serving
-    possible: requests are admitted against their *current* context
-    (``reserve`` without ``final_tokens``), grown incrementally with
-    :meth:`grow` -- which raises
-    :class:`~repro.memory.lifecycle.CapacityExceeded` under pressure --
-    and paged out/in with :meth:`preempt`/:meth:`restore` when a
-    :class:`~repro.serving.preemption.PreemptionPolicy` picks a victim.
-    :meth:`could_ever_fit` distinguishes transient pressure from requests
-    that can never be served (they exceed total capacity).
-    """
-
-    def could_ever_fit(self, tokens: int) -> bool: ...
 
     def grow(self, request_id: int, count: int = 1) -> None: ...
 
     def preempt(self, request_id: int) -> PreemptedState: ...
 
     def restore(self, request_id: int, state: PreemptedState) -> None: ...
+
+    def release(self, request_id: int) -> None: ...
 
 
 def build_allocator(

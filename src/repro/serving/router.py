@@ -16,7 +16,7 @@ Routing policies implement :class:`RoutingPolicy`:
 * :class:`LeastOutstandingRouting` -- fewest in-flight requests, ties
   broken deterministically by lowest replica index.
 * :class:`CapacityAwareRouting` -- prefer replicas whose shadow
-  :class:`~repro.serving.interfaces.KVAllocator` ``can_admit`` the request
+  :class:`~repro.serving.interfaces.KVLifecycle` ``can_admit`` the request
   now, balancing reserved KV tokens; requests no replica could *ever* fit
   are dropped at the router instead of wedging a replica queue.
 * :class:`KVBalancedRouting` -- equalise resident KV tokens per replica

@@ -53,7 +53,7 @@ class TestDispatcher:
 
     def test_va2pa_translation_applied_to_mac_rows(self):
         dispatcher = make_dispatcher()
-        dispatcher.va2pa.map(1, 0, 7)
+        dispatcher.va2pa.extend(1, [7])
         dispatcher.assign_request(1, initial_tokens=16)
         stream = dispatcher.dispatch("qkt", 1)
         mac_rows = {inst.row for inst in stream if inst.opcode is PIMOpcode.MAC}

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core.dcs import DCSScheduler
+from repro.core.dpa import DPAController
 from repro.core.orchestrator import PIMphony, PIMphonyConfig
 from repro.core.partitioning import HeadFirstPartitioner, TokenCentricPartitioner
-from repro.memory.chunked_alloc import ChunkedAllocator
 from repro.memory.static_alloc import StaticAllocator
 from repro.pim.scheduling import StaticScheduler
 from repro.pim.timing import aimx_timing
@@ -47,7 +47,8 @@ class TestStrategySelection:
         assert isinstance(orchestrator.scheduler(aimx_timing()), DCSScheduler)
         assert orchestrator.scheduling_policy == "dcs"
         allocator = orchestrator.make_allocator(1024**3, 1024, 32768)
-        assert isinstance(allocator, ChunkedAllocator)
+        assert isinstance(allocator, DPAController)
+        assert allocator.capacity_bytes == 1024**3
 
     def test_default_is_full(self):
         assert PIMphony().config.label == "TCP+DCS+DPA"

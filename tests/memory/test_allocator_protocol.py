@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.core.dpa import DPAController
 from repro.memory.chunked_alloc import ChunkedAllocator
 from repro.memory.static_alloc import AllocationError, StaticAllocator
-from repro.serving.interfaces import KVAllocator
+from repro.serving.interfaces import KVLifecycle
 
 
 def chunked(capacity_chunks=8, chunk_bytes=1024, bytes_per_token=16):
@@ -16,12 +17,13 @@ def chunked(capacity_chunks=8, chunk_bytes=1024, bytes_per_token=16):
 
 
 class TestProtocolConformance:
-    def test_both_allocators_satisfy_protocol(self):
+    def test_all_allocators_satisfy_lifecycle_protocol(self):
         static = StaticAllocator(
             capacity_bytes=1 << 20, max_context_tokens=1024, bytes_per_token=16
         )
-        assert isinstance(static, KVAllocator)
-        assert isinstance(chunked(), KVAllocator)
+        dpa = DPAController(capacity_bytes=8 * 1024, bytes_per_token=16, chunk_bytes=1024)
+        for allocator in (static, chunked(), dpa):
+            assert isinstance(allocator, KVLifecycle)
 
 
 class TestStaticReserve:
@@ -68,7 +70,7 @@ class TestChunkedReserve:
         allocator = chunked(capacity_chunks=4)
         allocator.reserve(0, initial_tokens=1, final_tokens=256)  # all 4 chunks
         for _ in range(255):
-            allocator.append_token(0)
+            allocator.grow(0)
         assert allocator.allocated_chunk_count == 4
 
     def test_release_frees_commitment(self):
@@ -81,30 +83,19 @@ class TestChunkedReserve:
 
     def test_legacy_admit_growth_claims_uncommitted_chunks(self):
         allocator = chunked(capacity_chunks=4)
-        allocator.admit(0, initial_tokens=64)  # commits 1 chunk
+        allocator.reserve(0, initial_tokens=64)  # commits 1 chunk
         assert allocator.committed_chunk_count == 1
         for _ in range(192):
-            allocator.append_token(0)  # grows commitment to 4 chunks
+            allocator.grow(0)  # grows commitment to 4 chunks
         assert allocator.committed_chunk_count == 4
         with pytest.raises(AllocationError):
-            allocator.append_token(0, count=64)
-
-    def test_va2pa_entries_compat_view(self):
-        allocator = chunked(capacity_chunks=4)
-        allocator.reserve(0, initial_tokens=128, final_tokens=128)  # 2 chunks
-        entries = allocator.table.entries
-        assert set(entries) == {(0, 0), (0, 1)}
-        assert sorted(entries.values()) == sorted(allocator.table.chunks_of(0))
-        # The view is read-only: writes fail loudly instead of silently
-        # mutating a rebuilt copy.
-        with pytest.raises(TypeError):
-            entries[(0, 2)] = 3
+            allocator.grow(0, count=64)
 
     def test_growth_cannot_steal_reserved_chunks(self):
         allocator = chunked(capacity_chunks=4)
-        allocator.admit(0, initial_tokens=64)        # 1 chunk mapped/committed
+        allocator.reserve(0, initial_tokens=64)        # 1 chunk mapped/committed
         allocator.reserve(1, initial_tokens=64, final_tokens=192)  # commits 3
         # Request 0 would need a second chunk, but every remaining chunk is
         # committed to request 1's reservation.
         with pytest.raises(AllocationError):
-            allocator.append_token(0, count=64)
+            allocator.grow(0, count=64)

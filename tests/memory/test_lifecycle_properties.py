@@ -4,7 +4,10 @@ A seeded random interleaving of reserve / grow / preempt / restore /
 release must never leak or double-free chunks: after *every* operation the
 allocator's books balance against an independently tracked reference
 model, and a full drain returns it to pristine state.  Operations that
-fail (CapacityExceeded) must leave the allocator untouched.
+fail (CapacityExceeded) must leave the allocator untouched.  The reference
+model keeps its own free list and takes chunks one ``pop()`` at a time, so
+it also pins every request's physical placement: the allocator's bulk
+chunk moves must hand out exactly the chunks n pops would.
 """
 
 import contextlib
@@ -38,6 +41,27 @@ def check_chunked_invariants(allocator: ChunkedAllocator, live: dict[int, int]) 
     )
 
 
+class ReferencePlacement:
+    """One-chunk-per-``pop()`` model of the allocator's free list."""
+
+    def __init__(self, total_chunks: int) -> None:
+        self.free = list(range(total_chunks))[::-1]
+        self.chunks: dict[int, list[int]] = {}
+
+    def map_tokens(self, request_id: int, tokens: int) -> None:
+        """Pop chunks until ``tokens`` of context is backed."""
+        chunks = self.chunks.setdefault(request_id, [])
+        while len(chunks) * CHUNK < tokens * BYTES_PER_TOKEN:
+            chunks.append(self.free.pop())
+
+    def free_request(self, request_id: int) -> None:
+        self.free.extend(self.chunks.pop(request_id))
+
+    def check(self, allocator: ChunkedAllocator) -> None:
+        for request_id, chunks in self.chunks.items():
+            assert allocator.table.chunks_of(request_id) == chunks
+
+
 def snapshot(allocator: ChunkedAllocator) -> tuple:
     return (
         allocator.free_chunk_count,
@@ -56,6 +80,7 @@ def test_random_lifecycle_interleaving_never_leaks_chunks(seed):
     )
     live: dict[int, int] = {}  # request_id -> tokens (reference model)
     preempted: dict[int, object] = {}  # request_id -> PreemptedState
+    placement = ReferencePlacement(allocator.total_chunks)
     next_id = 0
 
     for _ in range(600):
@@ -71,6 +96,7 @@ def test_random_lifecycle_interleaving_never_leaks_chunks(seed):
             try:
                 allocator.reserve(next_id, initial, final)
                 live[next_id] = initial
+                placement.map_tokens(next_id, initial)
                 next_id += 1
             except CapacityExceeded:
                 assert snapshot(allocator) == before  # failed op: no effect
@@ -80,12 +106,14 @@ def test_random_lifecycle_interleaving_never_leaks_chunks(seed):
             try:
                 allocator.grow(victim, count)
                 live[victim] += count
+                placement.map_tokens(victim, live[victim])
             except CapacityExceeded:
                 assert snapshot(allocator) == before
         elif op == "preempt" and live:
             victim = rng.choice(sorted(live))
             state = allocator.preempt(victim)
             assert state.tokens == live.pop(victim)
+            placement.free_request(victim)
             preempted[victim] = state
         elif op == "restore" and preempted:
             request_id = rng.choice(sorted(preempted))
@@ -93,6 +121,7 @@ def test_random_lifecycle_interleaving_never_leaks_chunks(seed):
             try:
                 allocator.restore(request_id, state)
                 live[request_id] = state.tokens
+                placement.map_tokens(request_id, state.tokens)
                 del preempted[request_id]
             except CapacityExceeded:
                 assert snapshot(allocator) == before
@@ -100,7 +129,9 @@ def test_random_lifecycle_interleaving_never_leaks_chunks(seed):
             victim = rng.choice(sorted(live))
             allocator.release(victim)
             del live[victim]
+            placement.free_request(victim)
         check_chunked_invariants(allocator, live)
+        placement.check(allocator)
 
     # Full drain: everything live is released, everything paged out stays
     # out; the allocator must return to pristine state.
