@@ -10,7 +10,7 @@ reports a single representative runtime per experiment.
 from __future__ import annotations
 
 from repro.core.orchestrator import PIMphonyConfig
-from repro.system.serving import ServingResult, simulate_serving
+from repro.serving import ServingResult, serve
 from repro.workloads.datasets import get_dataset
 from repro.workloads.traces import generate_trace
 
@@ -47,7 +47,7 @@ def serve_workload(
         output_tokens=output_tokens,
     )
     system = system_factory(model, pimphony=pimphony, **system_kwargs)
-    return simulate_serving(
+    return serve(
         system,
         trace,
         step_stride=step_stride,

@@ -11,7 +11,7 @@ from repro.baselines.cent import cent_system_config
 from repro.baselines.neupims import neupims_system_config
 from repro.core.orchestrator import PIMphonyConfig
 from repro.models.llm import get_model
-from repro.system.serving import simulate_serving
+from repro.serving import serve
 from repro.workloads.datasets import synthetic_dataset
 from repro.workloads.traces import generate_trace
 
@@ -37,7 +37,7 @@ def _run(system_factory, model, num_modules, config, context, requests=12):
     dataset = _context_dataset(context)
     trace = generate_trace(dataset, requests, seed=0, context_window=model.context_window)
     system = system_factory(model, num_modules=num_modules, pimphony=config)
-    return simulate_serving(system, trace, step_stride=8)
+    return serve(system, trace, step_stride=8)
 
 
 def build_fig17():

@@ -12,7 +12,7 @@ from repro.baselines.gpu import GPUSystemModel
 from repro.baselines.neupims import neupims_system_config
 from repro.core.orchestrator import PIMphonyConfig
 from repro.models.llm import get_model
-from repro.system.serving import simulate_serving
+from repro.serving import serve
 from repro.workloads.datasets import get_dataset
 from repro.workloads.traces import generate_trace
 
@@ -32,7 +32,7 @@ def build_fig20():
             get_dataset(dataset), requests, seed=0,
             context_window=model.context_window, output_tokens=outputs,
         )
-        gpu = simulate_serving(
+        gpu = serve(
             GPUSystemModel(model=model, num_gpus=gpus), trace, step_stride=8
         )
         pim_only = serve_workload(

@@ -18,7 +18,7 @@ Run with:  python examples/quickstart.py
 
 from repro.analysis.reporting import format_table
 from repro.api import ExperimentSpec, ModelSpec, SystemSpec, TraceSpec, build, run
-from repro.system.serving import simulate_serving
+from repro.serving import serve
 
 
 def main() -> None:
@@ -37,7 +37,7 @@ def main() -> None:
     )
 
     # Parity: the spec-driven run reproduces direct construction exactly.
-    direct = simulate_serving(built.system, built.trace, step_stride=8)
+    direct = serve(built.system, built.trace, step_stride=8)
     spec_driven = run(base)
     assert spec_driven.throughput_tokens_per_s == direct.throughput_tokens_per_s
 

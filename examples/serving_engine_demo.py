@@ -1,6 +1,6 @@
 """Event-driven serving engine demo: arrivals and admission policies.
 
-Two things the engine adds over the legacy ``simulate_serving`` loop,
+Two things the engine adds over the original closed-loop decode loop,
 both driven through the declarative experiment API:
 
 1. **Open-loop arrivals** -- requests arrive through a Poisson process

@@ -95,11 +95,11 @@ from repro.serving import (
     ReplicaRouter,
     RoundRobinRouting,
     ServingEngine,
+    ServingResult,
     SessionAffinityRouting,
     prefill_model_for,
     serve,
 )
-from repro.system.serving import ServingResult, simulate_serving
 from repro.workloads.datasets import get_dataset, list_datasets
 from repro.workloads.traces import (
     assign_tiers,
@@ -131,7 +131,6 @@ __all__ = [
     "EngineResult",
     "ServingResult",
     "serve",
-    "simulate_serving",
     "FCFSAdmission",
     "CapacityAwareAdmission",
     "PriorityAdmission",

@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.pim.energy import EnergyBreakdown, EnergyModel
 from repro.pim.simulator import CycleBreakdown
 from repro.pim.timing import PIMTiming
-from repro.system.serving import ServingResult
+from repro.serving.interfaces import ServingResult
 
 
 def energy_from_breakdown(
@@ -52,10 +52,22 @@ def serving_energy(
     baselines background-dominated (the effect Fig. 16 highlights).
 
     The dynamic components come from ``result``'s cycle breakdowns, which
-    span-priced evaluations leave at zero: run the engine with
-    ``engine.mode=scalar`` (as :func:`~repro.system.serving.simulate_serving`
-    does) for TCP single-stage PIM systems.
+    span-priced evaluations leave at zero.
+
+    Raises:
+        ValueError: if ``result`` is a fast-mode run on a system with PIM
+            channels that priced evaluations with ``decode_span``; serve
+            it with ``engine.mode=scalar`` (the default of
+            :func:`~repro.serving.engine.serve`) instead.
     """
+    # Only an EngineResult counts span-priced evaluations.
+    span_evaluations = getattr(result, "span_evaluations", 0)
+    if span_evaluations and result.total_pim_channels:
+        raise ValueError(
+            f"{span_evaluations} decode evaluations were priced by decode_span "
+            "without cycle breakdowns, so their PIM energy is unknown; run "
+            "with engine.mode=scalar"
+        )
     energy_model = model if model is not None else EnergyModel()
     total_cycles = timing.seconds_to_cycles(result.total_seconds)
     background_cycles = total_cycles * max(1, result.total_pim_channels)

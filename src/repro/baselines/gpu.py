@@ -5,7 +5,7 @@ model weights and every request's KV cache from HBM.  The baseline models an
 A100-80GB roofline with tensor parallelism across GPUs, FlashDecoding-style
 attention (high bandwidth efficiency on the KV read) and PagedAttention
 (block-granular KV allocation, i.e. dynamic memory for admission purposes).
-The model implements the same :class:`~repro.system.serving.DecodeSystem`
+The model implements the same :class:`~repro.serving.interfaces.DecodeSystem`
 protocol as the PIM systems so the same serving loop drives it.
 """
 
@@ -15,6 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.typing import NDArray
 
 from repro.api.registry import register_system
 from repro.core.orchestrator import PIMphonyConfig
@@ -98,12 +99,16 @@ class GPUSystemModel:
     def total_pim_channels(self) -> int:
         return 0
 
-    def decode_step(self, context_lengths: Sequence[int]) -> StepResult:
-        """Roofline latency of one decode step across the GPU group."""
-        contexts = [length for length in context_lengths if length > 0]
-        if not contexts:
-            return StepResult(seconds=0.0, pim_utilization=0.0)
-        batch = len(contexts)
+    def _seconds(
+        self, context_sum: int | NDArray[np.int64], batch: int
+    ) -> float | NDArray[np.float64]:
+        """Roofline seconds of decode steps of ``batch`` requests.
+
+        ``context_sum`` is a step's exact integer context sum: a Python
+        int, or an int64 array of one sum per step.  FC and TP-sync depend
+        only on the batch size, and attention is linear in the sum, so
+        both forms round identically.
+        """
         model = self.model
         bandwidth_bytes_per_s = self.gpu.memory_bandwidth_bytes
 
@@ -123,7 +128,7 @@ class GPUSystemModel:
         attention_efficiency = (
             self.gpu.attention_stream_efficiency if self.flash_decoding else 0.45
         )
-        kv_bytes = sum(contexts) * model.kv_bytes_per_token / self.num_gpus
+        kv_bytes = context_sum * model.kv_bytes_per_token / self.num_gpus
         attention_seconds = kv_bytes / (bandwidth_bytes_per_s * attention_efficiency)
 
         # TP synchronisation: two all-reduces per layer over the hidden dim.
@@ -131,10 +136,15 @@ class GPUSystemModel:
         sync_seconds = (
             2 * model.num_layers * self.interconnect.all_reduce_seconds(sync_bytes, self.num_gpus)
         )
+        return (fc_seconds + attention_seconds) + sync_seconds
 
+    def decode_step(self, context_lengths: Sequence[int]) -> StepResult:
+        """Roofline latency of one decode step across the GPU group."""
+        contexts = [length for length in context_lengths if length > 0]
+        if not contexts:
+            return StepResult(seconds=0.0, pim_utilization=0.0)
         return StepResult(
-            seconds=fc_seconds + attention_seconds + sync_seconds,
-            pim_utilization=0.0,
+            seconds=self._seconds(sum(contexts), len(contexts)), pim_utilization=0.0
         )
 
     def decode_span(
@@ -144,45 +154,17 @@ class GPUSystemModel:
 
         Row ``j`` of the ``(count, 2)`` result equals ``decode_step([c + j *
         stride for c in context_lengths])``'s ``(seconds,
-        pim_utilization)`` bit-for-bit: FC and TP-sync depend only on the
-        (constant) batch size, and attention is linear in the exact integer
-        context sum, reproduced with int64 arithmetic and float64 divisions
-        in the same association order as :meth:`decode_step`.  A GPU has
-        no PIM, so the utilization column is zero; the steps also carry
-        zero cycle breakdowns.
+        pim_utilization)`` bit-for-bit: both price the step's context sum
+        with :meth:`_seconds`.  A GPU has no PIM, so the utilization column
+        is zero; the steps also carry zero cycle breakdowns.
 
         Preconditions (the fast engine guarantees both): every context is
         positive, and ``stride``/``count`` are positive.
         """
-        contexts = list(context_lengths)
-        batch = len(contexts)
-        model = self.model
-        bandwidth_bytes_per_s = self.gpu.memory_bandwidth_bytes
-
-        weight_bytes_per_gpu = model.param_bytes / self.num_gpus
-        weight_seconds = weight_bytes_per_gpu / (
-            bandwidth_bytes_per_s * self.gpu.weight_stream_efficiency
-        )
-        fc_flops_per_gpu = 2.0 * batch * model.param_count / self.num_gpus
-        compute_seconds = fc_flops_per_gpu / (
-            self.gpu.peak_tflops * 1e12 * self.gpu.compute_efficiency
-        )
-        fc_seconds = max(weight_seconds, compute_seconds)
-
-        attention_efficiency = (
-            self.gpu.attention_stream_efficiency if self.flash_decoding else 0.45
-        )
-        sums = sum(contexts) + np.arange(count, dtype=np.int64) * (stride * batch)
-        kv_bytes = sums * model.kv_bytes_per_token / self.num_gpus
-        attention_seconds = kv_bytes / (bandwidth_bytes_per_s * attention_efficiency)
-
-        sync_bytes = batch * model.d_model * model.dtype_bytes
-        sync_seconds = (
-            2 * model.num_layers * self.interconnect.all_reduce_seconds(sync_bytes, self.num_gpus)
-        )
-
+        batch = len(context_lengths)
+        sums = sum(context_lengths) + np.arange(count, dtype=np.int64) * (stride * batch)
         priced = np.zeros((count, 2), dtype=np.float64)
-        priced[:, 0] = (fc_seconds + attention_seconds) + sync_seconds
+        priced[:, 0] = self._seconds(sums, batch)
         return priced
 
 

@@ -76,7 +76,7 @@ class AdmissionPolicy(Protocol):
 class FCFSAdmission:
     """First-come first-served with head-of-line blocking.
 
-    This is the legacy ``simulate_serving`` behaviour: requests are admitted
+    This is the original decode loop's behaviour: requests are admitted
     strictly in arrival order and a request that does not fit blocks
     everything behind it until capacity frees up.
     """

@@ -1,6 +1,6 @@
 """Event-driven decode serving engine.
 
-The engine replaces the monolithic ``simulate_serving`` loop with three
+The engine replaces the original monolithic decode loop with three
 decoupled layers:
 
 1. **Admission** -- an :class:`~repro.serving.admission.AdmissionPolicy`
@@ -39,8 +39,9 @@ and surfaced as preemption metrics on :class:`EngineResult`.
 
 Between event points the loop may advance a *span* of several uneventful
 decode evaluations in one iteration, up to the class-level
-:attr:`ServingEngine.span_limit`.  The limit is one here, so every
-iteration prices a single evaluation; ``FastServingEngine`` raises it (see
+:attr:`ServingEngine.span_limit`, on systems with a closed-form
+``decode_span``.  The limit is one here, so every iteration prices a
+single evaluation; ``FastServingEngine`` raises it (see
 :mod:`repro.serving.fast_engine` for why spans leave every result exact).
 
 A trace whose requests all arrive at time 0 and fit the context window
@@ -93,8 +94,11 @@ class EngineResult(ServingResult):
     ``attention_breakdown`` and ``fc_breakdown`` sum the cycle breakdowns
     of evaluations priced by ``decode_step``; evaluations priced by a
     system's ``decode_span`` (xpu-only, gpu, TCP single-stage pim-only and
-    xpu-pim in fast mode) add zero.  Energy accounting therefore needs
-    ``engine.mode=scalar``.
+    xpu-pim in fast mode) add zero and are counted in
+    ``span_evaluations``.  Systems without ``decode_span`` price every
+    evaluation with ``decode_step`` in both modes.  Energy accounting
+    therefore needs ``engine.mode=scalar`` on PIM systems, which
+    :func:`~repro.analysis.energy_report.serving_energy` enforces.
     """
 
     makespan_s: float = 0.0
@@ -124,6 +128,9 @@ class EngineResult(ServingResult):
     prefix_hit_tokens: int = 0
     #: Session prefixes evicted by the cache's LRU capacity policy.
     prefix_evictions: int = 0
+    #: Decode evaluations priced by ``decode_span`` (zero breakdowns);
+    #: not part of the report, so fast and scalar reports stay equal.
+    span_evaluations: int = 0
 
     @property
     def prefix_hit_rate(self) -> float:
@@ -622,6 +629,7 @@ class ServingEngine:
         # would have added one by one.
         batch_sum = 0.0
         eval_count = 0
+        span_evaluations = 0
         utilization_sum = 0.0
         capacity_sum = 0.0
         capacity_count = 0
@@ -745,7 +753,8 @@ class ServingEngine:
             # change batch membership?  Completions bound the count (and may
             # only land on the span's final evaluation); possible chunked
             # grow failures force a single evaluation; arrival / prefill-ready
-            # crossings truncate during execution.
+            # crossings truncate during execution.  Systems without a
+            # closed-form ``decode_span`` price one evaluation per iteration.
             n_plan = 1
             if prefill_tokens_processed:
                 # While prompt work is pending, decode and prefill must
@@ -757,7 +766,7 @@ class ServingEngine:
             else:
                 min_remaining = min(entry.remaining for entry in decoding)
                 stride = min(self.step_stride, min_remaining)
-                if stride == self.step_stride:
+                if stride == self.step_stride and span_fn is not None:
                     n_plan = min(min_remaining // stride, span_hint, self.span_limit)
                     if n_plan > 1 and chunked_lifecycle:
                         n_plan = self._span_capacity_cap(allocator, decoding, stride, n_plan)
@@ -844,65 +853,40 @@ class ServingEngine:
                 used_bytes = allocator.used_bytes
                 used_increment = batch * stride * allocator.bytes_per_token
 
+            # Every evaluation's (seconds, PIM utilization) in one
+            # vectorized call, then a tight scalar loop for the
+            # (order-sensitive) float accumulation and the crossing check.
+            # Span-priced evaluations carry zero breakdowns.
+            priced = span_fn(contexts, stride, n_plan)
+            seconds = priced[:, 0].tolist()
+            utilizations = priced[:, 1].tolist()
             n_span = 0
             first_eval_end = 0.0
-            first_eval_seconds = 0.0
-            if span_fn is not None:
-                # Closed-form systems: every evaluation's (seconds, PIM
-                # utilization) in one vectorized call, then a tight scalar
-                # loop for the (order-sensitive) float accumulation and the
-                # crossing check.  Spans of these systems carry zero
-                # breakdowns.
-                priced = span_fn(contexts, stride, n_plan)
-                seconds = priced[:, 0].tolist()
-                utilizations = priced[:, 1].tolist()
-                for j in range(n_plan):
-                    advance = seconds[j] * stride + prefill_step_seconds
-                    busy_seconds += advance
-                    clock += advance
-                    utilization_sum += utilizations[j]
-                    if cap_enabled:
-                        capacity_sum += (used_bytes + j * used_increment) / capacity_bytes
-                    if j == 0:
-                        first_eval_end = clock
-                    n_span = j + 1
-                    if clock >= threshold:
-                        break
-                first_eval_seconds = seconds[0]
-            else:
-                # Order-dependent systems (PIM pipelines): price each
-                # evaluation individually but keep the per-request
-                # bookkeeping amortised over the span.
-                for j in range(n_plan):
-                    step = self.system.decode_step(
-                        contexts if j == 0 else [context + stride * j for context in contexts]
-                    )
-                    advance = step.seconds * stride + prefill_step_seconds
-                    busy_seconds += advance
-                    clock += advance
-                    utilization_sum += step.pim_utilization
-                    attention_total = attention_total + step.attention_breakdown.scaled(stride)
-                    fc_total = fc_total + step.fc_breakdown.scaled(stride)
-                    if cap_enabled:
-                        capacity_sum += (used_bytes + j * used_increment) / capacity_bytes
-                    if j == 0:
-                        first_eval_seconds = step.seconds
-                        first_eval_end = clock
-                    n_span = j + 1
-                    if clock >= threshold:
-                        break
+            for j in range(n_plan):
+                advance = seconds[j] * stride + prefill_step_seconds
+                busy_seconds += advance
+                clock += advance
+                utilization_sum += utilizations[j]
+                if cap_enabled:
+                    capacity_sum += (used_bytes + j * used_increment) / capacity_bytes
+                if j == 0:
+                    first_eval_end = clock
+                n_span = j + 1
+                if clock >= threshold:
+                    break
 
             grown = stride * n_span
             if cap_enabled:
                 capacity_count += n_span
             eval_count += n_span
+            span_evaluations += n_span
             batch_sum += float(batch * n_span)
             steps += grown
             total_tokens += batch * grown
             peak_batch = max(peak_batch, batch)
             # Every request's first token, if it falls in this span, lands
             # one decode step into the span's first stride.
-            first_token_s = first_eval_end - first_eval_seconds * (stride - 1)
+            first_token_s = first_eval_end - seconds[0] * (stride - 1)
 
             # The span was planned so that none of these grows can raise.
             finished_any = False
@@ -989,6 +973,7 @@ class ServingEngine:
             prefix_misses=prefix_misses,
             prefix_hit_tokens=prefix_hit_tokens,
             prefix_evictions=prefix_evictions,
+            span_evaluations=span_evaluations,
         )
 
 

@@ -44,10 +44,12 @@ randomized admission x preemption x prefill x prefix-cache configurations.
 The independent oracle for the loop itself is the legacy copy in
 ``tests/serving/test_parity.py``.  Systems without ``decode_span``
 (HFP-packed or multi-stage PIM pipelines, whose greedy placement is
-order-dependent) price every evaluation individually inside the span,
-keeping utilization/breakdown accumulation identical while still
-amortising the per-request bookkeeping.  Span-priced evaluations add no
-cycle breakdown, so runs whose energy is wanted use ``engine.mode=scalar``.
+order-dependent) step one evaluation per iteration in both modes, so fast
+mode runs exactly the iterations scalar mode runs; their ``decode_step``
+builds attention programs, which dwarfs the per-iteration bookkeeping.
+Span-priced evaluations add no cycle breakdown, so energy needs
+``engine.mode=scalar``: :func:`~repro.analysis.energy_report.serving_energy`
+rejects a PIM run with span-priced evaluations.
 """
 
 from __future__ import annotations

@@ -86,9 +86,11 @@ class DecodeSystem(Protocol):
     # ``(count, 2)`` float64 array: row ``j`` is the ``(seconds,
     # pim_utilization)`` of ``decode_step([c + j * stride for c in
     # context_lengths])``, bit for bit.  Span-priced evaluations carry zero
-    # cycle breakdowns.  xpu-only, gpu and TCP single-stage pim-only and
-    # xpu-pim have one; the attribute is absent or ``None`` otherwise, and
-    # the engine prices each evaluation with ``decode_step``.
+    # cycle breakdowns (the engine counts them in
+    # ``EngineResult.span_evaluations``).  xpu-only, gpu and TCP
+    # single-stage pim-only and xpu-pim have one; the attribute is absent
+    # or ``None`` otherwise, and the engine then runs one ``decode_step``
+    # evaluation per iteration in every mode.
     #
     # Systems that can price their own prompt-processing phase additionally
     # implement ``prefill_seconds(prompt_tokens) -> float`` (see

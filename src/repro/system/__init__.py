@@ -1,10 +1,11 @@
-"""Multi-node PIM system models and the decode serving loop."""
+"""Multi-node PIM system models; the serving engine lives in :mod:`repro.serving`."""
 
+from repro.serving.engine import EngineResult
+from repro.serving.interfaces import ServingResult
 from repro.system.interconnect import InterconnectConfig
 from repro.system.layers import module_attention_time, module_fc_time
 from repro.system.parallelism import ParallelismPlan, enumerate_plans, best_plan
 from repro.system.pim_only import PIMOnlySystem
-from repro.system.serving import EngineResult, ServingResult, simulate_serving
 from repro.system.xpu import XPUConfig, XPUOnlySystem
 from repro.system.xpu_pim import XPUPIMSystem
 
@@ -21,5 +22,4 @@ __all__ = [
     "XPUPIMSystem",
     "EngineResult",
     "ServingResult",
-    "simulate_serving",
 ]

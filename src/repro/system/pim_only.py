@@ -33,6 +33,7 @@ from repro.system.layers import (
 )
 from repro.system.parallelism import ParallelismPlan
 from repro.system.pipeline import (
+    Cycles,
     StageCost,
     pipeline_decode_step,
     tcp_single_stage_span,
@@ -119,37 +120,53 @@ class PIMOnlySystem:
         """Cost of one pipeline stage processing one micro-batch."""
         if not microbatch:
             return StageCost(seconds=0.0, pim_utilization=0.0)
-        tensor_parallel = self.plan.tensor_parallel
-        kv_heads_per_module = self.plan.kv_heads_per_module(self.model)
         layers = self.plan.layers_per_stage(self.model)
-        timing = self.module.timing
-
         attention_cycles, utilization, attention_breakdown = module_attention_time(
             context_lengths=microbatch,
-            kv_heads_per_module=kv_heads_per_module,
+            kv_heads_per_module=self.plan.kv_heads_per_module(self.model),
             group_size=self.model.gqa_group_size,
             head_dim=self.model.head_dim,
             module=self.module,
             config=self.pimphony,
         )
         fc_cycles, fc_breakdown = self._fc_time(len(microbatch))
-        layer_seconds = timing.cycles_to_seconds(attention_cycles + fc_cycles)
-        sync_bytes = len(microbatch) * self.model.d_model * self.model.dtype_bytes
-        layer_seconds += 2 * self.interconnect.all_reduce_seconds(sync_bytes, tensor_parallel)
-        stage_seconds = layers * layer_seconds
-        stage_seconds += self.interconnect.point_to_point_seconds(sync_bytes)
-
-        pim_cycles = attention_cycles + fc_cycles
-        if pim_cycles > 0:
-            stage_utilization = (attention_cycles * utilization + fc_cycles) / pim_cycles
-        else:
-            stage_utilization = 0.0
+        seconds, stage_utilization = self._stage_time(
+            attention_cycles, utilization, len(microbatch), fc_cycles
+        )
         return StageCost(
-            seconds=stage_seconds,
-            pim_utilization=stage_utilization,
+            seconds=float(seconds),
+            pim_utilization=float(stage_utilization),
             attention_breakdown=attention_breakdown.scaled(layers),
             fc_breakdown=fc_breakdown.scaled(layers),
         )
+
+    def _stage_time(
+        self,
+        attention_cycles: Cycles,
+        utilization: float,
+        batch_size: int,
+        fc_cycles: float | None = None,
+    ) -> tuple[Cycles, Cycles]:
+        """Seconds and PIM utilization of one stage over a micro-batch.
+
+        ``attention_cycles`` is one module's per-layer attention time at
+        channel ``utilization``: a float, or an array of them for the TCP
+        span.  ``fc_cycles`` is the micro-batch's per-layer FC time,
+        priced with :meth:`_fc_time` when not given.  FC work is positive
+        in every micro-batch, so the busy-weighted utilization never
+        divides by zero.
+        """
+        if fc_cycles is None:
+            fc_cycles, _ = self._fc_time(batch_size)
+        pim_cycles = attention_cycles + fc_cycles
+        layer_seconds = self.module.timing.cycles_to_seconds(pim_cycles)
+        sync_bytes = batch_size * self.model.d_model * self.model.dtype_bytes
+        layer_seconds += 2 * self.interconnect.all_reduce_seconds(
+            sync_bytes, self.plan.tensor_parallel
+        )
+        stage_seconds = self.plan.layers_per_stage(self.model) * layer_seconds
+        stage_seconds += self.interconnect.point_to_point_seconds(sync_bytes)
+        return stage_seconds, (attention_cycles * utilization + fc_cycles) / pim_cycles
 
     def _fc_time(self, batch_size: int) -> tuple[float, CycleBreakdown]:
         """:func:`module_fc_time` of one layer for a micro-batch size."""
@@ -175,7 +192,7 @@ class PIMOnlySystem:
             step = tcp_single_stage_step(
                 context_lengths,
                 self.module.num_channels,
-                self._span_stage_cost,
+                self._stage_time,
                 self._tcp_attention(tcp_attention_breakdowns),
                 self.plan.layers_per_stage(self.model),
                 lambda batch_size: self._fc_time(batch_size)[1],
@@ -187,28 +204,6 @@ class PIMOnlySystem:
             attention_breakdown=step.attention_breakdown.scaled(scale),
             fc_breakdown=step.fc_breakdown.scaled(scale),
         )
-
-    def _span_stage_cost(
-        self, attention_cycles: NDArray[np.float64], batch_size: int
-    ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """:meth:`_stage_cost`'s seconds and utilization over TCP attention cycles.
-
-        Seconds follow the scalar path's arithmetic and association, and
-        the FC cycles come from the same :meth:`_fc_time`, which prices the
-        FC GEMVs in closed form on every call.  The utilization is exactly
-        1.0: the scalar path's ``(a * u + f) / (a + f)`` has ``u = 1.0``
-        whenever ``a > 0`` (so ``a * u == a``, also for ``a == 0``) and FC
-        work ``f > 0`` in every micro-batch.
-        """
-        fc_cycles, _ = self._fc_time(batch_size)
-        layer_seconds = self.module.timing.cycles_to_seconds(attention_cycles + fc_cycles)
-        sync_bytes = batch_size * self.model.d_model * self.model.dtype_bytes
-        layer_seconds += 2 * self.interconnect.all_reduce_seconds(
-            sync_bytes, self.plan.tensor_parallel
-        )
-        stage_seconds = self.plan.layers_per_stage(self.model) * layer_seconds
-        stage_seconds += self.interconnect.point_to_point_seconds(sync_bytes)
-        return stage_seconds, np.ones_like(stage_seconds)
 
     def _tcp_attention(self, pricing: Callable[..., _T]) -> Callable[..., _T]:
         """A TCP share pricing function of :mod:`repro.system.layers`, bound
@@ -242,7 +237,7 @@ class PIMOnlySystem:
             count,
             self.module.num_channels,
             self._tcp_attention(tcp_attention_cycles),
-            self._span_stage_cost,
+            self._stage_time,
         )
 
     def prefill_seconds(self, prompt_tokens: int) -> float:

@@ -126,12 +126,15 @@ def pipeline_decode_step(
     return best
 
 
-#: Span form of a system's ``_stage_cost``: (attention cycles of a
-#: micro-batch, micro-batch size) -> (stage seconds, stage PIM utilization),
-#: elementwise over arrays of attention cycles.
-SpanStageCost = Callable[
-    [NDArray[np.float64], int], tuple[NDArray[np.float64], NDArray[np.float64]]
-]
+#: Per-layer cycles of one micro-batch: a float, or an array of them over
+#: the steps of a TCP span.
+Cycles = float | NDArray[np.float64]
+
+#: A system's stage arithmetic, the one its ``_stage_cost`` also uses:
+#: (per-layer attention cycles of a micro-batch, attention channel
+#: utilization, micro-batch size) -> (stage seconds, stage PIM
+#: utilization), elementwise over arrays of attention cycles.
+StageTime = Callable[[Cycles, float, int], tuple[Cycles, Cycles]]
 
 
 def tcp_single_stage_span(
@@ -140,7 +143,7 @@ def tcp_single_stage_span(
     count: int,
     num_channels: int,
     share_cycles: Callable[[NDArray[np.int64]], NDArray[np.float64]],
-    stage_cost: SpanStageCost,
+    stage_cost: StageTime,
 ) -> NDArray[np.float64]:
     """Seconds and PIM utilization of ``count`` uniform single-stage TCP steps.
 
@@ -168,7 +171,7 @@ def tcp_single_stage_span(
 
 
 def _tcp_candidates(
-    per_request: NDArray[np.float64], stage_cost: SpanStageCost
+    per_request: NDArray[np.float64], stage_cost: StageTime
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.bool_]]:
     """Seconds, utilization and split-wins columns of single-stage TCP steps.
 
@@ -178,13 +181,16 @@ def _tcp_candidates(
     the steps where one micro-batch per request beat the whole batch.
     """
     batch_size = len(per_request)
-    seconds, utilization = stage_cost(np.cumsum(per_request, axis=0)[-1], batch_size)
+    # TCP keeps every channel busy, so the attention utilization is 1.0.
+    # (``module_attention_time`` reports 0.0 at zero cycles, which weighs
+    # nothing in the stage utilization, so 1.0 prices those steps alike.)
+    seconds, utilization = stage_cost(np.cumsum(per_request, axis=0)[-1], 1.0, batch_size)
     # The busy-weighted mean of one micro-batch, (t * u) / t, need not round
     # back to u.
     utilization = np.minimum(1.0, seconds * utilization / seconds)
     better = np.zeros(seconds.shape, dtype=np.bool_)
     if batch_size > 1:
-        times, utilizations = stage_cost(per_request, 1)
+        times, utilizations = stage_cost(per_request, 1.0, 1)
         # A sequential sum of non-negative floats is never below an addend,
         # so the pipeline's max(sum, stages * max) is the sum at one stage.
         split = np.cumsum(times, axis=0)[-1]
@@ -199,7 +205,7 @@ def _tcp_candidates(
 def tcp_single_stage_step(
     contexts: Sequence[int],
     num_channels: int,
-    stage_cost: SpanStageCost,
+    stage_cost: StageTime,
     share_breakdowns: Callable[[list[int]], list[CycleBreakdown]],
     layers: int,
     fc_breakdown: Callable[[int], CycleBreakdown] | None = None,

@@ -12,6 +12,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.typing import NDArray
 
 from repro.api.registry import register_system
 from repro.core.orchestrator import PIMphonyConfig
@@ -140,15 +141,22 @@ class XPUOnlySystem:
     def total_pim_channels(self) -> int:
         return 0
 
-    def decode_step(self, context_lengths: Sequence[int]) -> StepResult:
-        """Roofline latency of one decode step across the module group."""
-        contexts = [length for length in context_lengths if length > 0]
-        if not contexts:
-            return StepResult(seconds=0.0, pim_utilization=0.0)
+    def _seconds(
+        self, context_sum: int | NDArray[np.int64], batch: int
+    ) -> float | NDArray[np.float64]:
+        """Roofline seconds of decode steps of ``batch`` requests.
+
+        ``context_sum`` is a step's exact integer context sum: a Python
+        int, or an int64 array of one sum per step.  The FC roofline
+        depends only on the batch size, and attention is linear in the
+        sum, so both forms round identically as long as every
+        intermediate stays below 2**53 (always true for realistic KV
+        capacities).
+        """
         model = self.model
         fc_seconds = model.num_layers * fc_layer_seconds(
             xpu=self.xpu,
-            batch_size=len(contexts),
+            batch_size=batch,
             d_model=model.d_model,
             kv_dim=model.kv_dim,
             ffn_dim=model.ffn_dim,
@@ -158,9 +166,18 @@ class XPUOnlySystem:
         )
         # Attention is memory bound: each step streams every request's KV
         # cache through the modules' memory interfaces once.
-        kv_bytes = sum(contexts) * model.kv_bytes_per_token / self.num_modules
+        kv_bytes = context_sum * model.kv_bytes_per_token / self.num_modules
         attention_seconds = kv_bytes / self.xpu.memory_bandwidth_bytes
-        return StepResult(seconds=fc_seconds + attention_seconds, pim_utilization=0.0)
+        return fc_seconds + attention_seconds
+
+    def decode_step(self, context_lengths: Sequence[int]) -> StepResult:
+        """Roofline latency of one decode step across the module group."""
+        contexts = [length for length in context_lengths if length > 0]
+        if not contexts:
+            return StepResult(seconds=0.0, pim_utilization=0.0)
+        return StepResult(
+            seconds=self._seconds(sum(contexts), len(contexts)), pim_utilization=0.0
+        )
 
     def decode_span(
         self, context_lengths: Sequence[int], stride: int, count: int
@@ -169,34 +186,17 @@ class XPUOnlySystem:
 
         Row ``j`` of the ``(count, 2)`` result equals ``decode_step([c + j *
         stride for c in context_lengths])``'s ``(seconds,
-        pim_utilization)`` bit-for-bit: the FC roofline depends only on the
-        (constant) batch size, and attention is linear in the exact integer
-        context sum, which int64 arithmetic and a single float64 division
-        reproduce as long as every intermediate stays below 2**53 (always
-        true for realistic KV capacities).  There is no PIM, so the
-        utilization column is zero; the steps also carry zero cycle
-        breakdowns.
+        pim_utilization)`` bit-for-bit: both price the step's context sum
+        with :meth:`_seconds`.  There is no PIM, so the utilization column
+        is zero; the steps also carry zero cycle breakdowns.
 
         Preconditions (the fast engine guarantees both): every context is
         positive, and ``stride``/``count`` are positive.
         """
-        contexts = list(context_lengths)
-        model = self.model
-        fc_seconds = model.num_layers * fc_layer_seconds(
-            xpu=self.xpu,
-            batch_size=len(contexts),
-            d_model=model.d_model,
-            kv_dim=model.kv_dim,
-            ffn_dim=model.ffn_dim,
-            gated_ffn=model.gated_ffn,
-            tensor_parallel=self.num_modules,
-            dtype_bytes=model.dtype_bytes,
-        )
-        sums = sum(contexts) + np.arange(count, dtype=np.int64) * (stride * len(contexts))
-        kv_bytes = sums * model.kv_bytes_per_token / self.num_modules
-        attention_seconds = kv_bytes / self.xpu.memory_bandwidth_bytes
+        batch = len(context_lengths)
+        sums = sum(context_lengths) + np.arange(count, dtype=np.int64) * (stride * batch)
         priced = np.zeros((count, 2), dtype=np.float64)
-        priced[:, 0] = fc_seconds + attention_seconds
+        priced[:, 0] = self._seconds(sums, batch)
         return priced
 
     def prefill_seconds(self, prompt_tokens: int) -> float:

@@ -32,6 +32,7 @@ from repro.system.layers import (
 )
 from repro.system.parallelism import ParallelismPlan
 from repro.system.pipeline import (
+    Cycles,
     StageCost,
     pipeline_decode_step,
     tcp_single_stage_span,
@@ -111,12 +112,9 @@ class XPUPIMSystem:
     # -- timing ----------------------------------------------------------------
 
     def _stage_cost(self, microbatch: Sequence[int]) -> StageCost:
+        """Cost of one pipeline stage processing one micro-batch."""
         if not microbatch:
             return StageCost(seconds=0.0, pim_utilization=0.0)
-        tensor_parallel = self.plan.tensor_parallel
-        layers = self.plan.layers_per_stage(self.model)
-        timing = self.module.timing
-
         attention_cycles, utilization, attention_breakdown = module_attention_time(
             context_lengths=microbatch,
             kv_heads_per_module=self.plan.kv_heads_per_module(self.model),
@@ -125,37 +123,27 @@ class XPUPIMSystem:
             module=self.module,
             config=self.pimphony,
         )
-        attention_seconds = timing.cycles_to_seconds(attention_cycles)
-        fc_seconds = fc_layer_seconds(
-            xpu=self.xpu,
-            batch_size=len(microbatch),
-            d_model=self.model.d_model,
-            kv_dim=self.model.kv_dim,
-            ffn_dim=self.model.ffn_dim,
-            gated_ffn=self.model.gated_ffn,
-            tensor_parallel=tensor_parallel,
-            dtype_bytes=self.model.dtype_bytes,
+        seconds, stage_utilization = self._stage_time(
+            attention_cycles, utilization, len(microbatch)
         )
-        layer_seconds = max(attention_seconds, fc_seconds) * (1.0 + SYNC_OVERHEAD_FRAC)
-        sync_bytes = len(microbatch) * self.model.d_model * self.model.dtype_bytes
-        layer_seconds += 2 * self.interconnect.all_reduce_seconds(sync_bytes, tensor_parallel)
-        stage_seconds = layers * layer_seconds
-        stage_seconds += self.interconnect.point_to_point_seconds(sync_bytes)
-
-        if layer_seconds > 0:
-            pim_busy_fraction = min(1.0, attention_seconds / max(layer_seconds, 1e-30))
-        else:
-            pim_busy_fraction = 0.0
         return StageCost(
-            seconds=stage_seconds,
-            pim_utilization=utilization * pim_busy_fraction,
-            attention_breakdown=attention_breakdown.scaled(layers),
+            seconds=float(seconds),
+            pim_utilization=float(stage_utilization),
+            attention_breakdown=attention_breakdown.scaled(
+                self.plan.layers_per_stage(self.model)
+            ),
         )
 
-    def _span_stage_cost(
-        self, attention_cycles: NDArray[np.float64], batch_size: int
-    ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """:meth:`_stage_cost`'s seconds and utilization over TCP attention cycles."""
+    def _stage_time(
+        self, attention_cycles: Cycles, utilization: float, batch_size: int
+    ) -> tuple[Cycles, Cycles]:
+        """Seconds and PIM utilization of one stage over a micro-batch.
+
+        ``attention_cycles`` is one module's per-layer attention time at
+        channel ``utilization``: a float, or an array of them for the TCP
+        span.  PIM is busy for the attention share of each layer; the xPU
+        FC time is positive, so a layer never takes zero seconds.
+        """
         tensor_parallel = self.plan.tensor_parallel
         attention_seconds = self.module.timing.cycles_to_seconds(attention_cycles)
         fc_seconds = fc_layer_seconds(
@@ -173,14 +161,8 @@ class XPUPIMSystem:
         layer_seconds += 2 * self.interconnect.all_reduce_seconds(sync_bytes, tensor_parallel)
         stage_seconds = self.plan.layers_per_stage(self.model) * layer_seconds
         stage_seconds += self.interconnect.point_to_point_seconds(sync_bytes)
-
-        pim_busy_fraction = np.where(
-            layer_seconds > 0,
-            np.minimum(1.0, attention_seconds / np.maximum(layer_seconds, 1e-30)),
-            0.0,
-        )
-        attention_utilization = np.where(attention_cycles > 0, 1.0, 0.0)
-        return stage_seconds, attention_utilization * pim_busy_fraction
+        pim_busy_fraction = np.minimum(1.0, attention_seconds / layer_seconds)
+        return stage_seconds, utilization * pim_busy_fraction
 
     def _tcp_attention(self, pricing: Callable[..., _T]) -> Callable[..., _T]:
         """A TCP share pricing function of :mod:`repro.system.layers`, bound
@@ -214,7 +196,7 @@ class XPUPIMSystem:
             count,
             self.module.num_channels,
             self._tcp_attention(tcp_attention_cycles),
-            self._span_stage_cost,
+            self._stage_time,
         )
 
     def decode_step(self, context_lengths: Sequence[int]) -> StepResult:
@@ -227,7 +209,7 @@ class XPUPIMSystem:
             step = tcp_single_stage_step(
                 context_lengths,
                 self.module.num_channels,
-                self._span_stage_cost,
+                self._stage_time,
                 self._tcp_attention(tcp_attention_breakdowns),
                 self.plan.layers_per_stage(self.model),
             )

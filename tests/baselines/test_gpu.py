@@ -1,9 +1,11 @@
 """Tests for the GPU (A100 + FlashDecoding + PagedAttention) baseline."""
 
+import itertools
+
 import pytest
 
 from repro.baselines.gpu import GPUConfig, GPUSystemModel, a100_config
-from repro.system.serving import simulate_serving
+from repro.serving import serve
 from repro.workloads.datasets import get_dataset
 from repro.workloads.traces import generate_trace
 
@@ -40,7 +42,7 @@ class TestGPUModel:
             get_dataset("qmsum"), 4, seed=0, context_window=llm_7b.context_window, output_tokens=8
         )
         gpu = GPUSystemModel(model=llm_7b, num_gpus=2)
-        result = simulate_serving(gpu, trace, step_stride=4)
+        result = serve(gpu, trace, step_stride=4)
         assert result.total_output_tokens == trace.total_output_tokens
         assert result.total_pim_channels == 0
 
@@ -54,3 +56,18 @@ class TestGPUModel:
         gpu = a100_config()
         assert gpu.memory_capacity_bytes == 80 * 1024**3
         assert gpu.memory_bandwidth_bytes == pytest.approx(2e12)
+
+
+@pytest.mark.parametrize(
+    ("batch", "stride", "count"), list(itertools.product([1, 3, 16], [1, 8], [1, 5, 64]))
+)
+def test_decode_span_rows_equal_decode_steps(llm_7b, batch, stride, count):
+    """Row ``j`` is ``decode_step`` at contexts advanced by ``j * stride``, bit for bit."""
+    gpu = GPUSystemModel(model=llm_7b, num_gpus=2)
+    contexts = [1 + (7919 * index) % 30000 for index in range(batch)]
+    priced = gpu.decode_span(contexts, stride, count)
+    assert priced.shape == (count, 2)
+    for j in range(count):
+        step = gpu.decode_step([context + j * stride for context in contexts])
+        assert priced[j, 0] == step.seconds
+    assert not priced[:, 1].any()

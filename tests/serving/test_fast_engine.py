@@ -131,6 +131,65 @@ def test_long_xpu_pim_spans_match_scalar():
     assert_equal(scalar, fast)
 
 
+#: Order-dependent PIM systems: HFP packing or a multi-stage pipeline, so
+#: neither has a closed-form ``decode_span``.
+NO_SPAN_VARIANTS = {
+    "pim-only-hfp": (
+        "pim_only_qmsum.json",
+        {"system.pimphony": "baseline"},
+    ),
+    # TCP prices spans in closed form on one stage only.
+    "pim-only-tcp-static-pp2": (
+        "pim_only_qmsum.json",
+        {
+            "system.pimphony": "tcp",
+            "parallelism.tensor_parallel": 4,
+            "parallelism.pipeline_parallel": 2,
+        },
+    ),
+    "pim-only-tcp-dcs-pp2": (
+        "pim_only_qmsum.json",
+        {
+            "system.pimphony": "tcp+dcs",
+            "parallelism.tensor_parallel": 4,
+            "parallelism.pipeline_parallel": 2,
+        },
+    ),
+    "pim-only-tp4-pp2": (
+        "pim_only_qmsum.json",
+        {"parallelism.tensor_parallel": 4, "parallelism.pipeline_parallel": 2},
+    ),
+    "xpu-pim-hfp": (
+        "xpu_pim_long_context.json",
+        {"system.pimphony": "baseline"},
+    ),
+    "xpu-pim-tp2-pp2": (
+        "xpu_pim_long_context.json",
+        {"parallelism.tensor_parallel": 2, "parallelism.pipeline_parallel": 2},
+    ),
+    "pim-only-hfp-paged-evict": (
+        "pim_only_qmsum.json",
+        {
+            "system.pimphony": "baseline",
+            "allocator.mode": "paged",
+            "preemption.policy": "evict-lru",
+            "admission.max_batch_size": 4,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(NO_SPAN_VARIANTS))
+def test_systems_without_decode_span_match_scalar(variant):
+    """Systems without ``decode_span`` keep full RunReport parity in fast mode."""
+    spec_name, overrides = NO_SPAN_VARIANTS[variant]
+    spec_data = json.loads((SPEC_DIR / spec_name).read_text())
+    for path, value in overrides.items():
+        apply_override(spec_data, path, value)
+    assert build(ExperimentSpec.from_dict(spec_data)).system.decode_span is None
+    assert_equal(run_report_dict(spec_data, "scalar"), run_report_dict(spec_data, "fast"))
+
+
 # ---------------------------------------------------------------------------
 # Randomized configuration sweep
 # ---------------------------------------------------------------------------

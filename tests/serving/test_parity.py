@@ -18,7 +18,7 @@ from repro.core.orchestrator import PIMphonyConfig
 from repro.memory.chunked_alloc import ChunkedAllocator
 from repro.memory.static_alloc import AllocationError, StaticAllocator
 from repro.pim.simulator import ZERO_BREAKDOWN
-from repro.system.serving import simulate_serving
+from repro.serving import serve
 from repro.workloads.datasets import get_dataset
 from repro.workloads.traces import generate_trace
 
@@ -146,7 +146,7 @@ def _assert_parity(system, trace, max_batch_size=None, step_stride=1):
     legacy = _legacy_simulate_serving(
         system, trace, max_batch_size=max_batch_size, step_stride=step_stride
     )
-    result = simulate_serving(
+    result = serve(
         system, trace, max_batch_size=max_batch_size, step_stride=step_stride
     )
     assert result.total_output_tokens == legacy["total_output_tokens"]

@@ -5,7 +5,7 @@ import pytest
 from repro.core.orchestrator import PIMphonyConfig
 from repro.baselines.cent import cent_system_config
 from repro.memory.static_alloc import AllocationError
-from repro.system.serving import simulate_serving
+from repro.serving import serve
 from repro.workloads.datasets import get_dataset, synthetic_dataset
 from repro.workloads.traces import generate_trace
 
@@ -24,7 +24,7 @@ class TestServingLoop:
     def test_every_output_token_is_generated(self, llm_7b):
         trace = make_trace(llm_7b, requests=6, output=16)
         system = cent_system_config(llm_7b, pimphony=PIMphonyConfig.full())
-        result = simulate_serving(system, trace, step_stride=4)
+        result = serve(system, trace, step_stride=4)
         assert result.total_output_tokens == trace.total_output_tokens
         assert result.requests_served == len(trace)
         assert result.total_seconds > 0
@@ -32,8 +32,8 @@ class TestServingLoop:
     def test_step_stride_preserves_token_count(self, llm_7b):
         trace = make_trace(llm_7b, requests=4, output=32)
         system = cent_system_config(llm_7b, pimphony=PIMphonyConfig.full())
-        fine = simulate_serving(system, trace, step_stride=1)
-        coarse = simulate_serving(system, trace, step_stride=16)
+        fine = serve(system, trace, step_stride=1)
+        coarse = serve(system, trace, step_stride=16)
         assert fine.total_output_tokens == coarse.total_output_tokens
         assert coarse.total_seconds == pytest.approx(fine.total_seconds, rel=0.05)
 
@@ -41,23 +41,23 @@ class TestServingLoop:
         trace = make_trace(llm_7b, requests=16, output=8)
         static_system = cent_system_config(llm_7b, pimphony=PIMphonyConfig.tcp_dcs())
         dpa_system = cent_system_config(llm_7b, pimphony=PIMphonyConfig.full())
-        static_result = simulate_serving(static_system, trace, step_stride=4)
-        dpa_result = simulate_serving(dpa_system, trace, step_stride=4)
+        static_result = serve(static_system, trace, step_stride=4)
+        dpa_result = serve(dpa_system, trace, step_stride=4)
         assert dpa_result.peak_batch_size > static_result.peak_batch_size
         assert dpa_result.average_capacity_utilization > static_result.average_capacity_utilization
 
     def test_max_batch_size_respected(self, llm_7b):
         trace = make_trace(llm_7b, requests=8, output=8)
         system = cent_system_config(llm_7b, pimphony=PIMphonyConfig.full())
-        result = simulate_serving(system, trace, max_batch_size=2, step_stride=4)
+        result = serve(system, trace, max_batch_size=2, step_stride=4)
         assert result.peak_batch_size <= 2
 
     def test_pimphony_throughput_beats_baseline(self, llm_7b):
         trace = make_trace(llm_7b, requests=8, output=16)
-        baseline = simulate_serving(
+        baseline = serve(
             cent_system_config(llm_7b, pimphony=PIMphonyConfig.baseline()), trace, step_stride=4
         )
-        pimphony = simulate_serving(
+        pimphony = serve(
             cent_system_config(llm_7b, pimphony=PIMphonyConfig.full()), trace, step_stride=4
         )
         assert pimphony.throughput_tokens_per_s > 1.5 * baseline.throughput_tokens_per_s
@@ -73,18 +73,18 @@ class TestServingLoop:
             pimphony=PIMphonyConfig.full(),
         )
         with pytest.raises(AllocationError):
-            simulate_serving(system, trace)
+            serve(system, trace)
 
     def test_invalid_stride_rejected(self, llm_7b):
         trace = make_trace(llm_7b, requests=2, output=4)
         system = cent_system_config(llm_7b)
         with pytest.raises(ValueError):
-            simulate_serving(system, trace, step_stride=0)
+            serve(system, trace, step_stride=0)
 
     def test_result_metrics_consistent(self, llm_7b):
         trace = make_trace(llm_7b, requests=4, output=8)
         system = cent_system_config(llm_7b, pimphony=PIMphonyConfig.full())
-        result = simulate_serving(system, trace, step_stride=2, system_name="cent+pimphony")
+        result = serve(system, trace, step_stride=2, system_name="cent+pimphony")
         assert result.system_name == "cent+pimphony"
         assert result.dataset == "qmsum"
         assert result.average_step_seconds == pytest.approx(

@@ -1,9 +1,11 @@
 """Tests for the xPU-only (no-PIM) system model."""
 
+import itertools
+
 import pytest
 
+from repro.serving import serve
 from repro.system.xpu import XPUConfig, XPUOnlySystem
-from repro.system.serving import simulate_serving
 from repro.workloads.datasets import get_dataset
 from repro.workloads.traces import generate_trace
 
@@ -63,8 +65,23 @@ class TestXPUOnlySystem:
             context_window=llm_7b.context_window,
             output_tokens=8,
         )
-        result = simulate_serving(make_system(llm_7b), trace, step_stride=4)
+        result = serve(make_system(llm_7b), trace, step_stride=4)
         assert result.total_output_tokens == trace.total_output_tokens
         assert result.requests_served == 6
         assert result.average_pim_utilization == 0.0
         assert result.latency.latency_p50_s <= result.latency.latency_p99_s
+
+
+@pytest.mark.parametrize(
+    ("batch", "stride", "count"), list(itertools.product([1, 3, 16], [1, 8], [1, 5, 64]))
+)
+def test_decode_span_rows_equal_decode_steps(llm_7b, batch, stride, count):
+    """Row ``j`` is ``decode_step`` at contexts advanced by ``j * stride``, bit for bit."""
+    system = make_system(llm_7b)
+    contexts = [1 + (7919 * index) % 30000 for index in range(batch)]
+    priced = system.decode_span(contexts, stride, count)
+    assert priced.shape == (count, 2)
+    for j in range(count):
+        step = system.decode_step([context + j * stride for context in contexts])
+        assert priced[j, 0] == step.seconds
+    assert not priced[:, 1].any()
