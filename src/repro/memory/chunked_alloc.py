@@ -15,10 +15,12 @@ mid-decode, and ``preempt``/``restore`` page a victim's chunks out and
 back in so a preemption policy can resolve the pressure.  Passing
 ``final_tokens`` keeps the legacy admit-to-completion guarantee: the final
 context is committed up front and growth inside it never fails.
+``grow_many`` advances a whole decoding batch in one call, all or nothing.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.memory.lifecycle import CapacityExceeded, PreemptedState
@@ -46,6 +48,7 @@ class ChunkedAllocator:
     _tokens: dict[int, int] = field(default_factory=dict, repr=False)
     _committed: dict[int, int] = field(default_factory=dict, repr=False)
     _committed_total: int = field(default=0, repr=False)
+    _token_total: int = field(default=0, repr=False)
     host_interventions: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
@@ -122,17 +125,22 @@ class ChunkedAllocator:
 
     # -- allocation lifecycle ----------------------------------------------
 
-    def _map(self, request_id: int, count: int) -> None:
-        """Move ``count`` free chunks to the end of a request's VA2PA list.
+    def _take(self, count: int) -> list[int]:
+        """Remove ``count`` (positive) chunks from the free list.
 
         One slice takes the same chunks, in the same order, as ``count``
-        successive ``pop()``s would, so placement does not depend on how a
-        request's growth is batched.
+        successive ``pop()``s would, so placement does not depend on how
+        growth is batched.
         """
+        free = self._free_chunks
+        taken = free[-count:][::-1]
+        del free[-count:]
+        return taken
+
+    def _map(self, request_id: int, count: int) -> None:
+        """Move ``count`` free chunks to the end of a request's VA2PA list."""
         if count > 0:
-            free = self._free_chunks
-            self._table.extend(request_id, free[-count:][::-1])
-            del free[-count:]
+            self._table.extend(request_id, self._take(count))
 
     def reserve(
         self, request_id: int, initial_tokens: int, final_tokens: int | None = None
@@ -161,6 +169,7 @@ class ChunkedAllocator:
             raise CapacityExceeded("insufficient free chunks to admit request")
         self._map(request_id, self.chunks_needed(initial_tokens))
         self._tokens[request_id] = initial_tokens
+        self._token_total += initial_tokens
         self._committed[request_id] = committed
         self._committed_total += committed
         self.host_interventions += 1
@@ -190,6 +199,60 @@ class ChunkedAllocator:
             self._map(request_id, need - have)
             self.host_interventions += 1
         self._tokens[request_id] = current + count
+        self._token_total += count
+
+    def grow_many(self, request_ids: Sequence[int], count: int = 1) -> None:
+        """Grow each of ``request_ids`` (distinct) by ``count`` tokens, all or nothing.
+
+        Equivalent to ``grow(request_id, count)`` for each id in order: the
+        same tokens, commitments and ``host_interventions``, and the same
+        physical chunks in the same order -- one slice of the free list is
+        split into per-request runs in id order, exactly as successive
+        ``grow`` calls would pop them.
+
+        Raises:
+            CapacityExceeded: if the batch's growth past its commitments
+                exceeds the uncommitted chunks; nothing changes.
+            KeyError: if an id is not admitted; nothing changes.
+            ValueError: if an id repeats; nothing changes.
+        """
+        if len(set(request_ids)) != len(request_ids):
+            raise ValueError("request_ids must be distinct")
+        tokens = self._tokens
+        committed = self._committed
+        bytes_per_token = self.bytes_per_token
+        chunk_bytes = self.chunk_bytes
+        grown: list[int] = []
+        claims: list[tuple[int, int]] = []
+        claimed = 0
+        map_ids: list[int] = []
+        map_counts: list[int] = []
+        for request_id in request_ids:
+            current = tokens.get(request_id)
+            if current is None:
+                raise KeyError(f"request {request_id} is not admitted")
+            total = current + count
+            grown.append(total)
+            # chunks_needed of the old and new totals.
+            have = -(-(current * bytes_per_token) // chunk_bytes)
+            need = -(-(total * bytes_per_token) // chunk_bytes)
+            if need > have:
+                map_ids.append(request_id)
+                map_counts.append(need - have)
+                held = committed[request_id]
+                if need > held:
+                    claims.append((request_id, need))
+                    claimed += need - held
+        if claimed > self.uncommitted_chunk_count:
+            raise CapacityExceeded("out of chunks while growing the KV cache")
+        tokens.update(zip(request_ids, grown))
+        self._token_total += count * len(request_ids)
+        if claims:
+            committed.update(claims)
+            self._committed_total += claimed
+        if map_ids:
+            self._table.extend_runs(map_ids, map_counts, self._take(sum(map_counts)))
+            self.host_interventions += len(map_ids)
 
     # Kept only as a name: perfbench/layers.py patches it on the class, and the
     # frozen legacy oracle in tests/serving/test_parity.py calls it.
@@ -205,6 +268,7 @@ class ChunkedAllocator:
             raise KeyError(f"request {request_id} is not admitted")
         self._free_chunks.extend(self._table.release(request_id))
         tokens = self._tokens.pop(request_id)
+        self._token_total -= tokens
         committed = self._committed.pop(request_id)
         self._committed_total -= committed
         self.host_interventions += 1
@@ -234,6 +298,7 @@ class ChunkedAllocator:
             raise CapacityExceeded("insufficient free chunks to restore request")
         self._map(request_id, mapped)
         self._tokens[request_id] = state.tokens
+        self._token_total += state.tokens
         self._committed[request_id] = committed
         self._committed_total += committed
         self.host_interventions += 1
@@ -243,7 +308,7 @@ class ChunkedAllocator:
         if request_id not in self._tokens:
             return
         self._free_chunks.extend(self._table.release(request_id))
-        del self._tokens[request_id]
+        self._token_total -= self._tokens.pop(request_id)
         self._committed_total -= self._committed.pop(request_id)
         self.host_interventions += 1
 
@@ -256,7 +321,7 @@ class ChunkedAllocator:
     @property
     def used_bytes(self) -> int:
         """Bytes backing live tokens (excludes last-chunk fragmentation)."""
-        return sum(tokens * self.bytes_per_token for tokens in self._tokens.values())
+        return self._token_total * self.bytes_per_token
 
     @property
     def capacity_utilization(self) -> float:

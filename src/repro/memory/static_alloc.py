@@ -9,6 +9,7 @@ real long-context workloads (Fig. 19 baseline).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.memory.lifecycle import AllocationError, CapacityExceeded, PreemptedState
@@ -27,8 +28,9 @@ class StaticAllocator:
     capacity_bytes: int
     max_context_tokens: int
     bytes_per_token: int
-    _reservations: dict[int, int] = field(default_factory=dict, repr=False)
+    #: Live tokens per admitted request; every one holds ``reservation_bytes``.
     _used_tokens: dict[int, int] = field(default_factory=dict, repr=False)
+    _used_total: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         if self.capacity_bytes < 0:
@@ -43,7 +45,7 @@ class StaticAllocator:
 
     @property
     def allocated_bytes(self) -> int:
-        return sum(self._reservations.values())
+        return len(self._used_tokens) * self.reservation_bytes
 
     @property
     def free_bytes(self) -> int:
@@ -51,7 +53,7 @@ class StaticAllocator:
 
     @property
     def num_requests(self) -> int:
-        return len(self._reservations)
+        return len(self._used_tokens)
 
     def can_admit(self, tokens: int | None = None) -> bool:
         """Whether one more request's worst-case reservation fits.
@@ -86,7 +88,7 @@ class StaticAllocator:
             AllocationError: if the final context exceeds the static maximum.
             CapacityExceeded: if the worst-case reservation does not fit now.
         """
-        if request_id in self._reservations:
+        if request_id in self._used_tokens:
             raise ValueError(f"request {request_id} already admitted")
         if final_tokens is None:
             final_tokens = initial_tokens
@@ -96,8 +98,8 @@ class StaticAllocator:
             raise AllocationError("final context exceeds the static maximum")
         if not self.can_admit():
             raise CapacityExceeded("insufficient capacity for a worst-case reservation")
-        self._reservations[request_id] = self.reservation_bytes
         self._used_tokens[request_id] = initial_tokens
+        self._used_total += initial_tokens
 
     def grow(self, request_id: int, count: int = 1) -> None:
         """Record generated tokens; the reservation never grows or shrinks.
@@ -107,12 +109,38 @@ class StaticAllocator:
         :class:`~repro.memory.lifecycle.CapacityExceeded` -- static
         systems feel capacity pressure at admission, not mid-decode.
         """
-        if request_id not in self._reservations:
+        if request_id not in self._used_tokens:
             raise KeyError(f"request {request_id} is not admitted")
         new_total = self._used_tokens[request_id] + count
         if new_total > self.max_context_tokens:
             raise AllocationError("request exceeded the static maximum context")
         self._used_tokens[request_id] = new_total
+        self._used_total += count
+
+    def grow_many(self, request_ids: Sequence[int], count: int = 1) -> None:
+        """Grow each of ``request_ids`` (distinct) by ``count`` tokens, all or nothing.
+
+        Equivalent to ``grow(request_id, count)`` for each id in order.
+
+        Raises:
+            AllocationError: if any request would pass ``T_max``; nothing
+                changes.
+            KeyError: if an id is not admitted; nothing changes.
+            ValueError: if an id repeats; nothing changes.
+        """
+        if len(set(request_ids)) != len(request_ids):
+            raise ValueError("request_ids must be distinct")
+        used = self._used_tokens
+        grown = []
+        for request_id in request_ids:
+            current = used.get(request_id)
+            if current is None:
+                raise KeyError(f"request {request_id} is not admitted")
+            grown.append(current + count)
+        if grown and max(grown) > self.max_context_tokens:
+            raise AllocationError("request exceeded the static maximum context")
+        used.update(zip(request_ids, grown))
+        self._used_total += count * len(request_ids)
 
     # Kept only as a name: perfbench/layers.py patches it on the class, and the
     # frozen legacy oracle in tests/serving/test_parity.py calls it.
@@ -124,10 +152,10 @@ class StaticAllocator:
         Raises:
             KeyError: if the request is not admitted.
         """
-        if request_id not in self._reservations:
+        if request_id not in self._used_tokens:
             raise KeyError(f"request {request_id} is not admitted")
         tokens = self._used_tokens.pop(request_id)
-        del self._reservations[request_id]
+        self._used_total -= tokens
         return PreemptedState(
             request_id=request_id,
             tokens=tokens,
@@ -140,22 +168,21 @@ class StaticAllocator:
         Raises:
             CapacityExceeded: if a worst-case reservation does not fit yet.
         """
-        if request_id in self._reservations:
+        if request_id in self._used_tokens:
             raise ValueError(f"request {request_id} already admitted")
         if not self.can_admit(state.tokens):
             raise CapacityExceeded("insufficient capacity to restore request")
-        self._reservations[request_id] = self.reservation_bytes
         self._used_tokens[request_id] = state.tokens
+        self._used_total += state.tokens
 
     def release(self, request_id: int) -> None:
         """Free a request's reservation."""
-        self._reservations.pop(request_id, None)
-        self._used_tokens.pop(request_id, None)
+        self._used_total -= self._used_tokens.pop(request_id, 0)
 
     @property
     def used_bytes(self) -> int:
         """Bytes actually backing live tokens."""
-        return sum(tokens * self.bytes_per_token for tokens in self._used_tokens.values())
+        return self._used_total * self.bytes_per_token
 
     @property
     def capacity_utilization(self) -> float:

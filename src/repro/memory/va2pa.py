@@ -5,8 +5,9 @@ backing that request's KV cache in virtual order: entry ``i`` is the
 physical chunk of virtual chunk ``i``.  The table is what allows DPA
 instructions to reference dynamically allocated, non-contiguous memory.
 A request's KV cache only ever grows at its end, so the allocator appends
-whole runs of chunks with :meth:`VA2PATable.extend` and hands them all back
-with :meth:`VA2PATable.release`.
+whole runs of chunks with :meth:`VA2PATable.extend` (or, for a whole
+decoding batch at once, :meth:`VA2PATable.extend_runs`) and hands them all
+back with :meth:`VA2PATable.release`.
 """
 
 from __future__ import annotations
@@ -39,6 +40,27 @@ class VA2PATable:
         if chunks and min(chunks) < 0:
             raise ValueError("chunk indices must be non-negative")
         self._chunks.setdefault(request_id, []).extend(chunks)
+
+    def extend_runs(
+        self, request_ids: Sequence[int], counts: Sequence[int], chunks: Sequence[int]
+    ) -> None:
+        """Split ``chunks`` into consecutive runs, one per request, in order.
+
+        Request ``request_ids[i]`` gets the next ``counts[i]`` chunks, so
+        the result equals one :meth:`extend` per request with its run.  The
+        runs must cover ``chunks`` exactly; the non-negative check runs once
+        over the whole block, before anything is mapped.
+        """
+        if sum(counts) != len(chunks):
+            raise ValueError("run lengths must add up to the number of chunks")
+        if chunks and min(chunks) < 0:
+            raise ValueError("chunk indices must be non-negative")
+        table = self._chunks
+        start = 0
+        for request_id, count in zip(request_ids, counts, strict=True):
+            end = start + count
+            table.setdefault(request_id, []).extend(chunks[start:end])
+            start = end
 
     def translate(self, request_id: int, virtual_address: int) -> int:
         """Translate a virtual byte address of a request to a physical one."""

@@ -37,6 +37,14 @@ picks a victim to page out (``evict-lru`` / ``evict-largest`` /
 with their saved state; swap or recompute costs are charged to the clock
 and surfaced as preemption metrics on :class:`EngineResult`.
 
+A single decode evaluation grows its whole batch with one all-or-nothing
+``allocator.grow_many`` and then credits every request in one pass
+(``_advance``).  When ``grow_many`` raises ``CapacityExceeded`` the engine
+grows request by request instead, evicting victims as needed and
+releasing finished requests before later growers.  Success of the batch
+call implies no single grow could have failed, so the two paths differ
+only in the physical chunk ids they hand out, which no result reads.
+
 Between event points the loop may advance a *span* of several uneventful
 decode evaluations in one iteration, up to the class-level
 :attr:`ServingEngine.span_limit`, on systems with a closed-form
@@ -159,7 +167,7 @@ class EngineResult(ServingResult):
         return self.latency.latency_p99_s
 
 
-@dataclass
+@dataclass(slots=True)
 class _ActiveRequest:
     request_id: int
     context: int
@@ -531,6 +539,37 @@ class ServingEngine:
             # Retain the turn's full context as the session's reusable prefix.
             self.prefix_cache.insert(entry.session, entry.context)
 
+    def _advance(
+        self,
+        decoding: list[_ActiveRequest],
+        grown: int,
+        clock: float,
+        first_token_s: float,
+        active: dict[int, _ActiveRequest],
+        allocator: KVLifecycle,
+        tracker: LifecycleTracker,
+    ) -> bool:
+        """Credit ``grown`` tokens to every request of an already-grown batch.
+
+        The batch's last token lands at ``clock``; a request's first token,
+        if it is among them, at ``first_token_s``.  Requests that are done
+        retire in batch order.  Returns whether any did.
+        """
+        records = tracker.records
+        finished_any = False
+        for entry in decoding:
+            entry.context += grown
+            entry.remaining -= grown
+            entry.last_step_s = clock
+            record = records[entry.request_id]
+            if record.generated == 0:
+                record.first_token_s = first_token_s
+            record.generated += grown
+            if entry.remaining <= 0:
+                self._finish(entry, active, allocator, tracker, clock)
+                finished_any = True
+        return finished_any
+
     def _span_capacity_cap(
         self,
         allocator: ChunkedAllocator,
@@ -764,7 +803,7 @@ class ServingEngine:
                 # (and TTFT) depend on the accuracy knob.
                 stride = 1
             else:
-                min_remaining = min(entry.remaining for entry in decoding)
+                min_remaining = min([entry.remaining for entry in decoding])
                 stride = min(self.step_stride, min_remaining)
                 if stride == self.step_stride and span_fn is not None:
                     n_plan = min(min_remaining // stride, span_hint, self.span_limit)
@@ -782,8 +821,11 @@ class ServingEngine:
                 eval_count += 1
                 utilization_sum += step.pim_utilization
                 peak_batch = max(peak_batch, len(decoding))
-                attention_total = attention_total + step.attention_breakdown.scaled(stride)
-                fc_total = fc_total + step.fc_breakdown.scaled(stride)
+                # Adding a zero breakdown leaves the totals unchanged.
+                if step.attention_breakdown is not ZERO_BREAKDOWN:
+                    attention_total = attention_total + step.attention_breakdown.scaled(stride)
+                if step.fc_breakdown is not ZERO_BREAKDOWN:
+                    fc_total = fc_total + step.fc_breakdown.scaled(stride)
                 if cap_enabled:
                     # Fraction of the KV-cache capacity holding live tokens
                     # (the Fig. 19 metric): static reservations waste the gap
@@ -792,10 +834,32 @@ class ServingEngine:
                     capacity_sum += allocator.used_bytes / capacity_bytes
                     capacity_count += 1
 
-                # Grow each request in place.  Only the incremental contract
-                # can raise CapacityExceeded, which evicts victims; finished
-                # requests release immediately so later growers in the same
-                # stride see the freed chunks before resorting to eviction.
+                # Grow the whole batch at once.  The call is all or nothing,
+                # and if the batch's combined growth fits, no one-by-one grow
+                # could have failed either, however finishers released in
+                # between; only physical chunk ids differ from that order.
+                try:
+                    allocator.grow_many([entry.request_id for entry in decoding], stride)
+                except CapacityExceeded:
+                    pass
+                else:
+                    if self._advance(
+                        decoding,
+                        stride,
+                        clock,
+                        clock - step.seconds * (stride - 1),
+                        active,
+                        allocator,
+                        tracker,
+                    ):
+                        admission_dirty = True
+                    continue
+
+                # The batch does not fit as a whole (only the incremental
+                # contract can fail), so grow request by request, evicting
+                # victims; finished requests release immediately so later
+                # growers in the same stride see the freed chunks before
+                # resorting to eviction.
                 finished_any = False
                 preempted_now: set[int] = set()
                 evict_overhead_s = 0.0
@@ -889,20 +953,9 @@ class ServingEngine:
             first_token_s = first_eval_end - seconds[0] * (stride - 1)
 
             # The span was planned so that none of these grows can raise.
-            finished_any = False
             for entry in decoding:
                 allocator.grow(entry.request_id, grown)
-                entry.context += grown
-                entry.remaining -= grown
-                entry.last_step_s = clock
-                record = records[entry.request_id]
-                if record.generated == 0:
-                    record.first_token_s = first_token_s
-                record.generated += grown
-                if entry.remaining <= 0:
-                    self._finish(entry, active, allocator, tracker, clock)
-                    finished_any = True
-            if finished_any:
+            if self._advance(decoding, grown, clock, first_token_s, active, allocator, tracker):
                 admission_dirty = True
 
             # Adapt the hint: grow after full spans, shrink after truncated

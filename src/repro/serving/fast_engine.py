@@ -19,7 +19,9 @@ evaluation.  Over such a span:
   a tight loop over the precomputed latencies, adding one evaluation at a
   time in the same order a span of one would;
 * per-request bookkeeping (KV grow, context/remaining counters, tracker
-  stamps, completions) collapses to one update per request per span.
+  stamps, completions) collapses to one update per request per span: one
+  ``allocator.grow`` each, then the same ``_advance`` pass a single
+  evaluation runs after its batch-wide ``grow_many``.
 
 N requests times K decode steps therefore cost O(events) Python iterations
 plus O(evaluations) float additions, instead of O(N * K) full Python

@@ -111,6 +111,13 @@ class KVLifecycle(Protocol):
     * ``grow`` extends a request's context.  It, ``reserve`` and
       ``restore`` raise :class:`~repro.memory.lifecycle.CapacityExceeded`
       when the memory they need is not free right now.
+    * ``grow_many(request_ids, count)`` grows a batch of distinct requests
+      at once and equals ``grow(request_id, count)`` for each id in order
+      (the same tokens, commitments and physical placement), except that
+      it is all or nothing: when any one of those grows would raise --
+      ``CapacityExceeded`` for the batch's combined growth, ``KeyError``
+      for an unknown id, ``AllocationError`` past a static ``T_max`` --
+      it raises before changing anything.
     * ``preempt`` / ``restore`` page a victim out and back in when a
       :class:`~repro.serving.preemption.PreemptionPolicy` picks one.
     * ``release`` frees a finished request.
@@ -135,6 +142,8 @@ class KVLifecycle(Protocol):
     ) -> None: ...
 
     def grow(self, request_id: int, count: int = 1) -> None: ...
+
+    def grow_many(self, request_ids: Sequence[int], count: int = 1) -> None: ...
 
     def preempt(self, request_id: int) -> PreemptedState: ...
 

@@ -42,6 +42,10 @@ from repro.system.pipeline import (
 
 _T = TypeVar("_T")
 
+#: Most micro-batch sizes one system keeps in its FC-time memo; sizes past
+#: the bound are priced without being stored.
+FC_MEMO_LIMIT = 256
+
 
 @dataclass
 class PIMOnlySystem:
@@ -68,6 +72,10 @@ class PIMOnlySystem:
     #: single pipeline stage), ``None`` otherwise.
     decode_span: Callable[[Sequence[int], int, int], NDArray[np.float64]] | None = field(
         default=None, init=False, repr=False, compare=False
+    )
+    #: :meth:`_fc_time` by micro-batch size, at most ``FC_MEMO_LIMIT`` entries.
+    _fc_memo: dict[int, tuple[float, CycleBreakdown]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -169,17 +177,26 @@ class PIMOnlySystem:
         return stage_seconds, (attention_cycles * utilization + fc_cycles) / pim_cycles
 
     def _fc_time(self, batch_size: int) -> tuple[float, CycleBreakdown]:
-        """:func:`module_fc_time` of one layer for a micro-batch size."""
-        return module_fc_time(
-            batch_size=batch_size,
-            d_model=self.model.d_model,
-            kv_dim=self.model.kv_dim,
-            ffn_dim=self.model.ffn_dim,
-            gated_ffn=self.model.gated_ffn,
-            tensor_parallel=self.plan.tensor_parallel,
-            module=self.module,
-            config=self.pimphony,
-        )
+        """:func:`module_fc_time` of one layer for a micro-batch size.
+
+        The result depends only on the size for a given system, so it is
+        memoised per size, up to ``FC_MEMO_LIMIT`` sizes.
+        """
+        cost = self._fc_memo.get(batch_size)
+        if cost is None:
+            cost = module_fc_time(
+                batch_size=batch_size,
+                d_model=self.model.d_model,
+                kv_dim=self.model.kv_dim,
+                ffn_dim=self.model.ffn_dim,
+                gated_ffn=self.model.gated_ffn,
+                tensor_parallel=self.plan.tensor_parallel,
+                module=self.module,
+                config=self.pimphony,
+            )
+            if len(self._fc_memo) < FC_MEMO_LIMIT:
+                self._fc_memo[batch_size] = cost
+        return cost
 
     def decode_step(self, context_lengths: Sequence[int]) -> StepResult:
         """Latency of one decode step (every active request emits one token)."""

@@ -1,13 +1,15 @@
 """Property-based leak tests for the KV lifecycle contract.
 
-A seeded random interleaving of reserve / grow / preempt / restore /
-release must never leak or double-free chunks: after *every* operation the
-allocator's books balance against an independently tracked reference
-model, and a full drain returns it to pristine state.  Operations that
-fail (CapacityExceeded) must leave the allocator untouched.  The reference
-model keeps its own free list and takes chunks one ``pop()`` at a time, so
-it also pins every request's physical placement: the allocator's bulk
-chunk moves must hand out exactly the chunks n pops would.
+A seeded random interleaving of reserve / grow / grow_many / preempt /
+restore / release must never leak or double-free chunks: after *every*
+operation the allocator's books balance against an independently tracked
+reference model, and a full drain returns it to pristine state.
+Operations that fail (CapacityExceeded, or an unknown id in ``grow_many``)
+must leave the allocator untouched.  The reference model keeps its own
+free list and takes chunks one ``pop()`` at a time, growing a
+``grow_many`` batch request by request in id order, so it also pins every
+request's physical placement: the allocator's bulk chunk moves must hand
+out exactly the chunks n pops would.
 """
 
 import contextlib
@@ -69,6 +71,7 @@ def snapshot(allocator: ChunkedAllocator) -> tuple:
         allocator.committed_chunk_count,
         allocator.used_bytes,
         allocator.num_requests,
+        allocator.host_interventions,
     )
 
 
@@ -84,7 +87,7 @@ def test_random_lifecycle_interleaving_never_leaks_chunks(seed):
     next_id = 0
 
     for _ in range(600):
-        op = rng.choice(["reserve", "grow", "grow", "preempt", "restore", "release"])
+        op = rng.choice(["reserve", "grow", "grow", "grow_many", "preempt", "restore", "release"])
         before = snapshot(allocator)
         if op == "reserve":
             initial = rng.randint(1, 3 * TOKENS_PER_CHUNK)
@@ -108,6 +111,19 @@ def test_random_lifecycle_interleaving_never_leaks_chunks(seed):
                 live[victim] += count
                 placement.map_tokens(victim, live[victim])
             except CapacityExceeded:
+                assert snapshot(allocator) == before
+        elif op == "grow_many" and live:
+            growers = rng.sample(sorted(live), rng.randint(1, len(live)))
+            if rng.random() < 0.1:
+                # An id that is not admitted: the whole call must be refused.
+                growers.insert(rng.randrange(len(growers) + 1), next_id)
+            count = rng.randint(1, 2 * TOKENS_PER_CHUNK)
+            try:
+                allocator.grow_many(growers, count)
+                for request_id in growers:
+                    live[request_id] += count
+                    placement.map_tokens(request_id, live[request_id])
+            except (CapacityExceeded, KeyError):
                 assert snapshot(allocator) == before
         elif op == "preempt" and live:
             victim = rng.choice(sorted(live))
@@ -156,7 +172,7 @@ def test_random_lifecycle_interleaving_static_books_balance(seed):
     next_id = 0
 
     for _ in range(400):
-        op = rng.choice(["reserve", "grow", "preempt", "restore", "release"])
+        op = rng.choice(["reserve", "grow", "grow_many", "preempt", "restore", "release"])
         if op == "reserve":
             initial = rng.randint(1, TOKENS_PER_CHUNK)
             with contextlib.suppress(AllocationError):
@@ -170,6 +186,18 @@ def test_random_lifecycle_interleaving_static_books_balance(seed):
             with contextlib.suppress(AllocationError):
                 allocator.grow(victim)
                 live[victim] += 1
+        elif op == "grow_many" and live:
+            growers = rng.sample(sorted(live), rng.randint(1, len(live)))
+            count = rng.randint(1, TOKENS_PER_CHUNK // 2)
+            try:
+                allocator.grow_many(growers, count)
+                for request_id in growers:
+                    live[request_id] += count
+            except AllocationError:
+                # One grower would pass T_max; the books below must show
+                # that nothing changed.
+                limit = allocator.max_context_tokens
+                assert any(live[request_id] + count > limit for request_id in growers)
         elif op == "preempt" and live:
             victim = rng.choice(sorted(live))
             preempted[victim] = allocator.preempt(victim)
@@ -191,3 +219,67 @@ def test_random_lifecycle_interleaving_static_books_balance(seed):
         allocator.release(request_id)
     assert allocator.free_bytes == allocator.capacity_bytes
     assert allocator.num_requests == 0
+
+
+def test_grow_many_equals_one_grow_per_request_in_order():
+    """Same tokens, commitments, interventions and physical chunks as grows."""
+    bulk, single = (
+        ChunkedAllocator(
+            capacity_bytes=64 * CHUNK, bytes_per_token=BYTES_PER_TOKEN, chunk_bytes=CHUNK
+        )
+        for _ in range(2)
+    )
+    for allocator in (bulk, single):
+        allocator.reserve(0, 10, 10 * TOKENS_PER_CHUNK)  # committed up front
+        allocator.reserve(1, TOKENS_PER_CHUNK)  # incremental: grows claim chunks
+        allocator.reserve(2, 1)
+    order = [2, 0, 1]
+    for count in (1, TOKENS_PER_CHUNK, 3 * TOKENS_PER_CHUNK + 5):
+        bulk.grow_many(order, count)
+        for request_id in order:
+            single.grow(request_id, count)
+        assert snapshot(bulk) == snapshot(single)
+        for request_id in order:
+            assert bulk.table.chunks_of(request_id) == single.table.chunks_of(request_id)
+            assert bulk.committed_chunks_for(request_id) == single.committed_chunks_for(request_id)
+
+
+def test_grow_many_capacity_exceeded_is_all_or_nothing():
+    allocator = ChunkedAllocator(
+        capacity_bytes=4 * CHUNK, bytes_per_token=BYTES_PER_TOKEN, chunk_bytes=CHUNK
+    )
+    allocator.reserve(0, 1)
+    allocator.reserve(1, 1)
+    before = snapshot(allocator)
+    placement = {request_id: allocator.table.chunks_of(request_id) for request_id in (0, 1)}
+    # Each grower alone fits (two free chunks), together they need four.
+    with pytest.raises(CapacityExceeded):
+        allocator.grow_many([0, 1], 2 * TOKENS_PER_CHUNK)
+    assert snapshot(allocator) == before
+    assert {request_id: allocator.table.chunks_of(request_id) for request_id in (0, 1)} == placement
+    with pytest.raises(KeyError):
+        allocator.grow_many([0, 7], 1)
+    assert snapshot(allocator) == before
+    with pytest.raises(ValueError):
+        allocator.grow_many([0, 0], 1)
+    assert snapshot(allocator) == before
+
+
+def test_static_grow_many_past_t_max_changes_nothing():
+    allocator = StaticAllocator(
+        capacity_bytes=8 * CHUNK,
+        max_context_tokens=2 * TOKENS_PER_CHUNK,
+        bytes_per_token=BYTES_PER_TOKEN,
+    )
+    allocator.reserve(0, 1)
+    allocator.reserve(1, 2 * TOKENS_PER_CHUNK - 2)
+    used = allocator.used_bytes
+    with pytest.raises(AllocationError):
+        allocator.grow_many([0, 1], 3)
+    assert allocator.used_bytes == used
+    with pytest.raises(KeyError):
+        allocator.grow_many([0, 5], 1)
+    assert allocator.used_bytes == used
+    allocator.grow_many([0, 1], 2)
+    assert allocator.used_bytes == used + 4 * BYTES_PER_TOKEN
+    assert allocator.preempt(1).tokens == 2 * TOKENS_PER_CHUNK

@@ -67,3 +67,19 @@ class TestVA2PATable:
         assert table.table_bytes == 0
         table.extend(1, [1, 2])
         assert table.table_bytes == 16
+
+    def test_extend_runs_splits_block_in_request_order(self):
+        table = VA2PATable(chunk_bytes=1024)
+        table.extend(2, [9])
+        table.extend_runs([2, 5, 1], [1, 2, 1], [4, 7, 3, 8])
+        assert table.chunks_of(2) == [9, 4]
+        assert table.chunks_of(5) == [7, 3]
+        assert table.chunks_of(1) == [8]
+
+    def test_extend_runs_rejects_bad_blocks_before_mapping(self):
+        table = VA2PATable(chunk_bytes=1024)
+        with pytest.raises(ValueError):
+            table.extend_runs([1, 2], [1, 1], [3, -1])
+        with pytest.raises(ValueError):
+            table.extend_runs([1, 2], [1, 1], [3, 4, 5])
+        assert table.num_entries == 0

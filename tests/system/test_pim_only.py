@@ -9,7 +9,8 @@ from repro.pim.config import cent_module_config
 from repro.serving.interfaces import StepResult
 from repro.system.interconnect import InterconnectConfig
 from repro.system.parallelism import ParallelismPlan
-from repro.system.pim_only import PIMOnlySystem
+from repro.system.layers import module_fc_time
+from repro.system.pim_only import FC_MEMO_LIMIT, PIMOnlySystem
 from repro.system.pipeline import _evaluate, pipeline_decode_step, split_microbatches
 
 
@@ -182,3 +183,35 @@ class TestOnePassStep:
     def test_step_for_empty_batch_matches_oracle(self, llm_7b):
         system = make_system(llm_7b)
         assert system.decode_step([0, -3]) == oracle_step(system, [0, -3])[0]
+
+
+class TestFCMemo:
+    @staticmethod
+    def unmemoised(system, batch_size):
+        return module_fc_time(
+            batch_size=batch_size,
+            d_model=system.model.d_model,
+            kv_dim=system.model.kv_dim,
+            ffn_dim=system.model.ffn_dim,
+            gated_ffn=system.model.gated_ffn,
+            tensor_parallel=system.plan.tensor_parallel,
+            module=system.module,
+            config=system.pimphony,
+        )
+
+    @pytest.mark.parametrize("config", [PIMphonyConfig.full(), PIMphonyConfig.baseline()])
+    def test_memo_returns_the_unmemoised_value(self, llm_7b, config):
+        system = make_system(llm_7b, config=config)
+        for batch_size in range(1, 65):
+            expected = self.unmemoised(system, batch_size)
+            assert system._fc_time(batch_size) == expected
+            assert system._fc_time(batch_size) == expected  # now from the memo
+
+    def test_memo_is_bounded(self, llm_7b):
+        system = make_system(llm_7b, tp=1)
+        sizes = range(1, FC_MEMO_LIMIT + 6)
+        for batch_size in sizes:
+            system._fc_time(batch_size)
+        assert len(system._fc_memo) == FC_MEMO_LIMIT
+        assert system._fc_time(sizes[-1]) == self.unmemoised(system, sizes[-1])
+        assert len(system._fc_memo) == FC_MEMO_LIMIT
