@@ -202,22 +202,20 @@ class ChunkedAllocator:
         self._token_total += count
 
     def grow_many(self, request_ids: Sequence[int], count: int = 1) -> None:
-        """Grow each of ``request_ids`` (distinct) by ``count`` tokens, all or nothing.
+        """Grow each of ``request_ids`` by ``count`` tokens, all or nothing.
 
         Equivalent to ``grow(request_id, count)`` for each id in order: the
         same tokens, commitments and ``host_interventions``, and the same
         physical chunks in the same order -- one slice of the free list is
         split into per-request runs in id order, exactly as successive
-        ``grow`` calls would pop them.
+        ``grow`` calls would pop them.  The ids must be distinct (the
+        caller passes a batch's keys); a repeat is not detected.
 
         Raises:
             CapacityExceeded: if the batch's growth past its commitments
                 exceeds the uncommitted chunks; nothing changes.
             KeyError: if an id is not admitted; nothing changes.
-            ValueError: if an id repeats; nothing changes.
         """
-        if len(set(request_ids)) != len(request_ids):
-            raise ValueError("request_ids must be distinct")
         tokens = self._tokens
         committed = self._committed
         bytes_per_token = self.bytes_per_token

@@ -118,18 +118,16 @@ class StaticAllocator:
         self._used_total += count
 
     def grow_many(self, request_ids: Sequence[int], count: int = 1) -> None:
-        """Grow each of ``request_ids`` (distinct) by ``count`` tokens, all or nothing.
+        """Grow each of ``request_ids`` by ``count`` tokens, all or nothing.
 
         Equivalent to ``grow(request_id, count)`` for each id in order.
+        The ids must be distinct; a repeat is not detected.
 
         Raises:
             AllocationError: if any request would pass ``T_max``; nothing
                 changes.
             KeyError: if an id is not admitted; nothing changes.
-            ValueError: if an id repeats; nothing changes.
         """
-        if len(set(request_ids)) != len(request_ids):
-            raise ValueError("request_ids must be distinct")
         used = self._used_tokens
         grown = []
         for request_id in request_ids:

@@ -542,6 +542,7 @@ class ServingEngine:
     def _advance(
         self,
         decoding: list[_ActiveRequest],
+        request_ids: list[int],
         grown: int,
         clock: float,
         first_token_s: float,
@@ -551,20 +552,17 @@ class ServingEngine:
     ) -> bool:
         """Credit ``grown`` tokens to every request of an already-grown batch.
 
-        The batch's last token lands at ``clock``; a request's first token,
-        if it is among them, at ``first_token_s``.  Requests that are done
-        retire in batch order.  Returns whether any did.
+        ``request_ids`` are the ids of ``decoding``, in order.  The batch's
+        last token lands at ``clock``; a request's first token, if it is
+        among them, at ``first_token_s``.  Requests that are done retire in
+        batch order.  Returns whether any did.
         """
-        records = tracker.records
+        tracker.on_batch_tokens(request_ids, grown, first_token_s)
         finished_any = False
         for entry in decoding:
             entry.context += grown
             entry.remaining -= grown
             entry.last_step_s = clock
-            record = records[entry.request_id]
-            if record.generated == 0:
-                record.first_token_s = first_token_s
-            record.generated += grown
             if entry.remaining <= 0:
                 self._finish(entry, active, allocator, tracker, clock)
                 finished_any = True
@@ -803,7 +801,7 @@ class ServingEngine:
                 # (and TTFT) depend on the accuracy knob.
                 stride = 1
             else:
-                min_remaining = min([entry.remaining for entry in decoding])
+                min_remaining = min(entry.remaining for entry in decoding)
                 stride = min(self.step_stride, min_remaining)
                 if stride == self.step_stride and span_fn is not None:
                     n_plan = min(min_remaining // stride, span_hint, self.span_limit)
@@ -821,11 +819,8 @@ class ServingEngine:
                 eval_count += 1
                 utilization_sum += step.pim_utilization
                 peak_batch = max(peak_batch, len(decoding))
-                # Adding a zero breakdown leaves the totals unchanged.
-                if step.attention_breakdown is not ZERO_BREAKDOWN:
-                    attention_total = attention_total + step.attention_breakdown.scaled(stride)
-                if step.fc_breakdown is not ZERO_BREAKDOWN:
-                    fc_total = fc_total + step.fc_breakdown.scaled(stride)
+                attention_total = attention_total + step.attention_breakdown.scaled(stride)
+                fc_total = fc_total + step.fc_breakdown.scaled(stride)
                 if cap_enabled:
                     # Fraction of the KV-cache capacity holding live tokens
                     # (the Fig. 19 metric): static reservations waste the gap
@@ -838,16 +833,18 @@ class ServingEngine:
                 # and if the batch's combined growth fits, no one-by-one grow
                 # could have failed either, however finishers released in
                 # between; only physical chunk ids differ from that order.
+                request_ids = [entry.request_id for entry in decoding]
                 try:
-                    allocator.grow_many([entry.request_id for entry in decoding], stride)
+                    allocator.grow_many(request_ids, stride)
                 except CapacityExceeded:
                     pass
                 else:
                     if self._advance(
                         decoding,
+                        request_ids,
                         stride,
                         clock,
-                        clock - step.seconds * (stride - 1),
+                        tracker.first_token_time(clock, step.seconds, stride),
                         active,
                         allocator,
                         tracker,
@@ -898,7 +895,11 @@ class ServingEngine:
             # -- span execution (n_plan >= 2 provably uneventful evals) ----
             batch = len(decoding)
             threshold = math.inf
-            if future:
+            if future and (self.max_batch_size is None or len(active) < self.max_batch_size):
+                # At the batch cap an arrival cannot join (admission and
+                # restores both stop at the cap) until a completion, which
+                # ends the span anyway, so only an open slot lets an
+                # arrival cut the span.
                 threshold = future[0].arrival_s
             if self.prefill is not None and len(decoding) < len(active):
                 # Only blocking-style prefill can park requests here: any
@@ -950,12 +951,15 @@ class ServingEngine:
             peak_batch = max(peak_batch, batch)
             # Every request's first token, if it falls in this span, lands
             # one decode step into the span's first stride.
-            first_token_s = first_eval_end - seconds[0] * (stride - 1)
+            first_token_s = tracker.first_token_time(first_eval_end, seconds[0], stride)
 
             # The span was planned so that none of these grows can raise.
-            for entry in decoding:
-                allocator.grow(entry.request_id, grown)
-            if self._advance(decoding, grown, clock, first_token_s, active, allocator, tracker):
+            request_ids = [entry.request_id for entry in decoding]
+            for request_id in request_ids:
+                allocator.grow(request_id, grown)
+            if self._advance(
+                decoding, request_ids, grown, clock, first_token_s, active, allocator, tracker
+            ):
                 admission_dirty = True
 
             # Adapt the hint: grow after full spans, shrink after truncated

@@ -3,11 +3,11 @@
 :class:`FastServingEngine` is :class:`~repro.serving.engine.ServingEngine`
 with a higher :attr:`~repro.serving.engine.ServingEngine.span_limit`.  Both
 run the same loop; ``engine.mode=scalar`` is that loop with spans capped at
-one evaluation.  Between event points -- the next arrival crossing, the
-next completion, the next possible grow failure, a blocking prefill
-becoming ready, or any chunked-prefill work -- batch membership is constant
-and every decoding request advances uniformly by ``step_stride`` tokens per
-evaluation.  Over such a span:
+one evaluation.  Between event points -- the next arrival crossing while
+the batch has an open slot, the next completion, the next possible grow
+failure, a blocking prefill becoming ready, or any chunked-prefill work --
+batch membership is constant and every decoding request advances uniformly
+by ``step_stride`` tokens per evaluation.  Over such a span:
 
 * the per-evaluation latencies and PIM utilizations form a closed-form
   sequence on ``xpu-only`` and ``gpu`` (batch-plus-context-sum shaped) and
@@ -39,6 +39,11 @@ arrival is an event point wherever it falls, so traces stamped by any
 arrival process (diurnal, burst, warped replay) and the fleet timeline's
 failure re-dispatches (victims re-arriving mid-run at the failure time)
 need no special handling -- spans simply truncate at those instants.
+The one exception is a batch at ``max_batch_size``: admission and
+restores both stop at the cap, so an arrival cannot join before a
+completion frees a slot, and a completion is always a span's final
+evaluation.  Such a span runs through arrivals; a span of one would have
+admitted nothing at them either.
 
 Parity between the two modes is exact: ``tests/serving/test_fast_engine.py``
 requires equal ``RunReport`` output on every shipped example spec and on

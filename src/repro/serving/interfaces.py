@@ -117,7 +117,8 @@ class KVLifecycle(Protocol):
       it is all or nothing: when any one of those grows would raise --
       ``CapacityExceeded`` for the batch's combined growth, ``KeyError``
       for an unknown id, ``AllocationError`` past a static ``T_max`` --
-      it raises before changing anything.
+      it raises before changing anything.  Distinct ids are a
+      precondition, not a checked error.
     * ``preempt`` / ``restore`` page a victim out and back in when a
       :class:`~repro.serving.preemption.PreemptionPolicy` picks one.
     * ``release`` frees a finished request.

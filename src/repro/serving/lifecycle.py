@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -307,15 +307,32 @@ class LifecycleTracker:
     def on_tokens(
         self, request_id: int, count: int, step_end_s: float, step_seconds: float
     ) -> None:
-        """Record ``count`` tokens generated in a stride ending at ``step_end_s``.
+        """Record ``count`` tokens generated in a stride ending at ``step_end_s``."""
+        if count > 0:
+            first_token_s = self.first_token_time(step_end_s, step_seconds, count)
+            self.on_batch_tokens((request_id,), count, first_token_s)
 
-        The first token of a request completes one decode step into its
-        first stride, which pins TTFT even when ``step_stride > 1``.
+    @staticmethod
+    def first_token_time(stride_end_s: float, step_seconds: float, stride: int) -> float:
+        """When a stride's first token completes: one decode step into it.
+
+        A request's first token is stamped at this time, not at the end of
+        its first stride, which pins TTFT even when ``step_stride > 1``.
         """
-        record = self.records[request_id]
-        if record.generated == 0 and count > 0:
-            record.first_token_s = step_end_s - step_seconds * (count - 1)
-        record.generated += count
+        return stride_end_s - step_seconds * (stride - 1)
+
+    def on_batch_tokens(self, request_ids: Iterable[int], count: int, first_token_s: float) -> None:
+        """Record ``count`` (> 0) tokens for each of ``request_ids``.
+
+        A request with no token yet gets ``first_token_s`` (see
+        :meth:`first_token_time`) as its first-token time.
+        """
+        records = self.records
+        for request_id in request_ids:
+            record = records[request_id]
+            if record.generated == 0:
+                record.first_token_s = first_token_s
+            record.generated += count
 
     def on_preempt(self, request_id: int, now_s: float) -> None:
         """Record a page-out: the request leaves the batch and stalls."""

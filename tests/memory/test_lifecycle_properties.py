@@ -260,9 +260,6 @@ def test_grow_many_capacity_exceeded_is_all_or_nothing():
     with pytest.raises(KeyError):
         allocator.grow_many([0, 7], 1)
     assert snapshot(allocator) == before
-    with pytest.raises(ValueError):
-        allocator.grow_many([0, 0], 1)
-    assert snapshot(allocator) == before
 
 
 def test_static_grow_many_past_t_max_changes_nothing():

@@ -2,8 +2,8 @@
 
 Counting shims on the allocator and tracker classes pin which path each
 evaluation takes: a single evaluation grows the whole batch with one
-``grow_many`` call and credits tokens without ``LifecycleTracker.on_tokens``;
-only when ``grow_many`` raises ``CapacityExceeded`` does the engine fall
+``grow_many`` call and credits its tokens with one
+``LifecycleTracker.on_batch_tokens`` call, never ``on_tokens``; only when ``grow_many`` raises ``CapacityExceeded`` does the engine fall
 back to growing request by request and evicting victims.
 """
 
@@ -50,6 +50,7 @@ def calls(monkeypatch):
         count(cls, "grow")
         count(cls, "grow_many")
     count(LifecycleTracker, "on_tokens")
+    count(LifecycleTracker, "on_batch_tokens")
     count(XPUOnlySystem, "decode_step")
     count(PIMOnlySystem, "decode_step")
     return counts
@@ -71,6 +72,7 @@ def test_scalar_evaluations_grow_the_batch_in_one_call(calls):
     assert calls["grow_many"] == calls["decode_step"]
     assert calls["grow"] == 0
     assert calls["on_tokens"] == 0
+    assert calls["on_batch_tokens"] == calls["decode_step"]
 
 
 def test_capacity_pressure_falls_back_to_evicting_grows(calls):

@@ -22,6 +22,7 @@ import pytest
 from repro.api import ExperimentSpec, run
 from repro.api.build import build
 from repro.api.spec import apply_override
+from repro.memory.static_alloc import StaticAllocator
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SPEC_DIR = REPO_ROOT / "examples" / "specs"
@@ -128,6 +129,64 @@ def test_long_xpu_pim_spans_match_scalar():
     for key in MODE_KEYS:
         fast.pop(key, None)
     assert max(priced) >= 64
+    assert_equal(scalar, fast)
+
+
+def test_full_batch_spans_run_through_arrivals(monkeypatch):
+    """At ``max_batch_size`` an arrival cannot join, so it does not cut a span.
+
+    Four requests fill the batch at t=0 and twenty more arrive during its
+    first evaluations.  Admission waits for a completion, which always ends
+    a span, so every span runs as many evaluations as it priced, and the
+    report still equals scalar mode's.
+    """
+    spec_data = {
+        "name": "full-batch-spans",
+        "model": {"name": "LLM-7B-32K", "context_window": 2048},
+        "system": {"kind": "xpu-only"},
+        "allocator": {"mode": "static"},
+        "admission": {"policy": "fcfs", "max_batch_size": 4},
+        "trace": {
+            "source": "synthetic",
+            "num_requests": 24,
+            "prompt_tokens": 256,
+            "output_tokens": 128,
+        },
+        "arrival": {
+            "process": "replay",
+            "times": [0.0] * 4 + [0.0005 * index for index in range(1, 21)],
+        },
+        "seed": 0,
+        "step_stride": 1,
+    }
+    scalar = run_report_dict(spec_data, "scalar")
+
+    data = json.loads(json.dumps(spec_data))
+    apply_override(data, "engine.mode", "fast")
+    built = build(ExperimentSpec.from_dict(data))
+    span = built.system.decode_span
+    priced: list[int] = []
+    used: list[int] = []
+
+    def counting_span(contexts, stride, count):
+        priced.append(count)
+        return span(contexts, stride, count)
+
+    grow = StaticAllocator.grow
+
+    def counting_grow(self, request_id, count=1):
+        # The span body grows each request by stride (1) x evaluations used.
+        if len(used) < len(priced):
+            used.append(count)
+        return grow(self, request_id, count)
+
+    built.system.decode_span = counting_span
+    monkeypatch.setattr(StaticAllocator, "grow", counting_grow)
+    fast = built.run().to_dict()
+    for key in MODE_KEYS:
+        fast.pop(key, None)
+    assert max(priced) >= 64
+    assert used == priced
     assert_equal(scalar, fast)
 
 
