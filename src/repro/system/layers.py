@@ -5,8 +5,9 @@ These helpers aggregate the channel-level kernel estimators of
 partitioning strategy (HFP vs TCP) for attention.  FC layers are priced in
 closed form (:func:`~repro.pim.kernels.fc_gemv_breakdown`), and so are TCP
 attention totals over arrays of shares (:func:`tcp_attention_cycles`).
-Attention cycle breakdowns still come from the program-building estimator,
-once per distinct token slice in a call.
+Attention cycle breakdowns still come from the program-building estimator:
+once per distinct token slice in a call under HFP, and under TCP once per
+distinct per-channel share per system (:class:`TCPSharePrices`).
 """
 
 from __future__ import annotations
@@ -152,6 +153,53 @@ def tcp_attention_cycles(
         row_reuse=config.row_reuse,
     )
     return per_head * kv_heads_per_module
+
+
+class TCPSharePrices:
+    """One system's TCP attention prices, each per-channel share priced once.
+
+    Under TCP a request's attention cost depends only on its per-channel
+    share, so a system keeps :func:`tcp_attention_cycles` of every share
+    its context window admits (``0..n_shares-1``) in a table built on
+    first use, and the :func:`tcp_attention_breakdowns` term of every share
+    it has priced in a dict.  Both are exact: the closed form is
+    elementwise and each term is the same function of the same arguments.
+    A share past the window is priced but not stored, so neither holds
+    more than ``n_shares`` entries.
+    """
+
+    def __init__(
+        self,
+        kv_heads_per_module: int,
+        group_size: int,
+        head_dim: int,
+        module: PIMModuleConfig,
+        config: PIMphonyConfig,
+        max_context_tokens: int,
+    ) -> None:
+        self._pricing = (kv_heads_per_module, group_size, head_dim, module, config)
+        self.n_shares = -(-max_context_tokens // module.num_channels) + 1
+        self._table: NDArray[np.float64] | None = None
+        self._terms: dict[int, CycleBreakdown] = {}
+
+    def cycles(self, shares: NDArray[np.int64]) -> NDArray[np.float64]:
+        """:func:`tcp_attention_cycles` of non-negative ``shares`` (any shape)."""
+        if self._table is None:
+            self._table = tcp_attention_cycles(
+                np.arange(self.n_shares, dtype=np.int64), *self._pricing
+            )
+        try:
+            return self._table[shares]
+        except IndexError:  # a share past the window: price the grid directly
+            return tcp_attention_cycles(shares, *self._pricing)
+
+    def breakdowns(self, shares: Sequence[int]) -> list[CycleBreakdown]:
+        """:func:`tcp_attention_breakdowns` of ``shares``, each new share priced once."""
+        terms = self._terms
+        missing = [share for share in dict.fromkeys(shares) if share not in terms]
+        priced = dict(zip(missing, tcp_attention_breakdowns(missing, *self._pricing), strict=True))
+        terms.update((share, term) for share, term in priced.items() if share < self.n_shares)
+        return [terms[share] if share in terms else priced[share] for share in shares]
 
 
 #: FC matrices of one decoder layer as (in_dim multiplier, out_dim multiplier)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import partial
-from typing import TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -26,10 +24,9 @@ from repro.serving.interfaces import StepResult
 from repro.serving.prefill import transformer_prefill_flops
 from repro.system.interconnect import InterconnectConfig
 from repro.system.layers import (
+    TCPSharePrices,
     module_attention_time,
     module_fc_time,
-    tcp_attention_breakdowns,
-    tcp_attention_cycles,
 )
 from repro.system.parallelism import ParallelismPlan
 from repro.system.pipeline import (
@@ -39,8 +36,6 @@ from repro.system.pipeline import (
     tcp_single_stage_span,
     tcp_single_stage_step,
 )
-
-_T = TypeVar("_T")
 
 #: Most micro-batch sizes one system keeps in its FC-time memo; sizes past
 #: the bound are priced without being stored.
@@ -73,6 +68,11 @@ class PIMOnlySystem:
     decode_span: Callable[[Sequence[int], int, int], NDArray[np.float64]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: TCP attention prices of every per-channel share, bound with
+    #: ``decode_span`` and read by it and by ``decode_step``.
+    _share_prices: TCPSharePrices | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
     #: :meth:`_fc_time` by micro-batch size, at most ``FC_MEMO_LIMIT`` entries.
     _fc_memo: dict[int, tuple[float, CycleBreakdown]] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -93,6 +93,14 @@ class PIMOnlySystem:
         # packing and multi-stage pipelines are order-dependent; those scan
         # micro-batches with ``_stage_cost`` per step.
         if self.pimphony.tcp and self.plan.pipeline_parallel == 1:
+            self._share_prices = TCPSharePrices(
+                kv_heads_per_module=self.plan.kv_heads_per_module(self.model),
+                group_size=self.model.gqa_group_size,
+                head_dim=self.model.head_dim,
+                module=self.module,
+                config=self.pimphony,
+                max_context_tokens=self.max_context_tokens,
+            )
             self.decode_span = self._tcp_decode_span
 
     # -- capacity ------------------------------------------------------------
@@ -200,8 +208,9 @@ class PIMOnlySystem:
 
     def decode_step(self, context_lengths: Sequence[int]) -> StepResult:
         """Latency of one decode step (every active request emits one token)."""
-        # A span evaluator is installed exactly for TCP on one stage.
-        if self.decode_span is None:
+        # Share prices are bound exactly for TCP on one stage.
+        prices = self._share_prices
+        if prices is None:
             step = pipeline_decode_step(
                 context_lengths, self.plan.pipeline_parallel, self._stage_cost
             )
@@ -210,7 +219,7 @@ class PIMOnlySystem:
                 context_lengths,
                 self.module.num_channels,
                 self._stage_time,
-                self._tcp_attention(tcp_attention_breakdowns),
+                prices.breakdowns,
                 self.plan.layers_per_stage(self.model),
                 lambda batch_size: self._fc_time(batch_size)[1],
             )
@@ -220,18 +229,6 @@ class PIMOnlySystem:
             pim_utilization=step.pim_utilization,
             attention_breakdown=step.attention_breakdown.scaled(scale),
             fc_breakdown=step.fc_breakdown.scaled(scale),
-        )
-
-    def _tcp_attention(self, pricing: Callable[..., _T]) -> Callable[..., _T]:
-        """A TCP share pricing function of :mod:`repro.system.layers`, bound
-        to this system's model, plan, module and PIMphony configuration."""
-        return partial(
-            pricing,
-            kv_heads_per_module=self.plan.kv_heads_per_module(self.model),
-            group_size=self.model.gqa_group_size,
-            head_dim=self.model.head_dim,
-            module=self.module,
-            config=self.pimphony,
         )
 
     def _tcp_decode_span(
@@ -248,12 +245,13 @@ class PIMOnlySystem:
         Preconditions (the fast engine guarantees both): every context is
         positive, and ``stride``/``count`` are positive.
         """
+        assert self._share_prices is not None  # bound with this evaluator
         return tcp_single_stage_span(
             context_lengths,
             stride,
             count,
             self.module.num_channels,
-            self._tcp_attention(tcp_attention_cycles),
+            self._share_prices.cycles,
             self._stage_time,
         )
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import partial
-from typing import TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -26,9 +24,8 @@ from repro.serving.interfaces import StepResult
 from repro.serving.prefill import transformer_prefill_flops
 from repro.system.interconnect import InterconnectConfig
 from repro.system.layers import (
+    TCPSharePrices,
     module_attention_time,
-    tcp_attention_breakdowns,
-    tcp_attention_cycles,
 )
 from repro.system.parallelism import ParallelismPlan
 from repro.system.pipeline import (
@@ -43,8 +40,6 @@ from repro.system.xpu import XPUConfig, fc_layer_seconds
 #: Fraction of the slower engine's time added per layer for xPU/PIM
 #: synchronisation under sub-batch interleaving.
 SYNC_OVERHEAD_FRAC = 0.05
-
-_T = TypeVar("_T")
 
 
 @dataclass
@@ -66,6 +61,11 @@ class XPUPIMSystem:
     decode_span: Callable[[Sequence[int], int, int], NDArray[np.float64]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: TCP attention prices of every per-channel share, bound with
+    #: ``decode_span`` and read by it and by ``decode_step``.
+    _share_prices: TCPSharePrices | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.num_modules <= 0:
@@ -81,6 +81,14 @@ class XPUPIMSystem:
         # for spans and ``decode_step`` alike.  HFP placement and
         # multi-stage pipelines depend on request order.
         if self.pimphony.tcp and self.plan.pipeline_parallel == 1:
+            self._share_prices = TCPSharePrices(
+                kv_heads_per_module=self.plan.kv_heads_per_module(self.model),
+                group_size=self.model.gqa_group_size,
+                head_dim=self.model.head_dim,
+                module=self.module,
+                config=self.pimphony,
+                max_context_tokens=self.max_context_tokens,
+            )
             self.decode_span = self._tcp_decode_span
 
     # -- capacity ------------------------------------------------------------
@@ -164,18 +172,6 @@ class XPUPIMSystem:
         pim_busy_fraction = np.minimum(1.0, attention_seconds / layer_seconds)
         return stage_seconds, utilization * pim_busy_fraction
 
-    def _tcp_attention(self, pricing: Callable[..., _T]) -> Callable[..., _T]:
-        """A TCP share pricing function of :mod:`repro.system.layers`, bound
-        to this system's model, plan, module and PIMphony configuration."""
-        return partial(
-            pricing,
-            kv_heads_per_module=self.plan.kv_heads_per_module(self.model),
-            group_size=self.model.gqa_group_size,
-            head_dim=self.model.head_dim,
-            module=self.module,
-            config=self.pimphony,
-        )
-
     def _tcp_decode_span(
         self, context_lengths: Sequence[int], stride: int, count: int
     ) -> NDArray[np.float64]:
@@ -190,18 +186,21 @@ class XPUPIMSystem:
         Preconditions (the fast engine guarantees both): every context is
         positive, and ``stride``/``count`` are positive.
         """
+        assert self._share_prices is not None  # bound with this evaluator
         return tcp_single_stage_span(
             context_lengths,
             stride,
             count,
             self.module.num_channels,
-            self._tcp_attention(tcp_attention_cycles),
+            self._share_prices.cycles,
             self._stage_time,
         )
 
     def decode_step(self, context_lengths: Sequence[int]) -> StepResult:
-        # A span evaluator is installed exactly for TCP on one stage.
-        if self.decode_span is None:
+        """Latency of one decode step (every active request emits one token)."""
+        # Share prices are bound exactly for TCP on one stage.
+        prices = self._share_prices
+        if prices is None:
             step = pipeline_decode_step(
                 context_lengths, self.plan.pipeline_parallel, self._stage_cost
             )
@@ -210,7 +209,7 @@ class XPUPIMSystem:
                 context_lengths,
                 self.module.num_channels,
                 self._stage_time,
-                self._tcp_attention(tcp_attention_breakdowns),
+                prices.breakdowns,
                 self.plan.layers_per_stage(self.model),
             )
         return StepResult(

@@ -1,9 +1,21 @@
 """Tests for per-module layer timing (attention + FC on PIM)."""
 
+import numpy as np
 import pytest
 
+import repro.system.layers as layers
 from repro.core.orchestrator import PIMphonyConfig
-from repro.system.layers import module_attention_time, module_fc_time
+from repro.pim.config import cent_module_config, neupims_module_config
+from repro.system.layers import (
+    TCPSharePrices,
+    module_attention_time,
+    module_fc_time,
+    tcp_attention_breakdowns,
+    tcp_attention_cycles,
+)
+from repro.system.parallelism import ParallelismPlan
+from repro.system.pim_only import PIMOnlySystem
+from repro.system.xpu_pim import XPUPIMSystem
 
 
 class TestModuleAttention:
@@ -98,3 +110,145 @@ class TestModuleFC:
             PIMphonyConfig.full(),
         )
         assert cycles == 0.0
+
+
+#: (kv_heads_per_module, group_size, head_dim, PIMphony configuration):
+#: MHA and GQA heads under DCS, and the static policy without row reuse.
+PRICING_CASES = [
+    (4, 1, 128, PIMphonyConfig.full()),
+    (2, 4, 128, PIMphonyConfig.full()),
+    (4, 4, 128, PIMphonyConfig(tcp=True, dcs=False, row_reuse=False)),
+]
+
+
+class TestTCPSharePrices:
+    """The share table and the breakdown memo hold exactly what the
+    unmemoised pricing functions return."""
+
+    @staticmethod
+    def make(case, max_context_tokens=4000):
+        kv_heads, group_size, head_dim, config = case
+        return TCPSharePrices(
+            kv_heads, group_size, head_dim, cent_module_config(), config, max_context_tokens
+        )
+
+    @staticmethod
+    def pricing_args(case):
+        kv_heads, group_size, head_dim, config = case
+        return kv_heads, group_size, head_dim, cent_module_config(), config
+
+    def test_window_sets_the_table_size(self):
+        # ceil(4000 / 32) = 125 shares past zero; 4096 / 32 divides evenly.
+        assert self.make(PRICING_CASES[0]).n_shares == 126
+        assert self.make(PRICING_CASES[0], max_context_tokens=4096).n_shares == 129
+
+    @pytest.mark.parametrize("case", PRICING_CASES)
+    def test_totals_equal_the_closed_form(self, case):
+        prices = self.make(case)
+        args = self.pricing_args(case)
+        inside = np.arange(prices.n_shares, dtype=np.int64)
+        assert (prices.cycles(inside) == tcp_attention_cycles(inside, *args)).all()
+        grid = np.array([[3, prices.n_shares - 1], [1, 0]], dtype=np.int64)
+        assert (prices.cycles(grid) == tcp_attention_cycles(grid, *args)).all()
+        # A grid reaching past the table is priced directly, and the table
+        # keeps its size.
+        past = np.array([[prices.n_shares, 7], [prices.n_shares + 1000, 1]], dtype=np.int64)
+        assert (prices.cycles(past) == tcp_attention_cycles(past, *args)).all()
+        assert len(prices._table) == prices.n_shares
+
+    @pytest.mark.parametrize("case", PRICING_CASES)
+    def test_breakdowns_equal_the_unmemoised_terms(self, case):
+        prices = self.make(case)
+        args = self.pricing_args(case)
+        shares = [5, 1, 5, 125, 64, 1, 125]
+        expected = [tcp_attention_breakdowns([share], *args)[0] for share in shares]
+        assert prices.breakdowns(shares) == expected
+        assert prices.breakdowns(shares) == expected  # now from the memo
+        every = list(range(prices.n_shares))
+        assert prices.breakdowns(every) == tcp_attention_breakdowns(every, *args)
+        assert len(prices._terms) == prices.n_shares
+
+    def test_shares_past_the_window_are_priced_but_not_stored(self):
+        case = PRICING_CASES[1]
+        prices = self.make(case)
+        past = [prices.n_shares, 2, prices.n_shares + 77, prices.n_shares]
+        expected = tcp_attention_breakdowns(past, *self.pricing_args(case))
+        assert prices.breakdowns(past) == expected
+        assert set(prices._terms) == {2}
+        assert prices.breakdowns(past) == expected
+        assert set(prices._terms) == {2}
+
+    def test_memo_never_exceeds_the_table_size(self):
+        prices = self.make(PRICING_CASES[0], max_context_tokens=640)
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            prices.breakdowns(rng.integers(0, 3 * prices.n_shares, size=8).tolist())
+            assert len(prices._terms) <= prices.n_shares
+        assert len(prices._terms) == prices.n_shares
+
+
+def pim_only_system(model):
+    return PIMOnlySystem(
+        model=model, num_modules=8, plan=ParallelismPlan(8, 1), module=cent_module_config()
+    )
+
+
+def xpu_pim_system(model):
+    return XPUPIMSystem(
+        model=model, num_modules=4, plan=ParallelismPlan(4, 1), module=neupims_module_config()
+    )
+
+
+@pytest.mark.parametrize("make_system", [pim_only_system, xpu_pim_system])
+class TestEachSharePricedOncePerSystem:
+    """TCP single-stage systems price each per-channel share's breakdown
+    once, however many steps read it, without moving any result."""
+
+    #: Batches whose contexts cover 8 distinct per-channel shares over the
+    #: systems' 32 channels: 1, 2, 10, 13, 14, 100, 128 and 129.
+    BATCHES = [
+        [1, 32, 33, 4096, 4097],
+        [300, 4097, 1, 1],
+        [32, 4096, 4097, 416, 441],
+        [3200, 1, 64, 300, 310],
+    ]
+
+    def test_each_share_is_priced_once(self, make_system, llm_7b, monkeypatch):
+        calls = []
+        original = layers.attention_head_cycles
+
+        def counting(**kwargs):
+            calls.append(kwargs["tokens"])
+            return original(**kwargs)
+
+        monkeypatch.setattr(layers, "attention_head_cycles", counting)
+        system = make_system(llm_7b)
+        for _ in range(3):
+            for batch in self.BATCHES:
+                system.decode_step(batch)
+        assert sorted(calls) == [1, 2, 10, 13, 14, 100, 128, 129]
+
+    def test_warm_steps_equal_cold_steps(self, make_system, llm_7b):
+        warm = make_system(llm_7b)
+        for batch in self.BATCHES:
+            warm.decode_step(batch)
+        warm.decode_span([5000, 17], 8, 64)
+        for batch in [*self.BATCHES, [4097, 2], [129 * 32]]:
+            assert warm.decode_step(batch) == make_system(llm_7b).decode_step(batch)
+
+    @pytest.mark.parametrize(
+        ("contexts", "stride", "count"),
+        [([4096, 300, 17], 8, 9), ([32700, 1000], 16, 12), ([1, 1, 1], 1, 40)],
+    )
+    def test_span_rows_equal_steps_after_the_table_is_built(
+        self, make_system, llm_7b, contexts, stride, count
+    ):
+        """The second span reaches past the 32K window, so its grid is
+        priced directly; the others read the table the warm-up built."""
+        system = make_system(llm_7b)
+        system.decode_span([2048], 1, 1)
+        span = system.decode_span(contexts, stride, count)
+        for j in range(count):
+            step = system.decode_step([c + j * stride for c in contexts])
+            assert float(span[j, 0]) == step.seconds
+            assert float(span[j, 1]) == step.pim_utilization
