@@ -10,7 +10,7 @@ chosen values are sensible:
 
 from benchmarks._helpers import emit, run_once
 from repro.analysis.reporting import format_table
-from repro.memory.chunked_alloc import ChunkedAllocator
+from repro.core.dpa import DPAController
 from repro.models.llm import get_model
 from repro.pim.config import PIMChannelConfig
 from repro.pim.kernels import attention_head_cycles
@@ -43,7 +43,7 @@ def sweep_chunk_sizes():
     capacity = 64 * 1024**3
     rows = []
     for chunk_mb in CHUNK_MB:
-        allocator = ChunkedAllocator(
+        allocator = DPAController(
             capacity_bytes=capacity,
             bytes_per_token=model.kv_bytes_per_token,
             chunk_bytes=int(chunk_mb * 1024 * 1024),

@@ -16,6 +16,14 @@ back in so a preemption policy can resolve the pressure.  Passing
 ``final_tokens`` keeps the legacy admit-to-completion guarantee: the final
 context is committed up front and growth inside it never fails.
 ``grow_many`` advances a whole decoding batch in one call, all or nothing.
+
+The allocator is count-only: it keeps integers (per-request tokens and
+commitments, running totals and an allocated-chunk count) and never names a
+physical chunk, because no serving result reads one.  Physical placement
+lives in DPA: :class:`~repro.core.dpa.DPAController` subclasses this
+allocator and overrides its two placement hooks, :meth:`ChunkedAllocator._claim`
+and :meth:`ChunkedAllocator._free`, to keep a free list and the VA2PA table
+the on-module dispatcher translates through.
 """
 
 from __future__ import annotations
@@ -24,7 +32,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.memory.lifecycle import CapacityExceeded, PreemptedState
-from repro.memory.va2pa import VA2PATable
 
 DEFAULT_CHUNK_BYTES = 1 * 1024 * 1024
 """Default allocation chunk size (1MB, as in the paper)."""
@@ -32,7 +39,13 @@ DEFAULT_CHUNK_BYTES = 1 * 1024 * 1024
 
 @dataclass
 class ChunkedAllocator:
-    """On-demand chunk allocator backed by a VA2PA translation table.
+    """On-demand, count-only chunk allocator; placement lives in DPA.
+
+    Every lifecycle check and count runs here once.  An operation that
+    passes all its checks reports the chunks it claims to :meth:`_claim`
+    and the chunks it frees to :meth:`_free`; those hooks only count here,
+    and :class:`~repro.core.dpa.DPAController` extends them with physical
+    placement.  A failed operation calls neither, so it changes nothing.
 
     Attributes:
         capacity_bytes: Total bytes available for KV cache.
@@ -43,12 +56,11 @@ class ChunkedAllocator:
     capacity_bytes: int
     bytes_per_token: int
     chunk_bytes: int = DEFAULT_CHUNK_BYTES
-    _table: VA2PATable = field(init=False, repr=False)
-    _free_chunks: list[int] = field(init=False, repr=False)
     _tokens: dict[int, int] = field(default_factory=dict, repr=False)
     _committed: dict[int, int] = field(default_factory=dict, repr=False)
     _committed_total: int = field(default=0, repr=False)
     _token_total: int = field(default=0, repr=False)
+    _allocated: int = field(default=0, repr=False)
     host_interventions: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
@@ -56,8 +68,6 @@ class ChunkedAllocator:
             raise ValueError("capacity_bytes must be non-negative")
         if self.bytes_per_token <= 0 or self.chunk_bytes <= 0:
             raise ValueError("bytes_per_token and chunk_bytes must be positive")
-        self._table = VA2PATable(chunk_bytes=self.chunk_bytes)
-        self._free_chunks = list(range(self.capacity_bytes // self.chunk_bytes))[::-1]
 
     # -- sizing helpers ---------------------------------------------------
 
@@ -67,20 +77,15 @@ class ChunkedAllocator:
 
     @property
     def free_chunk_count(self) -> int:
-        return len(self._free_chunks)
+        return self.total_chunks - self._allocated
 
     @property
     def allocated_chunk_count(self) -> int:
-        return self.total_chunks - self.free_chunk_count
+        return self._allocated
 
     @property
     def allocated_bytes(self) -> int:
         return self.allocated_chunk_count * self.chunk_bytes
-
-    @property
-    def table(self) -> VA2PATable:
-        """The VA2PA translation table maintained by the dispatcher."""
-        return self._table
 
     def chunks_needed(self, tokens: int) -> int:
         """Chunks required to back ``tokens`` worth of KV cache."""
@@ -125,27 +130,23 @@ class ChunkedAllocator:
 
     # -- allocation lifecycle ----------------------------------------------
 
-    def _take(self, count: int) -> list[int]:
-        """Remove ``count`` (positive) chunks from the free list.
+    def _claim(self, request_ids: Sequence[int], counts: Sequence[int], total: int) -> None:
+        """Placement hook: back ``request_ids[i]`` with ``counts[i]`` more chunks.
 
-        One slice takes the same chunks, in the same order, as ``count``
-        successive ``pop()``s would, so placement does not depend on how
-        growth is batched.
+        Called once per operation, after every check has passed, with the
+        requests in the order they grew; every count is positive and
+        ``total`` is their sum.  Here it only counts.
         """
-        free = self._free_chunks
-        taken = free[-count:][::-1]
-        del free[-count:]
-        return taken
+        self._allocated += total
 
-    def _map(self, request_id: int, count: int) -> None:
-        """Move ``count`` free chunks to the end of a request's VA2PA list."""
-        if count > 0:
-            self._table.extend(request_id, self._take(count))
+    def _free(self, request_id: int, count: int) -> None:
+        """Placement hook: the ``count`` chunks backing a request go free."""
+        self._allocated -= count
 
     def reserve(
         self, request_id: int, initial_tokens: int, final_tokens: int | None = None
     ) -> None:
-        """Admit a request, mapping chunks for its current prefix.
+        """Admit a request, claiming chunks for its current prefix.
 
         With ``final_tokens`` (the legacy admit-to-completion contract) the
         remainder up to the final context is *committed* up front and
@@ -167,7 +168,9 @@ class ChunkedAllocator:
         committed = self.chunks_needed(final_tokens)
         if committed > self.uncommitted_chunk_count:
             raise CapacityExceeded("insufficient free chunks to admit request")
-        self._map(request_id, self.chunks_needed(initial_tokens))
+        mapped = self.chunks_needed(initial_tokens)
+        if mapped:
+            self._claim((request_id,), (mapped,), mapped)
         self._tokens[request_id] = initial_tokens
         self._token_total += initial_tokens
         self._committed[request_id] = committed
@@ -196,7 +199,7 @@ class ChunkedAllocator:
             self._committed[request_id] = need
             self._committed_total += need - committed
         if need > have:
-            self._map(request_id, need - have)
+            self._claim((request_id,), (need - have,), need - have)
             self.host_interventions += 1
         self._tokens[request_id] = current + count
         self._token_total += count
@@ -205,10 +208,10 @@ class ChunkedAllocator:
         """Grow each of ``request_ids`` by ``count`` tokens, all or nothing.
 
         Equivalent to ``grow(request_id, count)`` for each id in order: the
-        same tokens, commitments and ``host_interventions``, and the same
-        physical chunks in the same order -- one slice of the free list is
-        split into per-request runs in id order, exactly as successive
-        ``grow`` calls would pop them.  The ids must be distinct (the
+        same tokens, commitments, chunk counts and ``host_interventions``.
+        The chunks claimed reach :meth:`_claim` once, as per-request runs in
+        id order, so a placing subclass can hand out exactly the chunks
+        successive ``grow`` calls would.  The ids must be distinct (the
         caller passes a batch's keys); a repeat is not detected.
 
         Raises:
@@ -249,7 +252,7 @@ class ChunkedAllocator:
             committed.update(claims)
             self._committed_total += claimed
         if map_ids:
-            self._table.extend_runs(map_ids, map_counts, self._take(sum(map_counts)))
+            self._claim(map_ids, map_counts, sum(map_counts))
             self.host_interventions += len(map_ids)
 
     # Kept only as a name: perfbench/layers.py patches it on the class, and the
@@ -262,10 +265,10 @@ class ChunkedAllocator:
         Raises:
             KeyError: if the request is not admitted.
         """
-        if request_id not in self._tokens:
+        tokens = self._tokens.pop(request_id, None)
+        if tokens is None:
             raise KeyError(f"request {request_id} is not admitted")
-        self._free_chunks.extend(self._table.release(request_id))
-        tokens = self._tokens.pop(request_id)
+        self._free(request_id, self.chunks_needed(tokens))
         self._token_total -= tokens
         committed = self._committed.pop(request_id)
         self._committed_total -= committed
@@ -280,7 +283,7 @@ class ChunkedAllocator:
     def restore(self, request_id: int, state: PreemptedState) -> None:
         """Re-admit a preempted request with exactly what it held.
 
-        Chunks for ``state.tokens`` are mapped again and the commitment is
+        Chunks for ``state.tokens`` are claimed again and the commitment is
         re-established at its pre-preemption level, so a request admitted
         through the legacy reserve-to-final contract resumes with the same
         no-mid-decode-failure guarantee.
@@ -294,7 +297,8 @@ class ChunkedAllocator:
         committed = max(mapped, state.committed_chunks)
         if committed > self.uncommitted_chunk_count:
             raise CapacityExceeded("insufficient free chunks to restore request")
-        self._map(request_id, mapped)
+        if mapped:
+            self._claim((request_id,), (mapped,), mapped)
         self._tokens[request_id] = state.tokens
         self._token_total += state.tokens
         self._committed[request_id] = committed
@@ -303,10 +307,11 @@ class ChunkedAllocator:
 
     def release(self, request_id: int) -> None:
         """Free every chunk owned by or committed to a request."""
-        if request_id not in self._tokens:
+        tokens = self._tokens.pop(request_id, None)
+        if tokens is None:
             return
-        self._free_chunks.extend(self._table.release(request_id))
-        self._token_total -= self._tokens.pop(request_id)
+        self._free(request_id, self.chunks_needed(tokens))
+        self._token_total -= tokens
         self._committed_total -= self._committed.pop(request_id)
         self.host_interventions += 1
 

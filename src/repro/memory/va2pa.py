@@ -7,7 +7,8 @@ instructions to reference dynamically allocated, non-contiguous memory.
 A request's KV cache only ever grows at its end, so the allocator appends
 whole runs of chunks with :meth:`VA2PATable.extend` (or, for a whole
 decoding batch at once, :meth:`VA2PATable.extend_runs`) and hands them all
-back with :meth:`VA2PATable.release`.
+back with :meth:`VA2PATable.release`.  A running entry count keeps
+:attr:`VA2PATable.num_entries` and :attr:`VA2PATable.table_bytes` O(1).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ class VA2PATable:
 
     chunk_bytes: int
     _chunks: dict[int, list[int]] = field(default_factory=dict, repr=False)
+    _entries: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         if self.chunk_bytes <= 0:
@@ -40,6 +42,7 @@ class VA2PATable:
         if chunks and min(chunks) < 0:
             raise ValueError("chunk indices must be non-negative")
         self._chunks.setdefault(request_id, []).extend(chunks)
+        self._entries += len(chunks)
 
     def extend_runs(
         self, request_ids: Sequence[int], counts: Sequence[int], chunks: Sequence[int]
@@ -61,6 +64,7 @@ class VA2PATable:
             end = start + count
             table.setdefault(request_id, []).extend(chunks[start:end])
             start = end
+        self._entries += len(chunks)
 
     def translate(self, request_id: int, virtual_address: int) -> int:
         """Translate a virtual byte address of a request to a physical one."""
@@ -78,11 +82,13 @@ class VA2PATable:
 
     def release(self, request_id: int) -> list[int]:
         """Remove all mappings of a request and return the freed chunks."""
-        return self._chunks.pop(request_id, [])
+        chunks = self._chunks.pop(request_id, [])
+        self._entries -= len(chunks)
+        return chunks
 
     @property
     def num_entries(self) -> int:
-        return sum(len(chunks) for chunks in self._chunks.values())
+        return self._entries
 
     @property
     def table_bytes(self) -> int:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.dpa import DPAController
 from repro.memory.chunked_alloc import ChunkedAllocator
 from repro.memory.static_alloc import AllocationError
 
@@ -62,14 +63,31 @@ class TestAllocation:
         assert allocator.allocated_chunk_count == 2
 
 
+def make_controller(capacity_chunks: int = 16, chunk_kb: int = 64, bpt: int = 256) -> DPAController:
+    return DPAController(
+        capacity_bytes=capacity_chunks * chunk_kb * 1024,
+        bytes_per_token=bpt,
+        chunk_bytes=chunk_kb * 1024,
+    )
+
+
 class TestTranslationIntegration:
-    def test_va2pa_mappings_track_chunks(self):
+    """Physical placement lives in the DPA controller, not the serving allocator."""
+
+    def test_serving_allocator_is_count_only(self):
         allocator = make_allocator()
+        allocator.reserve(0, 10)
+        assert not hasattr(allocator, "table")
+        assert not hasattr(allocator, "_free_chunks")
+        assert allocator.allocated_chunk_count == 1
+
+    def test_va2pa_mappings_track_chunks(self):
+        allocator = make_controller()
         allocator.reserve(7, allocator.chunk_bytes // allocator.bytes_per_token * 3)
         assert len(allocator.table.chunks_of(7)) == 3
 
     def test_non_contiguous_physical_chunks_supported(self):
-        allocator = make_allocator(capacity_chunks=4)
+        allocator = make_controller(capacity_chunks=4)
         tokens_per_chunk = allocator.chunk_bytes // allocator.bytes_per_token
         allocator.reserve(0, tokens_per_chunk)
         allocator.reserve(1, tokens_per_chunk)

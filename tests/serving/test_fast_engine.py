@@ -8,10 +8,17 @@ on every shipped example spec (lifecycle preemption and prefix-cache runs
 included) and on a seeded sweep of randomized configurations crossing
 admission x preemption (priority-aware policies and the starvation guard
 included) x prefill x prefix-cache x allocator x stride x router x SLO tiers.
+
+Each shipped spec's scalar report is also pinned to a golden SHA-256 in
+``report_digests.json`` (the canonical form of perfbench's ``sim_digest``:
+``json.dumps(report, sort_keys=True)`` without the provenance keys), so a
+change that moves any simulated number fails here.  A change that moves a
+number on purpose re-records the file; see CONTRIBUTING.md.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -30,6 +37,9 @@ SPEC_PATHS = sorted(SPEC_DIR.glob("*.json"))
 
 #: Keys that legitimately differ between the two engine modes.
 MODE_KEYS = ("spec", "spec_hash", "engine_mode")
+
+#: Golden SHA-256 of each shipped spec's scalar report (``MODE_KEYS`` dropped).
+REPORT_DIGESTS = json.loads(Path(__file__).with_name("report_digests.json").read_text())
 
 
 def run_report_dict(spec_data: dict, mode: str) -> dict:
@@ -63,6 +73,12 @@ def test_example_spec_parity(spec_path):
     scalar = run_report_dict(spec_data, "scalar")
     fast = run_report_dict(spec_data, "fast")
     assert_equal(scalar, fast)
+    digest = hashlib.sha256(json.dumps(scalar, sort_keys=True).encode()).hexdigest()
+    assert digest == REPORT_DIGESTS[spec_path.stem]
+
+
+def test_report_digests_cover_the_shipped_specs():
+    assert sorted(REPORT_DIGESTS) == [path.stem for path in SPEC_PATHS]
 
 
 def test_example_specs_cover_lifecycle_and_prefix_cache():

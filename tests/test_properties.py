@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.dcs import DCSScheduler
+from repro.core.dpa import DPAController
 from repro.core.partitioning import AttentionTask, TokenCentricPartitioner
-from repro.memory.chunked_alloc import ChunkedAllocator
 from repro.memory.static_alloc import AllocationError
 from repro.pim.config import PIMChannelConfig
 from repro.pim.isa import PIMOpcode, mac, read_output, write_input
@@ -56,7 +56,8 @@ def test_tcp_conserves_tokens_and_balances(lengths, num_channels):
 )
 @settings(max_examples=50, deadline=None)
 def test_chunked_allocator_never_double_books(token_counts):
-    allocator = ChunkedAllocator(
+    # Placement lives in the DPA controller, the one placing chunked allocator.
+    allocator = DPAController(
         capacity_bytes=64 * 1024 * 1024, bytes_per_token=512, chunk_bytes=256 * 1024
     )
     admitted = []
