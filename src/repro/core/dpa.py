@@ -71,10 +71,10 @@ class DPAController(ChunkedAllocator):
         del free[-count:]
         return taken
 
-    def _claim(self, request_ids: Sequence[int], counts: Sequence[int], total: int) -> None:
+    def _claim(self, request_ids: Sequence[int], counts: Sequence[int]) -> None:
         """Map one slice of the free list onto the requests' runs, in order."""
-        self._table.extend_runs(request_ids, counts, self._take(total))
-        super()._claim(request_ids, counts, total)
+        self._table.extend_runs(request_ids, counts, self._take(sum(counts)))
+        super()._claim(request_ids, counts)
 
     def _free(self, request_id: int, count: int) -> None:
         """Return a request's mapped chunks to the free list."""

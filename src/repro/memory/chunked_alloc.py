@@ -130,14 +130,14 @@ class ChunkedAllocator:
 
     # -- allocation lifecycle ----------------------------------------------
 
-    def _claim(self, request_ids: Sequence[int], counts: Sequence[int], total: int) -> None:
+    def _claim(self, request_ids: Sequence[int], counts: Sequence[int]) -> None:
         """Placement hook: back ``request_ids[i]`` with ``counts[i]`` more chunks.
 
         Called once per operation, after every check has passed, with the
-        requests in the order they grew; every count is positive and
-        ``total`` is their sum.  Here it only counts.
+        requests in the order they grew; every count is positive.  Here it
+        only counts.
         """
-        self._allocated += total
+        self._allocated += sum(counts)
 
     def _free(self, request_id: int, count: int) -> None:
         """Placement hook: the ``count`` chunks backing a request go free."""
@@ -170,7 +170,7 @@ class ChunkedAllocator:
             raise CapacityExceeded("insufficient free chunks to admit request")
         mapped = self.chunks_needed(initial_tokens)
         if mapped:
-            self._claim((request_id,), (mapped,), mapped)
+            self._claim((request_id,), (mapped,))
         self._tokens[request_id] = initial_tokens
         self._token_total += initial_tokens
         self._committed[request_id] = committed
@@ -199,7 +199,7 @@ class ChunkedAllocator:
             self._committed[request_id] = need
             self._committed_total += need - committed
         if need > have:
-            self._claim((request_id,), (need - have,), need - have)
+            self._claim((request_id,), (need - have,))
             self.host_interventions += 1
         self._tokens[request_id] = current + count
         self._token_total += count
@@ -252,7 +252,7 @@ class ChunkedAllocator:
             committed.update(claims)
             self._committed_total += claimed
         if map_ids:
-            self._claim(map_ids, map_counts, sum(map_counts))
+            self._claim(map_ids, map_counts)
             self.host_interventions += len(map_ids)
 
     # Kept only as a name: perfbench/layers.py patches it on the class, and the
@@ -298,7 +298,7 @@ class ChunkedAllocator:
         if committed > self.uncommitted_chunk_count:
             raise CapacityExceeded("insufficient free chunks to restore request")
         if mapped:
-            self._claim((request_id,), (mapped,), mapped)
+            self._claim((request_id,), (mapped,))
         self._tokens[request_id] = state.tokens
         self._token_total += state.tokens
         self._committed[request_id] = committed

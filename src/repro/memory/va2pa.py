@@ -7,8 +7,7 @@ instructions to reference dynamically allocated, non-contiguous memory.
 A request's KV cache only ever grows at its end, so the allocator appends
 whole runs of chunks with :meth:`VA2PATable.extend` (or, for a whole
 decoding batch at once, :meth:`VA2PATable.extend_runs`) and hands them all
-back with :meth:`VA2PATable.release`.  A running entry count keeps
-:attr:`VA2PATable.num_entries` and :attr:`VA2PATable.table_bytes` O(1).
+back with :meth:`VA2PATable.release`.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ class VA2PATable:
 
     chunk_bytes: int
     _chunks: dict[int, list[int]] = field(default_factory=dict, repr=False)
-    _entries: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         if self.chunk_bytes <= 0:
@@ -42,7 +40,6 @@ class VA2PATable:
         if chunks and min(chunks) < 0:
             raise ValueError("chunk indices must be non-negative")
         self._chunks.setdefault(request_id, []).extend(chunks)
-        self._entries += len(chunks)
 
     def extend_runs(
         self, request_ids: Sequence[int], counts: Sequence[int], chunks: Sequence[int]
@@ -64,7 +61,6 @@ class VA2PATable:
             end = start + count
             table.setdefault(request_id, []).extend(chunks[start:end])
             start = end
-        self._entries += len(chunks)
 
     def translate(self, request_id: int, virtual_address: int) -> int:
         """Translate a virtual byte address of a request to a physical one."""
@@ -82,13 +78,11 @@ class VA2PATable:
 
     def release(self, request_id: int) -> list[int]:
         """Remove all mappings of a request and return the freed chunks."""
-        chunks = self._chunks.pop(request_id, [])
-        self._entries -= len(chunks)
-        return chunks
+        return self._chunks.pop(request_id, [])
 
     @property
     def num_entries(self) -> int:
-        return self._entries
+        return sum(len(chunks) for chunks in self._chunks.values())
 
     @property
     def table_bytes(self) -> int:

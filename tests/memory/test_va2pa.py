@@ -1,7 +1,5 @@
 """Tests for the VA2PA translation table."""
 
-import random
-
 import pytest
 
 from repro.memory.va2pa import TranslationError, VA2PATable
@@ -85,34 +83,3 @@ class TestVA2PATable:
         with pytest.raises(ValueError):
             table.extend_runs([1, 2], [1, 1], [3, 4, 5])
         assert table.num_entries == 0
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_running_entry_count_matches_mapped_chunks(self, seed):
-        """``num_entries`` is kept as a running count; it must equal the mappings."""
-        rng = random.Random(seed)
-        table = VA2PATable(chunk_bytes=1024)
-        requests = range(6)
-        next_chunk = 0
-        for _ in range(300):
-            op = rng.choice(["extend", "extend_runs", "release", "bad"])
-            if op == "extend":
-                count = rng.randint(0, 3)
-                table.extend(rng.choice(requests), list(range(next_chunk, next_chunk + count)))
-                next_chunk += count
-            elif op == "extend_runs":
-                ids = rng.sample(requests, rng.randint(1, len(requests)))
-                counts = [rng.randint(0, 3) for _ in ids]
-                total = sum(counts)
-                table.extend_runs(ids, counts, list(range(next_chunk, next_chunk + total)))
-                next_chunk += total
-            elif op == "release":
-                table.release(rng.choice(requests))
-            else:
-                # Refused before anything is mapped: the count must not move.
-                with pytest.raises(ValueError):
-                    table.extend(rng.choice(requests), [next_chunk, -1])
-                with pytest.raises(ValueError):
-                    table.extend_runs([0, 1], [1, 1], [next_chunk])
-            mapped = sum(len(table.chunks_of(request_id)) for request_id in requests)
-            assert table.num_entries == mapped
-            assert table.table_bytes == 8 * mapped

@@ -9,21 +9,27 @@ included) and on a seeded sweep of randomized configurations crossing
 admission x preemption (priority-aware policies and the starvation guard
 included) x prefill x prefix-cache x allocator x stride x router x SLO tiers.
 
-Each shipped spec's scalar report is also pinned to a golden SHA-256 in
-``report_digests.json`` (the canonical form of perfbench's ``sim_digest``:
-``json.dumps(report, sort_keys=True)`` without the provenance keys), so a
-change that moves any simulated number fails here.  A change that moves a
-number on purpose re-records the file; see CONTRIBUTING.md.
+Each shipped spec's scalar report is also pinned to its golden values in
+``golden_reports.json`` (the canonical form of perfbench's ``sim_digest``:
+the report JSON without the provenance keys), so a change that moves any
+simulated number fails here and names the value that moved.  The reports
+come from NumPy random streams and float arithmetic, which NumPy does not
+promise to keep across versions, so the golden check runs only under the
+Python minor version and NumPy version the file was recorded with (its
+``recorded_with`` entry); the fast == scalar check runs everywhere.  A
+change that moves a number on purpose re-records the file; see
+CONTRIBUTING.md.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.api import ExperimentSpec, run
@@ -38,8 +44,13 @@ SPEC_PATHS = sorted(SPEC_DIR.glob("*.json"))
 #: Keys that legitimately differ between the two engine modes.
 MODE_KEYS = ("spec", "spec_hash", "engine_mode")
 
-#: Golden SHA-256 of each shipped spec's scalar report (``MODE_KEYS`` dropped).
-REPORT_DIGESTS = json.loads(Path(__file__).with_name("report_digests.json").read_text())
+#: Each shipped spec's scalar report (``MODE_KEYS`` dropped) and the environment it came from.
+GOLDEN = json.loads(Path(__file__).with_name("golden_reports.json").read_text())
+
+
+def golden_environment() -> dict[str, str]:
+    """The Python minor version and NumPy version, as ``recorded_with`` stores them."""
+    return {"python": f"{sys.version_info.major}.{sys.version_info.minor}", "numpy": np.__version__}
 
 
 def run_report_dict(spec_data: dict, mode: str) -> dict:
@@ -73,12 +84,17 @@ def test_example_spec_parity(spec_path):
     scalar = run_report_dict(spec_data, "scalar")
     fast = run_report_dict(spec_data, "fast")
     assert_equal(scalar, fast)
-    digest = hashlib.sha256(json.dumps(scalar, sort_keys=True).encode()).hexdigest()
-    assert digest == REPORT_DIGESTS[spec_path.stem]
+    if GOLDEN["recorded_with"] == golden_environment():
+        golden = GOLDEN["reports"][spec_path.stem]
+        canonical = json.loads(json.dumps(scalar))
+        assert_equal(golden, canonical, "golden")
+        # Also catches an int that became a float of the same value.
+        assert json.dumps(canonical, sort_keys=True) == json.dumps(golden, sort_keys=True)
 
 
-def test_report_digests_cover_the_shipped_specs():
-    assert sorted(REPORT_DIGESTS) == [path.stem for path in SPEC_PATHS]
+def test_golden_reports_cover_the_shipped_specs():
+    assert sorted(GOLDEN["reports"]) == [path.stem for path in SPEC_PATHS]
+    assert sorted(GOLDEN["recorded_with"]) == ["numpy", "python"]
 
 
 def test_example_specs_cover_lifecycle_and_prefix_cache():
