@@ -7,12 +7,17 @@ closed form (:func:`~repro.pim.kernels.fc_gemv_breakdown`), and so are TCP
 attention totals over arrays of shares (:func:`tcp_attention_cycles`).
 Attention cycle breakdowns still come from the program-building estimator:
 once per distinct token slice in a call under HFP, and under TCP once per
-distinct per-channel share per system (:class:`TCPSharePrices`).
+distinct per-channel share per system.  :class:`TCPSharePrices` keeps a
+system's TCP prices by share: attention totals and one-request stage
+seconds and busy products in tables, and breakdowns in a bounded dict.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
+from dataclasses import fields
+from operator import attrgetter
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import NDArray
@@ -25,6 +30,20 @@ from repro.pim.kernels import (
     fc_gemv_breakdown,
 )
 from repro.pim.simulator import CycleBreakdown, ZERO_BREAKDOWN
+
+if TYPE_CHECKING:
+    from repro.system.pipeline import StageTime
+
+#: A breakdown's fields as a tuple, in :class:`CycleBreakdown` order.
+breakdown_fields = attrgetter(*(field.name for field in fields(CycleBreakdown)))
+
+#: (attention, seconds, busy) prices indexed by per-channel share: the
+#: share tables as lists, or a dict of the shares priced past them.
+ShareTables = tuple[
+    list[float] | Mapping[int, float],
+    list[float] | Mapping[int, float],
+    list[float] | Mapping[int, float],
+]
 
 
 def _policy_of(config: PIMphonyConfig) -> str:
@@ -156,16 +175,23 @@ def tcp_attention_cycles(
 
 
 class TCPSharePrices:
-    """One system's TCP attention prices, each per-channel share priced once.
+    """One system's TCP prices of every per-channel share, each share priced once.
 
     Under TCP a request's attention cost depends only on its per-channel
-    share, so a system keeps :func:`tcp_attention_cycles` of every share
-    its context window admits (``0..n_shares-1``) in a table built on
-    first use, and the :func:`tcp_attention_breakdowns` term of every share
-    it has priced in a dict.  Both are exact: the closed form is
-    elementwise and each term is the same function of the same arguments.
-    A share past the window is priced but not stored, so neither holds
-    more than ``n_shares`` entries.
+    share, so a system keeps three tables over the shares its context
+    window admits (``0..n_shares-1``), built together on first use:
+
+    * ``attention``: :func:`tcp_attention_cycles` of the share;
+    * ``seconds``: the stage seconds of a one-request micro-batch at that
+      share, the owning system's ``stage_time(attention, 1.0, 1)``;
+    * ``busy``: those seconds times the stage's PIM utilization.
+
+    ``stage_time`` is applied elementwise to the whole attention table, so
+    every entry equals the system's per-call value bit for bit.  The
+    :func:`tcp_attention_breakdowns` term of every share it has priced is
+    kept in a dict, as the tuple of its fields (:data:`breakdown_fields`).
+    A share past the window is priced but not stored, so no table or dict
+    holds more than ``n_shares`` entries.
     """
 
     def __init__(
@@ -176,28 +202,70 @@ class TCPSharePrices:
         module: PIMModuleConfig,
         config: PIMphonyConfig,
         max_context_tokens: int,
+        stage_time: StageTime,
     ) -> None:
         self._pricing = (kv_heads_per_module, group_size, head_dim, module, config)
+        self.num_channels = module.num_channels
         self.n_shares = -(-max_context_tokens // module.num_channels) + 1
-        self._table: NDArray[np.float64] | None = None
-        self._terms: dict[int, CycleBreakdown] = {}
+        self.stage_time: StageTime = stage_time
+        self._arrays: tuple[NDArray[np.float64], ...] | None = None
+        self._lists: ShareTables = ([], [], [])
+        self._terms: dict[int, tuple[float, ...]] = {}
 
-    def cycles(self, shares: NDArray[np.int64]) -> NDArray[np.float64]:
-        """:func:`tcp_attention_cycles` of non-negative ``shares`` (any shape)."""
-        if self._table is None:
-            self._table = tcp_attention_cycles(
-                np.arange(self.n_shares, dtype=np.int64), *self._pricing
-            )
+    def _price(self, shares: NDArray[np.int64]) -> tuple[NDArray[np.float64], ...]:
+        """The three table columns of ``shares``, priced directly."""
+        attention = tcp_attention_cycles(shares, *self._pricing)
+        seconds, utilization = self.stage_time(attention, 1.0, 1)
+        return attention, np.asarray(seconds), np.asarray(seconds * utilization)
+
+    def _tables(self) -> tuple[NDArray[np.float64], ...]:
+        if self._arrays is None:
+            self._arrays = self._price(np.arange(self.n_shares, dtype=np.int64))
+            attention, seconds, busy = (table.tolist() for table in self._arrays)
+            self._lists = attention, seconds, busy
+        return self._arrays
+
+    def grid(self, shares: NDArray[np.int64]) -> tuple[NDArray[np.float64], ...]:
+        """(attention, seconds, busy) of non-negative ``shares`` (any shape)."""
+        tables = self._tables()
         try:
-            return self._table[shares]
+            return tuple(table[shares] for table in tables)
         except IndexError:  # a share past the window: price the grid directly
-            return tcp_attention_cycles(shares, *self._pricing)
+            return self._price(shares)
 
-    def breakdowns(self, shares: Sequence[int]) -> list[CycleBreakdown]:
-        """:func:`tcp_attention_breakdowns` of ``shares``, each new share priced once."""
+    def tables(self, shares: Sequence[int]) -> ShareTables:
+        """The (attention, seconds, busy) tables to read non-negative ``shares`` from.
+
+        These are the share tables, as lists, when every share is in the
+        window, and otherwise dicts of exactly ``shares`` priced directly.
+        """
+        self._tables()
+        if max(shares) < self.n_shares:
+            return self._lists
+        attention, seconds, busy = (
+            dict(zip(shares, table.tolist(), strict=True))
+            for table in self._price(np.array(shares, dtype=np.int64))
+        )
+        return attention, seconds, busy
+
+    def terms(self, shares: Sequence[int]) -> list[tuple[float, ...]]:
+        """:func:`tcp_attention_breakdowns` of ``shares`` as field tuples.
+
+        Each new share is priced once; a share past the window is priced
+        but not stored.
+        """
         terms = self._terms
+        try:
+            return [terms[share] for share in shares]
+        except KeyError:
+            pass
         missing = [share for share in dict.fromkeys(shares) if share not in terms]
-        priced = dict(zip(missing, tcp_attention_breakdowns(missing, *self._pricing), strict=True))
+        priced = {
+            share: breakdown_fields(term)
+            for share, term in zip(
+                missing, tcp_attention_breakdowns(missing, *self._pricing), strict=True
+            )
+        }
         terms.update((share, term) for share, term in priced.items() if share < self.n_shares)
         return [terms[share] if share in terms else priced[share] for share in shares]
 

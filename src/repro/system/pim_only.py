@@ -68,8 +68,8 @@ class PIMOnlySystem:
     decode_span: Callable[[Sequence[int], int, int], NDArray[np.float64]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: TCP attention prices of every per-channel share, bound with
-    #: ``decode_span`` and read by it and by ``decode_step``.
+    #: TCP prices of every per-channel share (built over :meth:`_stage_time`),
+    #: bound with ``decode_span`` and read by it and by ``decode_step``.
     _share_prices: TCPSharePrices | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -100,6 +100,7 @@ class PIMOnlySystem:
                 module=self.module,
                 config=self.pimphony,
                 max_context_tokens=self.max_context_tokens,
+                stage_time=self._stage_time,
             )
             self.decode_span = self._tcp_decode_span
 
@@ -207,23 +208,24 @@ class PIMOnlySystem:
         return cost
 
     def decode_step(self, context_lengths: Sequence[int]) -> StepResult:
-        """Latency of one decode step (every active request emits one token)."""
-        # Share prices are bound exactly for TCP on one stage.
+        """Latency of one decode step (every active request emits one token).
+
+        TCP on one stage reads the system's share tables
+        (:func:`~repro.system.pipeline.tcp_single_stage_step`); every
+        other configuration scans micro-batches over :meth:`_stage_cost`.
+        Both give the same result where both apply, on every field.
+        """
         prices = self._share_prices
-        if prices is None:
-            step = pipeline_decode_step(
-                context_lengths, self.plan.pipeline_parallel, self._stage_cost
-            )
-        else:
-            step = tcp_single_stage_step(
+        scale = self.plan.tensor_parallel
+        if prices is not None:
+            return tcp_single_stage_step(
                 context_lengths,
-                self.module.num_channels,
-                self._stage_time,
-                prices.breakdowns,
+                prices,
                 self.plan.layers_per_stage(self.model),
+                scale,
                 lambda batch_size: self._fc_time(batch_size)[1],
             )
-        scale = self.plan.tensor_parallel
+        step = pipeline_decode_step(context_lengths, self.plan.pipeline_parallel, self._stage_cost)
         return StepResult(
             seconds=step.seconds,
             pim_utilization=step.pim_utilization,
@@ -238,7 +240,9 @@ class PIMOnlySystem:
 
         Row ``j`` is ``decode_step([c + j * stride for c in
         context_lengths])``'s ``(seconds, pim_utilization)``, which equals
-        the micro-batch scan over :meth:`_stage_cost` bit for bit (see
+        the micro-batch scan over :meth:`_stage_cost` bit for bit.  Both
+        fold the system's share tables (``_share_prices``): a short span
+        in pure Python, a long one with numpy (see
         :func:`~repro.system.pipeline.tcp_single_stage_span`).  Span-priced
         evaluations carry zero cycle breakdowns.
 
@@ -246,14 +250,7 @@ class PIMOnlySystem:
         positive, and ``stride``/``count`` are positive.
         """
         assert self._share_prices is not None  # bound with this evaluator
-        return tcp_single_stage_span(
-            context_lengths,
-            stride,
-            count,
-            self.module.num_channels,
-            self._share_prices.cycles,
-            self._stage_time,
-        )
+        return tcp_single_stage_span(context_lengths, stride, count, self._share_prices)
 
     def prefill_seconds(self, prompt_tokens: int) -> float:
         """Prefill latency on a system with no matrix units.

@@ -13,17 +13,30 @@ Fewer, larger micro-batches amortise per-micro-batch overheads (weight
 streaming on an xPU); more, smaller micro-batches keep the pipeline free of
 bubbles.  The runtime picks whichever granularity yields the shorter step,
 mirroring the micro-batch tuning real serving systems perform.
+
+Under TCP on a single stage the scan is closed form: the candidates are
+the whole batch or one micro-batch per request, and every per-request
+quantity depends only on the request's per-channel token share, so it is
+read from the system's share tables (:class:`~repro.system.layers.TCPSharePrices`).
+:func:`tcp_single_stage_step` and :func:`tcp_single_stage_span` price a
+step (with its cycle breakdowns) and a uniform span that way, equal to
+:func:`pipeline_decode_step` over the system's stage cost bit for bit.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
+from operator import add
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.pim.simulator import CycleBreakdown, ZERO_BREAKDOWN
+from repro.serving.interfaces import StepResult
+from repro.system.layers import ShareTables, TCPSharePrices, breakdown_fields
 
 
 @dataclass(frozen=True)
@@ -137,120 +150,155 @@ Cycles = float | NDArray[np.float64]
 StageTime = Callable[[Cycles, float, int], tuple[Cycles, Cycles]]
 
 
+#: :func:`tcp_single_stage_span` folds a grid of requests x evaluations in
+#: pure Python while ``(requests + SPAN_ROW_CELLS) * evaluations`` is at
+#: most ``SPAN_PYTHON_CELLS``, and takes one numpy gather and ``cumsum``
+#: per table above it.  Fitted on pim-only: a Python row costs as much
+#: as about 25 cells more than numpy does per cell (its ``stage_time``
+#: call), and the numpy path's fixed cost as much as about 300.  xpu-pim's
+#: scalar ``stage_time`` is slower, so its own crossover comes a little
+#: earlier.
+SPAN_ROW_CELLS = 25
+SPAN_PYTHON_CELLS = 300
+
+
 def tcp_single_stage_span(
     contexts: Sequence[int],
     stride: int,
     count: int,
-    num_channels: int,
-    share_cycles: Callable[[NDArray[np.int64]], NDArray[np.float64]],
-    stage_cost: StageTime,
+    prices: TCPSharePrices,
 ) -> NDArray[np.float64]:
     """Seconds and PIM utilization of ``count`` uniform single-stage TCP steps.
 
     Row ``j`` of the ``(count, 2)`` result equals ``pipeline_decode_step``'s
     ``(seconds, pim_utilization)`` for ``[c + j * stride for c in
-    contexts]`` with one stage, bit for bit.  Under TCP a request's
-    attention cost depends only on its per-channel token share, so the
-    (requests x span) grid of shares is priced in one ``share_cycles`` call.
-    Rows of that grid follow the stable descending sort
-    :func:`split_microbatches` applies (a uniform shift preserves it), and
-    requests are folded in that order with ``cumsum``, which adds
-    sequentially like the scalar path.  The micro-batch candidates are
-    ``{1, n}``: the whole batch as one micro-batch, or one per request.
+    contexts]`` with one stage, bit for bit.  Under TCP a request's cost
+    depends only on its per-channel token share, so every per-request
+    quantity is read from the system's share tables (``prices``).
+    Requests follow the stable descending sort :func:`split_microbatches`
+    applies (a uniform shift preserves it).  A small grid is priced row by
+    row with :func:`tcp_single_stage_step`'s arithmetic; a larger one
+    gathers each table over the (requests x span) grid of shares and
+    folds it with ``cumsum``, which adds sequentially like the scalar path.
     """
     active = sorted((context for context in contexts if context > 0), reverse=True)
     if not active:
         return np.zeros((count, 2), dtype=np.float64)
+    num_channels = prices.num_channels
     # Ceiling division: offsets carry the ``num_channels - 1`` round-up.
-    offsets = np.arange(
-        num_channels - 1, num_channels - 1 + count * stride, stride, dtype=np.int64
-    )
-    shares = (np.array(active, dtype=np.int64)[:, None] + offsets) // num_channels
-    seconds, utilization, _ = _tcp_candidates(share_cycles(shares), stage_cost)
-    return np.stack((seconds, utilization), axis=1)
-
-
-def _tcp_candidates(
-    per_request: NDArray[np.float64], stage_cost: StageTime
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.bool_]]:
-    """Seconds, utilization and split-wins columns of single-stage TCP steps.
-
-    ``per_request`` holds each request's attention cycles (rows, in
-    descending context order) at each step (columns).  The first two
-    results are :func:`tcp_single_stage_span`'s columns; the third marks
-    the steps where one micro-batch per request beat the whole batch.
-    """
-    batch_size = len(per_request)
-    # TCP keeps every channel busy, so the attention utilization is 1.0.
-    # (``module_attention_time`` reports 0.0 at zero cycles, which weighs
-    # nothing in the stage utilization, so 1.0 prices those steps alike.)
-    seconds, utilization = stage_cost(np.cumsum(per_request, axis=0)[-1], 1.0, batch_size)
-    # The busy-weighted mean of one micro-batch, (t * u) / t, need not round
-    # back to u.
+    offsets = range(num_channels - 1, num_channels - 1 + count * stride, stride)
+    if (len(active) + SPAN_ROW_CELLS) * count <= SPAN_PYTHON_CELLS:
+        rows = [[(context + offset) // num_channels for context in active] for offset in offsets]
+        tables = prices.tables([share for row in rows for share in row])
+        return np.array(
+            [_tcp_candidates(tables, prices.stage_time, row)[:2] for row in rows],
+            dtype=np.float64,
+        )
+    grid = np.array(active, dtype=np.int64)[:, None] + np.array(offsets, dtype=np.int64)
+    attention, times, busy = prices.grid(grid // num_channels)
+    # TCP keeps every channel busy, so the attention utilization is 1.0
+    # (see :func:`_tcp_candidates`).
+    seconds, utilization = prices.stage_time(np.cumsum(attention, axis=0)[-1], 1.0, len(active))
     utilization = np.minimum(1.0, seconds * utilization / seconds)
-    better = np.zeros(seconds.shape, dtype=np.bool_)
-    if batch_size > 1:
-        times, utilizations = stage_cost(per_request, 1.0, 1)
-        # A sequential sum of non-negative floats is never below an addend,
-        # so the pipeline's max(sum, stages * max) is the sum at one stage.
+    if len(active) > 1:
         split = np.cumsum(times, axis=0)[-1]
-        split_utilization = np.minimum(1.0, np.cumsum(times * utilizations, axis=0)[-1] / split)
+        split_utilization = np.minimum(1.0, np.cumsum(busy, axis=0)[-1] / split)
         # ``pipeline_decode_step`` keeps the whole batch on a tie.
         better = split < seconds
         seconds = np.where(better, split, seconds)
         utilization = np.where(better, split_utilization, utilization)
-    return seconds, utilization, better
+    return np.stack((seconds, utilization), axis=1)
+
+
+def _tcp_candidates(
+    tables: ShareTables, stage_time: StageTime, shares: list[int]
+) -> tuple[float, float, bool]:
+    """Seconds, utilization and split-wins of one single-stage TCP step.
+
+    ``shares`` holds each request's per-channel share, in descending
+    context order, and ``tables`` its prices (``TCPSharePrices.tables``).
+    The micro-batch candidates are ``{1, n}``: the whole batch as one
+    micro-batch, priced by one ``stage_time`` call over its folded
+    attention totals, or one micro-batch per request, whose stage seconds
+    and busy products are folded from the batch-1 tables.  Every fold adds
+    left to right from the first element, as ``np.cumsum`` does (``sum``
+    may compensate, so it is not used).
+    """
+    attention, times, busy = tables
+    first = shares[0]
+    total = attention[first]
+    split = times[first]
+    for share in shares[1:]:
+        total += attention[share]
+        split += times[share]
+    # TCP keeps every channel busy, so the attention utilization is 1.0.
+    # (``module_attention_time`` reports 0.0 at zero cycles, which weighs
+    # nothing in the stage utilization, so 1.0 prices those steps alike.)
+    seconds, utilization = stage_time(total, 1.0, len(shares))
+    # A sequential sum of non-negative floats is never below an addend, so
+    # the pipeline's max(sum, stages * max) is the sum at one stage, and
+    # ``pipeline_decode_step`` keeps the whole batch on a tie.
+    if len(shares) > 1 and split < seconds:
+        weighted = busy[first]
+        for share in shares[1:]:
+            weighted += busy[share]
+        return split, min(1.0, weighted / split), True
+    # The busy-weighted mean of one micro-batch, (t * u) / t, need not round
+    # back to u.
+    return float(seconds), float(min(1.0, seconds * utilization / seconds)), False
 
 
 def tcp_single_stage_step(
     contexts: Sequence[int],
-    num_channels: int,
-    stage_cost: StageTime,
-    share_breakdowns: Callable[[list[int]], list[CycleBreakdown]],
+    prices: TCPSharePrices,
     layers: int,
+    tensor_parallel: int,
     fc_breakdown: Callable[[int], CycleBreakdown] | None = None,
-) -> PipelineStep:
-    """``pipeline_decode_step`` at one stage under TCP, each unit of work priced once.
+) -> StepResult:
+    """A TCP single-stage system's decode step, from its share tables.
 
-    ``share_breakdowns`` maps per-channel token shares to each request's
-    per-channel attention term.  Their totals are the span's
-    ``share_cycles`` values, so the seconds and utilization are row 0 of
-    :func:`tcp_single_stage_span` for ``contexts``.  The cycle breakdowns
-    fold those terms and the module FC breakdown of a micro-batch size
-    (``fc_breakdown``; none when FC runs off PIM) in the winning
-    candidate's order and association, as :func:`_evaluate` over the
-    system's stage cost does: a module's attention breakdown is its
-    per-channel sum scaled by ``num_channels``, and each micro-batch's
-    stage breakdowns are scaled by ``layers``.
+    Equals ``pipeline_decode_step`` at one stage over the system's stage
+    cost, with both breakdowns scaled by the ``tensor_parallel`` modules
+    of the stage, on every field.  The seconds and utilization are row 0
+    of :func:`tcp_single_stage_span` for ``contexts``, priced by
+    :func:`_tcp_candidates`.  The cycle breakdowns fold each request's
+    per-channel attention term (``prices.terms``) and the module FC
+    breakdown of a micro-batch size (``fc_breakdown``; none when FC runs
+    off PIM) field by field, in the winning candidate's order and
+    association, as :func:`_evaluate` does: a module's attention breakdown
+    is its per-channel sum scaled by ``num_channels``, each micro-batch's
+    stage breakdowns are scaled by ``layers``, and their sum by
+    ``tensor_parallel``.
     """
+    num_channels = prices.num_channels
     active = sorted((context for context in contexts if context > 0), reverse=True)
     if not active:
-        return PipelineStep(
-            seconds=0.0,
-            pim_utilization=0.0,
-            attention_breakdown=ZERO_BREAKDOWN,
-            fc_breakdown=ZERO_BREAKDOWN,
-            num_microbatches=0,
-        )
-    terms = share_breakdowns([-(-context // num_channels) for context in active])
-    per_request = np.array([[term.total] for term in terms], dtype=np.float64)
-    seconds, utilization, split = _tcp_candidates(per_request, stage_cost)
-    attention = fc = ZERO_BREAKDOWN
-    if split[0]:
-        fc_one = fc_breakdown(1).scaled(layers) if fc_breakdown else ZERO_BREAKDOWN
-        for term in terms:
-            attention = attention + term.scaled(num_channels).scaled(layers)
-            fc = fc + fc_one
-    else:
-        for term in terms:
-            attention = attention + term
-        attention = attention.scaled(num_channels).scaled(layers)
+        return StepResult(seconds=0.0, pim_utilization=0.0)
+    shares = [-(-context // num_channels) for context in active]
+    seconds, utilization, split = _tcp_candidates(prices.tables(shares), prices.stage_time, shares)
+    columns = zip(*prices.terms(shares), strict=True)
+    fc = ZERO_BREAKDOWN
+    if split:
+        # One micro-batch per request: each term is scaled to its
+        # micro-batch's stage breakdown, and those are summed.
+        stage_sums = [
+            reduce(add, [term * num_channels * layers for term in column], 0.0)
+            for column in columns
+        ]
         if fc_breakdown:
-            fc = fc_breakdown(len(active)).scaled(layers)
-    return PipelineStep(
-        seconds=float(seconds[0]),
-        pim_utilization=float(utilization[0]),
+            fc_one = [term * layers for term in breakdown_fields(fc_breakdown(1))]
+            fc = CycleBreakdown(
+                *(reduce(add, repeat(term, len(active)), 0.0) * tensor_parallel for term in fc_one)
+            )
+    else:
+        stage_sums = [reduce(add, column, 0.0) * num_channels * layers for column in columns]
+        if fc_breakdown:
+            fc_whole = breakdown_fields(fc_breakdown(len(active)))
+            fc = CycleBreakdown(*(term * layers * tensor_parallel for term in fc_whole))
+    attention = CycleBreakdown(*(total * tensor_parallel for total in stage_sums))
+    return StepResult(
+        seconds=seconds,
+        pim_utilization=utilization,
         attention_breakdown=attention,
         fc_breakdown=fc,
-        num_microbatches=len(active) if split[0] else 1,
     )

@@ -28,6 +28,7 @@ from repro.system.layers import (
     module_attention_time,
 )
 from repro.system.parallelism import ParallelismPlan
+from repro.system.pim_only import FC_MEMO_LIMIT
 from repro.system.pipeline import (
     Cycles,
     StageCost,
@@ -61,11 +62,13 @@ class XPUPIMSystem:
     decode_span: Callable[[Sequence[int], int, int], NDArray[np.float64]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: TCP attention prices of every per-channel share, bound with
-    #: ``decode_span`` and read by it and by ``decode_step``.
+    #: TCP prices of every per-channel share (built over :meth:`_stage_time`),
+    #: bound with ``decode_span`` and read by it and by ``decode_step``.
     _share_prices: TCPSharePrices | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: :meth:`_fc_seconds` by micro-batch size, at most ``FC_MEMO_LIMIT`` entries.
+    _fc_memo: dict[int, float] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_modules <= 0:
@@ -88,6 +91,7 @@ class XPUPIMSystem:
                 module=self.module,
                 config=self.pimphony,
                 max_context_tokens=self.max_context_tokens,
+                stage_time=self._stage_time,
             )
             self.decode_span = self._tcp_decode_span
 
@@ -154,16 +158,7 @@ class XPUPIMSystem:
         """
         tensor_parallel = self.plan.tensor_parallel
         attention_seconds = self.module.timing.cycles_to_seconds(attention_cycles)
-        fc_seconds = fc_layer_seconds(
-            xpu=self.xpu,
-            batch_size=batch_size,
-            d_model=self.model.d_model,
-            kv_dim=self.model.kv_dim,
-            ffn_dim=self.model.ffn_dim,
-            gated_ffn=self.model.gated_ffn,
-            tensor_parallel=tensor_parallel,
-            dtype_bytes=self.model.dtype_bytes,
-        )
+        fc_seconds = self._fc_seconds(batch_size)
         layer_seconds = np.maximum(attention_seconds, fc_seconds) * (1.0 + SYNC_OVERHEAD_FRAC)
         sync_bytes = batch_size * self.model.d_model * self.model.dtype_bytes
         layer_seconds += 2 * self.interconnect.all_reduce_seconds(sync_bytes, tensor_parallel)
@@ -172,6 +167,28 @@ class XPUPIMSystem:
         pim_busy_fraction = np.minimum(1.0, attention_seconds / layer_seconds)
         return stage_seconds, utilization * pim_busy_fraction
 
+    def _fc_seconds(self, batch_size: int) -> float:
+        """:func:`fc_layer_seconds` of one layer on one module's xPU.
+
+        The result depends only on the micro-batch size for a given
+        system, so it is memoised per size, up to ``FC_MEMO_LIMIT`` sizes.
+        """
+        seconds = self._fc_memo.get(batch_size)
+        if seconds is None:
+            seconds = fc_layer_seconds(
+                xpu=self.xpu,
+                batch_size=batch_size,
+                d_model=self.model.d_model,
+                kv_dim=self.model.kv_dim,
+                ffn_dim=self.model.ffn_dim,
+                gated_ffn=self.model.gated_ffn,
+                tensor_parallel=self.plan.tensor_parallel,
+                dtype_bytes=self.model.dtype_bytes,
+            )
+            if len(self._fc_memo) < FC_MEMO_LIMIT:
+                self._fc_memo[batch_size] = seconds
+        return seconds
+
     def _tcp_decode_span(
         self, context_lengths: Sequence[int], stride: int, count: int
     ) -> NDArray[np.float64]:
@@ -179,7 +196,9 @@ class XPUPIMSystem:
 
         Row ``j`` is ``decode_step([c + j * stride for c in
         context_lengths])``'s ``(seconds, pim_utilization)``, which equals
-        the micro-batch scan over :meth:`_stage_cost` bit for bit (see
+        the micro-batch scan over :meth:`_stage_cost` bit for bit.  Both
+        fold the system's share tables (``_share_prices``): a short span
+        in pure Python, a long one with numpy (see
         :func:`~repro.system.pipeline.tcp_single_stage_span`).  Span-priced
         evaluations carry zero cycle breakdowns.
 
@@ -187,31 +206,26 @@ class XPUPIMSystem:
         positive, and ``stride``/``count`` are positive.
         """
         assert self._share_prices is not None  # bound with this evaluator
-        return tcp_single_stage_span(
-            context_lengths,
-            stride,
-            count,
-            self.module.num_channels,
-            self._share_prices.cycles,
-            self._stage_time,
-        )
+        return tcp_single_stage_span(context_lengths, stride, count, self._share_prices)
 
     def decode_step(self, context_lengths: Sequence[int]) -> StepResult:
-        """Latency of one decode step (every active request emits one token)."""
-        # Share prices are bound exactly for TCP on one stage.
+        """Latency of one decode step (every active request emits one token).
+
+        TCP on one stage reads the system's share tables
+        (:func:`~repro.system.pipeline.tcp_single_stage_step`); every
+        other configuration scans micro-batches over :meth:`_stage_cost`.
+        Both give the same result where both apply, on every field.  FC
+        runs on the xPU, so the step has no FC breakdown.
+        """
         prices = self._share_prices
-        if prices is None:
-            step = pipeline_decode_step(
-                context_lengths, self.plan.pipeline_parallel, self._stage_cost
-            )
-        else:
-            step = tcp_single_stage_step(
+        if prices is not None:
+            return tcp_single_stage_step(
                 context_lengths,
-                self.module.num_channels,
-                self._stage_time,
-                prices.breakdowns,
+                prices,
                 self.plan.layers_per_stage(self.model),
+                self.plan.tensor_parallel,
             )
+        step = pipeline_decode_step(context_lengths, self.plan.pipeline_parallel, self._stage_cost)
         return StepResult(
             seconds=step.seconds,
             pim_utilization=step.pim_utilization,

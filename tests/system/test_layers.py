@@ -6,6 +6,7 @@ import pytest
 import repro.system.layers as layers
 from repro.core.orchestrator import PIMphonyConfig
 from repro.pim.config import cent_module_config, neupims_module_config
+from repro.pim.simulator import CycleBreakdown
 from repro.system.layers import (
     TCPSharePrices,
     module_attention_time,
@@ -121,15 +122,27 @@ PRICING_CASES = [
 ]
 
 
+def toy_stage_time(attention_cycles, utilization, batch_size):
+    """A stand-in for a system's ``_stage_time``: elementwise, like theirs."""
+    seconds = attention_cycles * 1e-9 + batch_size * 3e-6
+    return seconds, utilization * (attention_cycles * 1e-9) / seconds
+
+
 class TestTCPSharePrices:
-    """The share table and the breakdown memo hold exactly what the
+    """The share tables and the breakdown memo hold exactly what the
     unmemoised pricing functions return."""
 
     @staticmethod
     def make(case, max_context_tokens=4000):
         kv_heads, group_size, head_dim, config = case
         return TCPSharePrices(
-            kv_heads, group_size, head_dim, cent_module_config(), config, max_context_tokens
+            kv_heads,
+            group_size,
+            head_dim,
+            cent_module_config(),
+            config,
+            max_context_tokens,
+            toy_stage_time,
         )
 
     @staticmethod
@@ -142,19 +155,36 @@ class TestTCPSharePrices:
         assert self.make(PRICING_CASES[0]).n_shares == 126
         assert self.make(PRICING_CASES[0], max_context_tokens=4096).n_shares == 129
 
+    @staticmethod
+    def breakdowns(prices, shares):
+        return [CycleBreakdown(*term) for term in prices.terms(shares)]
+
     @pytest.mark.parametrize("case", PRICING_CASES)
     def test_totals_equal_the_closed_form(self, case):
+        """Each table holds the closed form and the stage time applied to
+        it; ``grid`` and ``tables`` read them, or price past the window."""
         prices = self.make(case)
         args = self.pricing_args(case)
+
+        def expected(shares):
+            attention = tcp_attention_cycles(shares, *args)
+            seconds, utilization = toy_stage_time(attention, 1.0, 1)
+            return attention, seconds, seconds * utilization
+
         inside = np.arange(prices.n_shares, dtype=np.int64)
-        assert (prices.cycles(inside) == tcp_attention_cycles(inside, *args)).all()
         grid = np.array([[3, prices.n_shares - 1], [1, 0]], dtype=np.int64)
-        assert (prices.cycles(grid) == tcp_attention_cycles(grid, *args)).all()
-        # A grid reaching past the table is priced directly, and the table
-        # keeps its size.
+        # A grid reaching past the tables is priced directly, and the tables
+        # keep their size.
         past = np.array([[prices.n_shares, 7], [prices.n_shares + 1000, 1]], dtype=np.int64)
-        assert (prices.cycles(past) == tcp_attention_cycles(past, *args)).all()
-        assert len(prices._table) == prices.n_shares
+        for shares in (inside, grid, past):
+            for got, want in zip(prices.grid(shares), expected(shares), strict=True):
+                assert (got == want).all()
+        for shares in ([5, 1, 5, prices.n_shares - 1], [prices.n_shares + 3, 2, 2]):
+            tables = prices.tables(shares)
+            want = expected(np.array(shares, dtype=np.int64))
+            for table, column in zip(tables, want, strict=True):
+                assert [table[share] for share in shares] == column.tolist()
+        assert [len(table) for table in (*prices._arrays, *prices._lists)] == [prices.n_shares] * 6
 
     @pytest.mark.parametrize("case", PRICING_CASES)
     def test_breakdowns_equal_the_unmemoised_terms(self, case):
@@ -162,10 +192,10 @@ class TestTCPSharePrices:
         args = self.pricing_args(case)
         shares = [5, 1, 5, 125, 64, 1, 125]
         expected = [tcp_attention_breakdowns([share], *args)[0] for share in shares]
-        assert prices.breakdowns(shares) == expected
-        assert prices.breakdowns(shares) == expected  # now from the memo
+        assert self.breakdowns(prices, shares) == expected
+        assert self.breakdowns(prices, shares) == expected  # now from the memo
         every = list(range(prices.n_shares))
-        assert prices.breakdowns(every) == tcp_attention_breakdowns(every, *args)
+        assert self.breakdowns(prices, every) == tcp_attention_breakdowns(every, *args)
         assert len(prices._terms) == prices.n_shares
 
     def test_shares_past_the_window_are_priced_but_not_stored(self):
@@ -173,16 +203,16 @@ class TestTCPSharePrices:
         prices = self.make(case)
         past = [prices.n_shares, 2, prices.n_shares + 77, prices.n_shares]
         expected = tcp_attention_breakdowns(past, *self.pricing_args(case))
-        assert prices.breakdowns(past) == expected
+        assert self.breakdowns(prices, past) == expected
         assert set(prices._terms) == {2}
-        assert prices.breakdowns(past) == expected
+        assert self.breakdowns(prices, past) == expected
         assert set(prices._terms) == {2}
 
     def test_memo_never_exceeds_the_table_size(self):
         prices = self.make(PRICING_CASES[0], max_context_tokens=640)
         rng = np.random.default_rng(7)
         for _ in range(40):
-            prices.breakdowns(rng.integers(0, 3 * prices.n_shares, size=8).tolist())
+            prices.terms(rng.integers(0, 3 * prices.n_shares, size=8).tolist())
             assert len(prices._terms) <= prices.n_shares
         assert len(prices._terms) == prices.n_shares
 

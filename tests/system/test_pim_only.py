@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.core.orchestrator import PIMphonyConfig
@@ -15,12 +16,12 @@ from repro.system.pipeline import _evaluate, pipeline_decode_step, split_microba
 
 
 def make_system(model, tp=8, pp=1, config=None, **kwargs):
+    kwargs.setdefault("module", cent_module_config())
     return PIMOnlySystem(
         model=model,
         num_modules=tp * pp,
         plan=ParallelismPlan(tp, pp),
         pimphony=config or PIMphonyConfig.full(),
-        module=cent_module_config(),
         **kwargs,
     )
 
@@ -215,3 +216,98 @@ class TestFCMemo:
         assert len(system._fc_memo) == FC_MEMO_LIMIT
         assert system._fc_time(sizes[-1]) == self.unmemoised(system, sizes[-1])
         assert len(system._fc_memo) == FC_MEMO_LIMIT
+
+
+def margin_system(model, channels=32):
+    """No DCS, row reuse or link latency: only rounding separates the two
+    micro-batch candidates, so either may win and they may tie.  With a
+    channel count that is not a power of two, scaling by it rounds, so the
+    breakdowns' association shows."""
+    config = PIMphonyConfig(tcp=True, dcs=False, row_reuse=False)
+    return make_system(
+        dataclasses.replace(model, num_layers=30),
+        config=config,
+        interconnect=InterconnectConfig(latency_s=0.0),
+        module=dataclasses.replace(cent_module_config(), num_channels=channels),
+    )
+
+
+def odd_channel_system(model):
+    return margin_system(model, channels=24)
+
+
+class TestTablePricing:
+    """TCP single-stage steps and spans fold the system's share tables;
+    both must equal the micro-batch scan over ``_stage_cost`` on every
+    field (seconds, utilization and both breakdowns)."""
+
+    def test_batch_of_one(self, llm_7b):
+        for system in (make_system(llm_7b), margin_system(llm_7b)):
+            for context in (1, 31, 32, 33, 4096, 20000, 32768):
+                expected, count = oracle_step(system, [context])
+                assert count == 1
+                assert system.decode_step([context]) == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("make", [make_system, margin_system, odd_channel_system])
+    def test_seeded_batches_up_to_64(self, llm_7b, seed, make):
+        system = make(llm_7b)
+        rng = np.random.default_rng(seed)
+        for size in (2, 3, 5, 8, 16, 31, 64):
+            contexts = rng.integers(1, llm_7b.context_window + 1, size=size).tolist()
+            expected, _ = oracle_step(system, contexts)
+            assert system.decode_step(contexts) == expected
+
+    def test_split_candidate_wins_in_seeded_margin_batches(self, llm_7b):
+        """The seeded margin batches above cover both candidates winning."""
+        system = margin_system(llm_7b)
+        counts = set()
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            for size in (2, 3, 5, 8, 16, 31, 64):
+                contexts = rng.integers(1, llm_7b.context_window + 1, size=size).tolist()
+                counts.add(oracle_step(system, contexts)[1] > 1)
+        assert counts == {False, True}
+
+    def test_tie_keeps_the_whole_batch(self, llm_7b):
+        system = margin_system(llm_7b)
+        contexts = [374, 513, 1]
+        whole, split = (
+            _evaluate(split_microbatches(contexts, count), 1, system._stage_cost)
+            for count in (1, len(contexts))
+        )
+        assert split.seconds == whole.seconds
+        assert split.attention_breakdown != whole.attention_breakdown
+        expected, count = oracle_step(system, contexts)
+        assert count == 1
+        assert system.decode_step(contexts) == expected
+        assert float(system.decode_span(contexts, 1, 1)[0, 0]) == whole.seconds
+
+    def test_shares_past_the_window_are_priced_directly(self, llm_7b):
+        system = make_system(llm_7b)
+        prices = system._share_prices
+        for contexts in ([40000], [40000, 33000, 100, 32769], [32768, 32769, 32800]):
+            expected, _ = oracle_step(system, contexts)
+            assert system.decode_step(contexts) == expected
+        # A small span is folded in Python, a large one with numpy; both
+        # cross the window.
+        for contexts, stride, count in (([32760, 500], 8, 3), ([32000, 32700, 17, 900], 16, 40)):
+            span = system.decode_span(contexts, stride, count)
+            for j in range(count):
+                step, _ = oracle_step(system, [c + j * stride for c in contexts])
+                assert float(span[j, 0]) == step.seconds
+                assert float(span[j, 1]) == step.pim_utilization
+        tables = (*prices._arrays, *prices._lists)
+        assert [len(table) for table in tables] == [prices.n_shares] * 6
+        assert max(prices._terms) < prices.n_shares
+
+    def test_batch_one_tables_are_the_stage_cost_of_one_request(self, llm_7b):
+        system = make_system(llm_7b)
+        prices = system._share_prices
+        system.decode_step([1])
+        _, seconds, busy = prices._lists
+        channels = system.module.num_channels
+        for share in [1, 2, 3, 100, 511, 512, prices.n_shares - 1]:
+            stage = system._stage_cost([share * channels])
+            assert seconds[share] == stage.seconds
+            assert busy[share] == stage.seconds * stage.pim_utilization

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.baselines.neupims import neupims_system_config
@@ -10,17 +11,19 @@ from repro.pim.config import neupims_module_config
 from repro.serving.interfaces import StepResult
 from repro.system.interconnect import InterconnectConfig
 from repro.system.parallelism import ParallelismPlan
+from repro.system.pim_only import FC_MEMO_LIMIT
 from repro.system.pipeline import _evaluate, pipeline_decode_step, split_microbatches
+from repro.system.xpu import fc_layer_seconds
 from repro.system.xpu_pim import XPUPIMSystem
 
 
 def make_system(model, tp=4, pp=1, config=None, **kwargs):
+    kwargs.setdefault("module", neupims_module_config())
     return XPUPIMSystem(
         model=model,
         num_modules=tp * pp,
         plan=ParallelismPlan(tp, pp),
         pimphony=config or PIMphonyConfig.full(),
-        module=neupims_module_config(),
         **kwargs,
     )
 
@@ -177,3 +180,136 @@ class TestOnePassStep:
     def test_step_for_empty_batch_matches_oracle(self, llm_7b_gqa):
         system = make_system(llm_7b_gqa)
         assert system.decode_step([0, -3]) == oracle_step(system, [0, -3])[0]
+
+
+def margin_system(model, channels=32):
+    """No link latency on one module: at long contexts only rounding
+    separates the two micro-batch candidates, so either may win and they
+    may tie.  With a channel count that is not a power of two, scaling by
+    it rounds, so the breakdowns' association shows."""
+    return make_system(
+        dataclasses.replace(model, num_layers=30),
+        tp=1,
+        interconnect=InterconnectConfig(latency_s=0.0),
+        module=dataclasses.replace(neupims_module_config(), num_channels=channels),
+    )
+
+
+def odd_channel_system(model):
+    return margin_system(model, channels=24)
+
+
+class TestTablePricing:
+    """TCP single-stage steps and spans fold the system's share tables;
+    both must equal the micro-batch scan over ``_stage_cost`` on every
+    field (seconds, utilization and the attention breakdown)."""
+
+    def test_batch_of_one(self, llm_7b_gqa):
+        for system in (make_system(llm_7b_gqa), margin_system(llm_7b_gqa)):
+            for context in (1, 31, 32, 33, 4096, 20000, 131072):
+                expected, count = oracle_step(system, [context])
+                assert count == 1
+                assert system.decode_step([context]) == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        ("make", "shortest"),
+        [(make_system, 1), (margin_system, 60000), (odd_channel_system, 60000)],
+    )
+    def test_seeded_batches_up_to_64(self, llm_7b_gqa, seed, make, shortest):
+        system = make(llm_7b_gqa)
+        rng = np.random.default_rng(seed)
+        for size in (2, 3, 5, 8, 16, 31, 64):
+            contexts = rng.integers(shortest, llm_7b_gqa.context_window + 1, size=size).tolist()
+            expected, _ = oracle_step(system, contexts)
+            assert system.decode_step(contexts) == expected
+
+    def test_split_candidate_wins_in_seeded_margin_batches(self, llm_7b_gqa):
+        """The seeded margin batches above cover both candidates winning."""
+        system = margin_system(llm_7b_gqa)
+        counts = set()
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            for size in (2, 3, 5, 8, 16, 31, 64):
+                contexts = rng.integers(60000, llm_7b_gqa.context_window + 1, size=size).tolist()
+                counts.add(oracle_step(system, contexts)[1] > 1)
+        assert counts == {False, True}
+
+    def test_tie_keeps_the_whole_batch(self, llm_7b_gqa):
+        system = margin_system(llm_7b_gqa)
+        contexts = [110155, 101654]
+        whole, split = (
+            _evaluate(split_microbatches(contexts, count), 1, system._stage_cost)
+            for count in (1, len(contexts))
+        )
+        assert split.seconds == whole.seconds
+        assert split.attention_breakdown != whole.attention_breakdown
+        expected, count = oracle_step(system, contexts)
+        assert count == 1
+        assert system.decode_step(contexts) == expected
+        assert float(system.decode_span(contexts, 1, 1)[0, 0]) == whole.seconds
+
+    def test_shares_past_the_window_are_priced_directly(self, llm_7b_gqa):
+        system = make_system(llm_7b_gqa)
+        prices = system._share_prices
+        window = llm_7b_gqa.context_window
+        for contexts in ([window + 5000], [window + 5000, window + 1, 100], [window, window + 33]):
+            expected, _ = oracle_step(system, contexts)
+            assert system.decode_step(contexts) == expected
+        # A small span is folded in Python, a large one with numpy; both
+        # cross the window.
+        for contexts, stride, count in (
+            ([window - 8, 500], 8, 3),
+            ([window - 600, window - 20, 17, 900], 16, 40),
+        ):
+            span = system.decode_span(contexts, stride, count)
+            for j in range(count):
+                step, _ = oracle_step(system, [c + j * stride for c in contexts])
+                assert float(span[j, 0]) == step.seconds
+                assert float(span[j, 1]) == step.pim_utilization
+        tables = (*prices._arrays, *prices._lists)
+        assert [len(table) for table in tables] == [prices.n_shares] * 6
+        assert max(prices._terms) < prices.n_shares
+
+    def test_batch_one_tables_are_the_stage_cost_of_one_request(self, llm_7b_gqa):
+        system = make_system(llm_7b_gqa)
+        prices = system._share_prices
+        system.decode_step([1])
+        _, seconds, busy = prices._lists
+        channels = system.module.num_channels
+        for share in [1, 2, 3, 100, 2047, 2048, prices.n_shares - 1]:
+            stage = system._stage_cost([share * channels])
+            assert seconds[share] == stage.seconds
+            assert busy[share] == stage.seconds * stage.pim_utilization
+
+
+class TestFCMemo:
+    @staticmethod
+    def unmemoised(system, batch_size):
+        return fc_layer_seconds(
+            xpu=system.xpu,
+            batch_size=batch_size,
+            d_model=system.model.d_model,
+            kv_dim=system.model.kv_dim,
+            ffn_dim=system.model.ffn_dim,
+            gated_ffn=system.model.gated_ffn,
+            tensor_parallel=system.plan.tensor_parallel,
+            dtype_bytes=system.model.dtype_bytes,
+        )
+
+    @pytest.mark.parametrize("config", [PIMphonyConfig.full(), PIMphonyConfig.baseline()])
+    def test_memo_returns_the_unmemoised_value(self, llm_7b, config):
+        system = make_system(llm_7b, config=config)
+        for batch_size in range(1, 65):
+            expected = self.unmemoised(system, batch_size)
+            assert system._fc_seconds(batch_size) == expected
+            assert system._fc_seconds(batch_size) == expected  # now from the memo
+
+    def test_memo_is_bounded(self, llm_7b):
+        system = make_system(llm_7b, tp=1)
+        sizes = range(1, FC_MEMO_LIMIT + 6)
+        for batch_size in sizes:
+            system._fc_seconds(batch_size)
+        assert len(system._fc_memo) == FC_MEMO_LIMIT
+        assert system._fc_seconds(sizes[-1]) == self.unmemoised(system, sizes[-1])
+        assert len(system._fc_memo) == FC_MEMO_LIMIT
