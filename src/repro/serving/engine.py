@@ -584,47 +584,35 @@ class ServingEngine:
         end-of-``j`` total fits ``total_chunks``.  Returns 0 when even the
         first evaluation may fail (the caller then runs the single-evaluation
         grow-or-evict path).
-
-        The cap is computed, not searched for.  Request ``i`` claims its
-        ``l``-th chunk past its commitment (``l = 0, 1, ...``) once it has
-        grown by more than ``room_i + l * chunk_bytes`` bytes, where
-        ``room_i`` is its committed bytes minus its KV bytes.  Growing
-        every request by ``x`` bytes claims one chunk per such threshold
-        below ``x``, which the uncommitted chunks (``spare``) cover while
-        ``x`` is at most the ``spare``-th threshold (0-based) in sorted
-        order; the cap is the number of whole strides in it.  Writing
-        ``room_i = level_i * chunk_bytes + offset_i``, request ``i`` has one
-        threshold on every level from ``level_i`` up, at ``offset_i``, so
-        the threshold's level follows from the sorted levels and its place
-        within the level from the sorted offsets.
         """
-        chunk_bytes = allocator.chunk_bytes
         bytes_per_token = allocator.bytes_per_token
-        rooms = [
-            divmod(
-                allocator.committed_chunks_for(entry.request_id) * chunk_bytes
-                - entry.context * bytes_per_token,
-                chunk_bytes,
-            )
-            for entry in decoding
-        ]
-        rooms.sort()
-        # Never negative: every commitment was checked against the total.
-        spare = allocator.uncommitted_chunk_count
-        # Find the lowest level holding threshold number ``spare``.  While
-        # only the ``count`` requests starting lowest have started by
-        # ``level`` (their start levels summing to ``levels``), the levels
-        # up to ``level`` hold ``count * (level + 1) - levels`` thresholds.
-        count = levels = level = 0
-        for count, (start, _) in enumerate(rooms, 1):
-            levels += start
-            level = max(start, -(-(spare + 1 + levels) // count) - 1)
-            if count == len(rooms) or level < rooms[count][0]:
-                break
-        rank = spare - (count * level - levels)
-        offset = sorted(offset for _, offset in rooms[:count])[rank]
-        fit = (level * chunk_bytes + offset) // (stride * bytes_per_token)
-        return min(n_max, fit)
+        chunk_bytes = allocator.chunk_bytes
+        committed = [allocator.committed_chunks_for(entry.request_id) for entry in decoding]
+        contexts = [entry.context for entry in decoding]
+        # Chunks the batch may hold: all but the other requests' commitments.
+        limit = allocator.total_chunks - allocator.committed_chunk_count + sum(committed)
+
+        def fits_through(j: int) -> bool:
+            grown = (j + 1) * stride
+            demand = 0
+            for context, held in zip(contexts, committed, strict=True):
+                need = ((context + grown) * bytes_per_token + chunk_bytes - 1) // chunk_bytes
+                demand += need if need > held else held
+            return demand <= limit
+
+        if fits_through(n_max - 1):
+            return n_max
+        if not fits_through(0):
+            return 0
+        # Largest n with fits_through(n - 1); demand is monotone in j.
+        lo, hi = 1, n_max - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if fits_through(mid):
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
 
     # -- main loop ---------------------------------------------------------
 

@@ -150,16 +150,13 @@ Cycles = float | NDArray[np.float64]
 StageTime = Callable[[Cycles, float, int], tuple[Cycles, Cycles]]
 
 
-#: :func:`tcp_single_stage_span` folds a grid of requests x evaluations in
-#: pure Python while ``(requests + SPAN_ROW_CELLS) * evaluations`` is at
-#: most ``SPAN_PYTHON_CELLS``, and takes one numpy gather and ``cumsum``
-#: per table above it.  Fitted on pim-only: a Python row costs as much
-#: as about 25 cells more than numpy does per cell (its ``stage_time``
-#: call), and the numpy path's fixed cost as much as about 300.  xpu-pim's
-#: scalar ``stage_time`` is slower, so its own crossover comes a little
-#: earlier.
-SPAN_ROW_CELLS = 25
-SPAN_PYTHON_CELLS = 300
+#: :func:`tcp_single_stage_span` prices a span of at most this many
+#: evaluations row by row in pure Python, and a longer one with one numpy
+#: gather and ``cumsum`` per table.  Each Python row costs a scalar
+#: ``stage_time`` call; the numpy path costs about as much as this many
+#: rows whatever the span's length (measured on pim-only and xpu-pim at
+#: batches up to 16).
+SPAN_PYTHON_EVALS = 8
 
 
 def tcp_single_stage_span(
@@ -176,10 +173,11 @@ def tcp_single_stage_span(
     depends only on its per-channel token share, so every per-request
     quantity is read from the system's share tables (``prices``).
     Requests follow the stable descending sort :func:`split_microbatches`
-    applies (a uniform shift preserves it).  A small grid is priced row by
-    row with :func:`tcp_single_stage_step`'s arithmetic; a larger one
-    gathers each table over the (requests x span) grid of shares and
-    folds it with ``cumsum``, which adds sequentially like the scalar path.
+    applies (a uniform shift preserves it).  A span of at most
+    :data:`SPAN_PYTHON_EVALS` evaluations is priced row by row with
+    :func:`tcp_single_stage_step`'s arithmetic; a longer one gathers each
+    table over the (requests x span) grid of shares and folds it with
+    ``cumsum``, which adds sequentially like the scalar path.
     """
     active = sorted((context for context in contexts if context > 0), reverse=True)
     if not active:
@@ -187,7 +185,7 @@ def tcp_single_stage_span(
     num_channels = prices.num_channels
     # Ceiling division: offsets carry the ``num_channels - 1`` round-up.
     offsets = range(num_channels - 1, num_channels - 1 + count * stride, stride)
-    if (len(active) + SPAN_ROW_CELLS) * count <= SPAN_PYTHON_CELLS:
+    if count <= SPAN_PYTHON_EVALS:
         rows = [[(context + offset) // num_channels for context in active] for offset in offsets]
         tables = prices.tables([share for row in rows for share in row])
         return np.array(

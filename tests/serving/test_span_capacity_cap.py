@@ -1,9 +1,9 @@
-"""The span planner's capacity cap equals the bisection it replaced.
+"""The span planner's capacity cap equals the numpy bisection it replaced.
 
-``ServingEngine._span_capacity_cap`` computes the longest run of uniform
-grows that cannot raise ``CapacityExceeded`` from each request's room left
-in its commitment.  The oracle is the numpy bisection over ``fits_through``
-that computed it before, kept here as it was; the two are compared on
+``ServingEngine._span_capacity_cap`` finds the longest run of uniform
+grows that cannot raise ``CapacityExceeded`` by bisection over plain int
+lists.  The oracle is the numpy bisection over ``fits_through`` that
+computed it before, kept here as it was; the two are compared on
 seeded random allocator states, including states whose demand fills the
 allocator exactly at some evaluation and states where even the first
 evaluation may fail.
