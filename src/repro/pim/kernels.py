@@ -3,10 +3,13 @@
 End-to-end evaluation (128K--1M token contexts, tens of layers, dozens of
 requests) cannot schedule every individual ``MAC`` command, so this module
 provides a *phase-level* representation of channel kernels
-(:class:`KernelProgram`) and closed-form cycle estimators for the three
-scheduling policies (``static``, ``pingpong``, ``dcs``).  The estimators are
-derived from the same timing rules as the exact command-level schedulers and
-are cross-validated against them in the test suite.
+(:class:`KernelProgram`) and a closed-form cycle estimator for the three
+scheduling policies (``static``, ``pingpong``, ``dcs``).
+:func:`estimate_cycles` makes one pass over a program's phases, counting
+commands and phases per segment in Python ints, and reads every policy's
+busy time off those counts.  It follows the same timing rules as the exact
+command-level schedulers and is cross-validated against them in the test
+suite.
 
 Three kernel builders cover the decode-step operators:
 
@@ -41,6 +44,8 @@ POLICIES = ("static", "pingpong", "dcs")
 #: across the query group (paper Sec. V-C "Enabling KV Cache Reuse in GQA"):
 #: inputs (queries / scores) are swapped into the GBuf more frequently.
 GQA_ROW_REUSE_REFETCH = 2.0
+
+_WR_INP, _MAC, _RD_OUT = PIMOpcode.WR_INP, PIMOpcode.MAC, PIMOpcode.RD_OUT
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -161,55 +166,57 @@ EMPTY_PROGRAM = KernelProgram(segments=(), row_activations=0, description="empty
 # ---------------------------------------------------------------------------
 
 
+#: One drain of the output registers; phases are immutable, so every
+#: builder shares this one.
+_DRAIN = KernelPhase(_RD_OUT, 1)
+
+
 def _blocked_stream_segments(
     n_in_tiles: int,
     n_output_groups: int,
     block: int,
+    repeat: int,
 ) -> tuple[KernelSegment, ...]:
     """Segments of an input-streamed GEMV with partial-sum drains per block.
 
     For every block of input tiles resident in the GBuf, the kernel performs
     the block's partial dot products for every output group and drains the
     partial sums; the PIM HUB's GPR/EPU accumulates partials across blocks.
+    The whole stream runs ``repeat`` times (once per input vector or query).
     """
     if n_in_tiles == 0 or n_output_groups == 0:
         return ()
     block = max(1, block)
     n_full_blocks, remainder = divmod(n_in_tiles, block)
-    segments: list[KernelSegment] = []
+    segments: tuple[KernelSegment, ...] = ()
     if n_full_blocks:
-        phases = [KernelPhase(PIMOpcode.WR_INP, block)]
-        phases.extend(
-            [KernelPhase(PIMOpcode.MAC, block), KernelPhase(PIMOpcode.RD_OUT, 1)]
-            * n_output_groups
-        )
-        segments.append(KernelSegment(tuple(phases), repeat=n_full_blocks))
+        segments += (KernelSegment(_block_phases(block, n_output_groups), n_full_blocks * repeat),)
     if remainder:
-        phases = [KernelPhase(PIMOpcode.WR_INP, remainder)]
-        phases.extend(
-            [KernelPhase(PIMOpcode.MAC, remainder), KernelPhase(PIMOpcode.RD_OUT, 1)]
-            * n_output_groups
-        )
-        segments.append(KernelSegment(tuple(phases), repeat=1))
-    return tuple(segments)
+        segments += (KernelSegment(_block_phases(remainder, n_output_groups), repeat),)
+    return segments
+
+
+def _block_phases(tiles: int, n_output_groups: int) -> tuple[KernelPhase, ...]:
+    """One GBuf block: write ``tiles`` input tiles, then MAC and drain per output group."""
+    return (KernelPhase(_WR_INP, tiles),) + (KernelPhase(_MAC, tiles), _DRAIN) * n_output_groups
 
 
 def _resident_input_segments(
     n_in_tiles: int,
     n_output_groups: int,
     wr_count: int,
+    repeat: int,
 ) -> tuple[KernelSegment, ...]:
-    """Segments of a GEMV whose input tiles stay resident in the GBuf."""
+    """Segments of a GEMV whose input tiles stay resident in the GBuf.
+
+    The GEMV runs ``repeat`` times (once per input vector).
+    """
     if n_in_tiles == 0 or n_output_groups == 0:
         return ()
-    segments = [KernelSegment((KernelPhase(PIMOpcode.WR_INP, wr_count),), repeat=1)]
-    segments.append(
-        KernelSegment(
-            (KernelPhase(PIMOpcode.MAC, n_in_tiles), KernelPhase(PIMOpcode.RD_OUT, 1)),
-            repeat=n_output_groups,
-        )
+    return (
+        KernelSegment((KernelPhase(_WR_INP, wr_count),), repeat),
+        KernelSegment((KernelPhase(_MAC, n_in_tiles), _DRAIN), n_output_groups * repeat),
     )
-    return tuple(segments)
 
 
 def build_fc_gemv_program(
@@ -238,20 +245,16 @@ def build_fc_gemv_program(
     n_og = _ceil_div(out_dim, channel.num_banks)
 
     if n_in <= caps.gbuf_entries:
-        per_vector = _resident_input_segments(n_in, n_og, wr_count=n_in)
+        segments = _resident_input_segments(n_in, n_og, n_in, repeat=n_vectors)
     else:
-        per_vector = _blocked_stream_segments(n_in, n_og, block=caps.gbuf_entries)
-
-    segments = [
-        KernelSegment(seg.phases, repeat=seg.repeat * n_vectors) for seg in per_vector
-    ]
+        segments = _blocked_stream_segments(n_in, n_og, caps.gbuf_entries, repeat=n_vectors)
 
     weight_tiles_per_bank = n_in * n_og
     activations = _ceil_div(weight_tiles_per_bank, channel_tiles_per_row(channel))
     if not row_reuse:
         activations *= n_vectors
     return KernelProgram(
-        segments=tuple(segments),
+        segments=segments,
         row_activations=activations,
         description=f"fc_gemv({in_dim}x{out_dim},v={n_vectors})",
     )
@@ -280,12 +283,9 @@ def build_qkt_program(
     if row_reuse and group_size > 1:
         wr_count = int(math.ceil(wr_count * GQA_ROW_REUSE_REFETCH))
 
-    segments = [KernelSegment((KernelPhase(PIMOpcode.WR_INP, wr_count),), repeat=1)]
-    segments.append(
-        KernelSegment(
-            (KernelPhase(PIMOpcode.MAC, n_in), KernelPhase(PIMOpcode.RD_OUT, 1)),
-            repeat=n_og * group_size,
-        )
+    segments = (
+        KernelSegment((KernelPhase(_WR_INP, wr_count),)),
+        KernelSegment((KernelPhase(_MAC, n_in), _DRAIN), repeat=n_og * group_size),
     )
 
     key_tiles_per_bank = n_og * n_in
@@ -293,7 +293,7 @@ def build_qkt_program(
     if not row_reuse:
         activations *= group_size
     return KernelProgram(
-        segments=tuple(segments),
+        segments=segments,
         row_activations=activations,
         description=f"qkt(T={tokens},g={group_size})",
     )
@@ -324,23 +324,18 @@ def build_sv_program(
         block = max(1, block // group_size)
         refetch = GQA_ROW_REUSE_REFETCH
 
-    per_query = _blocked_stream_segments(n_in, n_og, block=block)
-    segments: list[KernelSegment] = []
-    for seg in per_query:
-        segments.append(KernelSegment(seg.phases, repeat=seg.repeat * group_size))
+    segments = _blocked_stream_segments(n_in, n_og, block, repeat=group_size)
     if refetch > 1.0:
         extra_wr = int((refetch - 1.0) * n_in * group_size)
         if extra_wr > 0:
-            segments.append(
-                KernelSegment((KernelPhase(PIMOpcode.WR_INP, extra_wr),), repeat=1)
-            )
+            segments += (KernelSegment((KernelPhase(_WR_INP, extra_wr),)),)
 
     value_tiles_per_bank = n_in * n_og
     activations = _ceil_div(value_tiles_per_bank, channel_tiles_per_row(channel))
     if not row_reuse:
         activations *= group_size
     return KernelProgram(
-        segments=tuple(segments),
+        segments=segments,
         row_activations=activations,
         description=f"sv(T={tokens},g={group_size})",
     )
@@ -357,84 +352,6 @@ def channel_tiles_per_row(channel: PIMChannelConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _occupancy(timing: PIMTiming, opcode: PIMOpcode) -> int:
-    if opcode is PIMOpcode.WR_INP:
-        return timing.wr_inp_occupancy
-    if opcode is PIMOpcode.MAC:
-        return timing.mac_occupancy
-    return timing.rd_out_occupancy
-
-
-def _latency(timing: PIMTiming, opcode: PIMOpcode) -> int:
-    if opcode is PIMOpcode.WR_INP:
-        return timing.wr_inp_latency_cycles
-    if opcode is PIMOpcode.MAC:
-        return timing.mac_latency_cycles
-    return timing.rd_out_latency_cycles
-
-
-def _static_busy(program: KernelProgram, timing: PIMTiming) -> float:
-    """Total busy cycles under static scheduling (phases fully serialised)."""
-    busy = 0.0
-    for segment in program.segments:
-        per_rep = 0.0
-        for phase in segment.phases:
-            if phase.count == 0:
-                continue
-            per_rep += (phase.count - 1) * _occupancy(timing, phase.opcode)
-            per_rep += _latency(timing, phase.opcode)
-        busy += per_rep * segment.repeat
-    return busy
-
-
-def _segment_io_mac(segment: KernelSegment, timing: PIMTiming) -> tuple[float, float]:
-    """Per-repetition I/O and MAC stream lengths of a segment."""
-    io = 0.0
-    mac = 0.0
-    for phase in segment.phases:
-        cycles = phase.count * _occupancy(timing, phase.opcode)
-        if phase.opcode is PIMOpcode.MAC:
-            mac += cycles
-        else:
-            io += cycles
-    return io, mac
-
-
-def _dcs_busy(program: KernelProgram, timing: PIMTiming, act_cycles: float) -> float:
-    """Busy cycles under DCS: I/O and MAC streams fully overlapped."""
-    io_total = 0.0
-    mac_total = 0.0
-    for segment in program.segments:
-        io, mac = _segment_io_mac(segment, timing)
-        io_total += io * segment.repeat
-        mac_total += mac * segment.repeat
-    fill_drain = timing.wr_inp_latency_cycles + timing.mac_latency_cycles + timing.rd_out_latency_cycles
-    return max(io_total, mac_total + act_cycles) + fill_drain
-
-
-def _pingpong_busy(
-    program: KernelProgram,
-    timing: PIMTiming,
-    act_cycles: float,
-    handoff_penalty: float,
-) -> float:
-    """Busy cycles under ping-pong double buffering.
-
-    Adjacent buffer regions overlap I/O and compute, but every region swap
-    requires both regions to drain, so each segment repetition pays
-    ``max(io, mac)`` plus a hand-off penalty.
-    """
-    total_reps = sum(max(1, segment.repeat) for segment in program.segments)
-    act_per_rep = act_cycles / total_reps if total_reps else 0.0
-    busy = 0.0
-    for segment in program.segments:
-        io, mac = _segment_io_mac(segment, timing)
-        per_rep = max(io, mac + act_per_rep) + handoff_penalty
-        busy += per_rep * segment.repeat
-    fill_drain = timing.wr_inp_latency_cycles + timing.mac_latency_cycles + timing.rd_out_latency_cycles
-    return busy + fill_drain
-
-
 def estimate_cycles(
     program: KernelProgram,
     timing: PIMTiming,
@@ -442,6 +359,25 @@ def estimate_cycles(
     include_refresh: bool = True,
 ) -> CycleBreakdown:
     """Estimate the cycle breakdown of a kernel program under a policy.
+
+    One pass over the program's phases counts, per segment, the
+    ``WR_INP``/``MAC``/``RD_OUT`` commands and the phases that issue them,
+    in Python ints (control opcodes occupy the bus like ``RD_OUT`` but
+    move no data).  The three policies are then read off those counts:
+
+    * ``static`` serialises every phase: a phase of ``k`` commands takes
+      ``(k - 1) * occupancy + latency`` cycles, and row switches add on.
+    * ``dcs`` overlaps the I/O and MAC streams of the whole kernel:
+      ``max(io, mac + act) + fill_drain``.
+    * ``pingpong`` overlaps them within each segment repetition only, and
+      every repetition pays a region hand-off; row switches are spread
+      evenly over the repetitions.
+
+    Every static and DCS busy term is an integer (exactly representable
+    below 2**53), so it is converted to float once.  Ping-pong's per
+    repetition activation share is fractional; its busy time is a left
+    fold over the segments in program order.  Refresh and the pipeline
+    penalty are float expressions of the busy time.
 
     Args:
         program: Phase-level kernel description.
@@ -455,25 +391,77 @@ def estimate_cycles(
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    if program.is_empty:
+    occ_wr, occ_mac, occ_rd = timing.wr_inp_occupancy, timing.mac_occupancy, timing.rd_out_occupancy
+    lat_wr, lat_mac, lat_rd = (
+        timing.wr_inp_latency_cycles,
+        timing.mac_latency_cycles,
+        timing.rd_out_latency_cycles,
+    )
+    n_wr = n_mac = n_rd = 0
+    io = serial = 0
+    # (repeat, I/O cycles, MAC cycles) of one repetition of each segment.
+    streams: list[tuple[int, int, int]] = []
+    for segment in program.segments:
+        wr = mac = rd = other = 0
+        wr_phases = mac_phases = rd_phases = 0
+        for phase in segment.phases:
+            count = phase.count
+            if not count:
+                continue
+            opcode = phase.opcode
+            if opcode is _MAC:
+                mac += count
+                mac_phases += 1
+            elif opcode is _WR_INP:
+                wr += count
+                wr_phases += 1
+            else:
+                if opcode is _RD_OUT:
+                    rd += count
+                else:
+                    other += count
+                rd_phases += 1
+        repeat = segment.repeat
+        rep_io = wr * occ_wr + (rd + other) * occ_rd
+        rep_mac = mac * occ_mac
+        rep_serial = (
+            rep_io
+            + rep_mac
+            + wr_phases * (lat_wr - occ_wr)
+            + mac_phases * (lat_mac - occ_mac)
+            + rd_phases * (lat_rd - occ_rd)
+        )
+        n_wr += repeat * wr
+        n_mac += repeat * mac
+        n_rd += repeat * rd
+        io += repeat * rep_io
+        serial += repeat * rep_serial
+        streams.append((repeat, rep_io, rep_mac))
+    if n_mac == 0 and n_wr == 0 and n_rd == 0:
         return CycleBreakdown(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
-    mac_cycles = program.n_mac * timing.mac_occupancy
-    dt_gbuf = program.n_wr_inp * timing.wr_inp_occupancy
-    dt_outreg = program.n_rd_out * timing.rd_out_occupancy
-    act_cycles = float(program.row_activations * timing.dram.row_switch_cycles)
+    mac_cycles = n_mac * occ_mac
+    dt_gbuf = n_wr * occ_wr
+    dt_outreg = n_rd * occ_rd
+    act = program.row_activations * timing.dram.row_switch_cycles
+    act_cycles = float(act)
+    fill_drain = lat_wr + lat_mac + lat_rd
 
     if policy == "static":
-        busy = _static_busy(program, timing) + act_cycles
+        busy = float(serial + act)
     elif policy == "dcs":
-        busy = _dcs_busy(program, timing, act_cycles)
+        busy = float(max(io, mac_cycles + act) + fill_drain)
     else:
-        handoff = float(timing.mac_latency_cycles + timing.rd_out_latency_cycles) / 2.0
-        busy = _pingpong_busy(program, timing, act_cycles, handoff)
+        # Every region swap drains both regions, so each segment repetition
+        # pays max(io, mac) plus a hand-off penalty.
+        handoff = float(lat_mac + lat_rd) / 2.0
+        act_per_rep = act_cycles / sum(max(1, repeat) for repeat, _, _ in streams)
+        busy = 0.0
+        for repeat, rep_io, rep_mac in streams:
+            busy += (max(rep_io, rep_mac + act_per_rep) + handoff) * repeat
+        busy += fill_drain
 
-    refresh = 0.0
-    if include_refresh:
-        refresh = RefreshModel(timing.dram).refresh_cycles(busy)
+    refresh = busy * RefreshModel(timing.dram).overhead_fraction if include_refresh else 0.0
     total = busy + refresh
     penalty = total - (mac_cycles + dt_gbuf + dt_outreg + act_cycles + refresh)
     return CycleBreakdown(
@@ -612,10 +600,15 @@ def attention_head_cycles(
     group_size: int = 1,
     row_reuse: bool = True,
 ) -> CycleBreakdown:
-    """Combined ``QK^T`` + ``SV`` latency for one KV head's token slice."""
-    qkt = qkt_cycles(tokens, head_dim, channel, timing, policy, group_size, row_reuse)
-    sv = sv_cycles(tokens, head_dim, channel, timing, policy, group_size, row_reuse)
-    return qkt + sv
+    """Combined ``QK^T`` + ``SV`` latency for one KV head's token slice.
+
+    Equals ``qkt_cycles(...) + sv_cycles(...)``; both kernels map onto the
+    same buffer capacities.
+    """
+    caps = caps_for_policy(channel, policy)
+    qkt = build_qkt_program(tokens, head_dim, channel, caps, group_size, row_reuse)
+    sv = build_sv_program(tokens, head_dim, channel, caps, group_size, row_reuse)
+    return estimate_cycles(qkt, timing, policy) + estimate_cycles(sv, timing, policy)
 
 
 def attention_head_total_cycles(

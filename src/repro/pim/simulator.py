@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import abc
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from repro.dram.refresh import RefreshModel
 from repro.pim.config import PIMChannelConfig
@@ -89,6 +90,9 @@ class CycleBreakdown:
 ZERO_BREAKDOWN = CycleBreakdown(
     mac=0.0, dt_gbuf=0.0, dt_outreg=0.0, act_pre=0.0, refresh=0.0, pipeline_penalty=0.0, total=0.0
 )
+
+#: A breakdown's fields as a tuple, in :class:`CycleBreakdown` order.
+breakdown_fields = attrgetter(*(field.name for field in fields(CycleBreakdown)))
 
 
 def combine_serial(breakdowns: Sequence[CycleBreakdown]) -> CycleBreakdown:

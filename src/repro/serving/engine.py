@@ -71,7 +71,7 @@ from typing import ClassVar
 from repro.memory.chunked_alloc import ChunkedAllocator
 from repro.memory.lifecycle import CapacityExceeded, PreemptedState
 from repro.memory.static_alloc import AllocationError
-from repro.pim.simulator import ZERO_BREAKDOWN
+from repro.pim.simulator import CycleBreakdown, ZERO_BREAKDOWN, breakdown_fields
 from repro.serving.admission import AdmissionCandidate, AdmissionPolicy, FCFSAdmission
 from repro.serving.interfaces import (
     DecodeSystem,
@@ -163,6 +163,15 @@ class EngineResult(ServingResult):
     @property
     def latency_p99_s(self) -> float:
         return self.latency.latency_p99_s
+
+
+def _accumulate(sums: list[float], breakdown: CycleBreakdown, stride: int) -> list[float]:
+    """``sums`` plus ``breakdown.scaled(stride)``, field by field.
+
+    Each field adds ``term * stride`` exactly as ``CycleBreakdown.__add__``
+    of the scaled breakdown would, without building either breakdown.
+    """
+    return [total + term * stride for total, term in zip(sums, breakdown_fields(breakdown))]
 
 
 @dataclass(slots=True)
@@ -668,8 +677,9 @@ class ServingEngine:
         utilization_sum = 0.0
         capacity_sum = 0.0
         capacity_count = 0
-        attention_total = ZERO_BREAKDOWN
-        fc_total = ZERO_BREAKDOWN
+        # Per-field sums of the breakdowns, in CycleBreakdown field order.
+        attention_sums = list(breakdown_fields(ZERO_BREAKDOWN))
+        fc_sums = list(breakdown_fields(ZERO_BREAKDOWN))
 
         span_fn = getattr(self.system, "decode_span", None)
         span_hint = 64
@@ -817,8 +827,8 @@ class ServingEngine:
                 eval_count += 1
                 utilization_sum += step.pim_utilization
                 peak_batch = max(peak_batch, len(decoding))
-                attention_total = attention_total + step.attention_breakdown.scaled(stride)
-                fc_total = fc_total + step.fc_breakdown.scaled(stride)
+                attention_sums = _accumulate(attention_sums, step.attention_breakdown, stride)
+                fc_sums = _accumulate(fc_sums, step.fc_breakdown, stride)
                 if cap_enabled:
                     # Fraction of the KV-cache capacity holding live tokens
                     # (the Fig. 19 metric): static reservations waste the gap
@@ -996,8 +1006,8 @@ class ServingEngine:
             peak_batch_size=peak_batch,
             average_pim_utilization=_ratio(utilization_sum, eval_count),
             average_capacity_utilization=_ratio(capacity_sum, capacity_count),
-            attention_breakdown=attention_total,
-            fc_breakdown=fc_total,
+            attention_breakdown=CycleBreakdown(*attention_sums),
+            fc_breakdown=CycleBreakdown(*fc_sums),
             total_pim_channels=self.system.total_pim_channels,
             requests_served=served,
             metadata=metadata,

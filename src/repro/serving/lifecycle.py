@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 
-import numpy as np
-
 
 @dataclass
 class RequestRecord:
@@ -120,25 +118,53 @@ def percentile(samples: Sequence[float], fraction: float) -> float:
     """Linear-interpolation percentile of ``samples`` (``fraction`` in [0, 1])."""
     if not samples:
         return 0.0
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be within [0, 1]")
-    return float(np.percentile(np.asarray(samples), fraction * 100.0))
+    return percentiles(samples, (fraction,))[0]
 
 
 def percentiles(samples: Sequence[float], fractions: Sequence[float]) -> tuple[float, ...]:
     """Several percentiles of one sample family from a single sort.
 
-    Equivalent to ``tuple(percentile(samples, f) for f in fractions)`` --
-    numpy interpolates each requested quantile from the same sorted copy,
-    so a p50/p95/p99 triple costs one O(n log n) sort rather than three.
+    Equivalent to ``tuple(percentile(samples, f) for f in fractions)``:
+    each requested quantile is interpolated from the same sorted copy, so
+    a p50/p95/p99 triple costs one O(n log n) sort rather than three.  The
+    values equal ``np.percentile(samples, 100 * f)`` bit for bit (see
+    :func:`_interpolate`); a NaN sample makes every percentile NaN.
     """
     for fraction in fractions:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be within [0, 1]")
     if not samples:
         return tuple(0.0 for _ in fractions)
-    values = np.percentile(np.asarray(samples), [fraction * 100.0 for fraction in fractions])
-    return tuple(float(value) for value in values)
+    if any(map(math.isnan, samples)):
+        return tuple(math.nan for _ in fractions)
+    ordered = sorted(samples)
+    return tuple(_interpolate(ordered, fraction) for fraction in fractions)
+
+
+def _interpolate(ordered: Sequence[float], fraction: float) -> float:
+    """NumPy's default (``linear``) percentile of sorted, NaN-free samples.
+
+    Follows ``np.percentile(ordered, fraction * 100)`` step for step, in
+    the same float operations: the quantile ``(100 f) / 100``, the virtual
+    index ``(n - 1) q``, and its floor and the next index as neighbours.
+    At or past the last index numpy takes the last sample for both
+    neighbours, as index -1, so the weight there is ``index + 1``.  The
+    interpolation is numpy's ``_lerp``, which works back from the upper
+    neighbour once the weight reaches one half.
+    """
+    last = len(ordered) - 1
+    virtual = last * (fraction * 100.0 / 100)
+    if virtual >= last:
+        below = above = -1
+    else:
+        below = math.floor(virtual)
+        above = below + 1
+    weight = virtual - below
+    lower, upper = ordered[below], ordered[above]
+    diff = upper - lower
+    if weight >= 0.5:
+        return float(upper - diff * (1 - weight))
+    return float(lower + diff * weight)
 
 
 @dataclass(frozen=True)
@@ -174,7 +200,7 @@ class LatencyStats:
         tpots = [record.tpot_s for record in finished]
         latencies = [record.latency_s for record in finished]
         # One sort per metric family: each family's p50/p95/p99 come from a
-        # single np.percentile call (bit-identical to separate calls), so a
+        # single ``percentiles`` call (bit-identical to separate calls), so a
         # merged-fleet stats pass costs O(n log n) total, not per-percentile.
         triple = (0.50, 0.95, 0.99)
         ttft_p50, ttft_p95, ttft_p99 = percentiles(ttfts, triple)

@@ -5,18 +5,18 @@ These helpers aggregate the channel-level kernel estimators of
 partitioning strategy (HFP vs TCP) for attention.  FC layers are priced in
 closed form (:func:`~repro.pim.kernels.fc_gemv_breakdown`), and so are TCP
 attention totals over arrays of shares (:func:`tcp_attention_cycles`).
-Attention cycle breakdowns still come from the program-building estimator:
-once per distinct token slice in a call under HFP, and under TCP once per
-distinct per-channel share per system.  :class:`TCPSharePrices` keeps a
-system's TCP prices by share: attention totals and one-request stage
-seconds and busy products in tables, and breakdowns in a bounded dict.
+Attention cycle breakdowns still come from the program-building estimator
+(:func:`~repro.pim.kernels.attention_head_cycles`, which builds the QK^T
+and SV programs and prices each in one pass over its phases): once per
+distinct token slice in a call under HFP, and under TCP once per distinct
+per-channel share per system.  :class:`TCPSharePrices` keeps a system's
+TCP prices by share: attention totals and one-request stage seconds and
+busy products in tables, and breakdowns in a bounded dict.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import fields
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -29,13 +29,10 @@ from repro.pim.kernels import (
     attention_head_total_cycles,
     fc_gemv_breakdown,
 )
-from repro.pim.simulator import CycleBreakdown, ZERO_BREAKDOWN
+from repro.pim.simulator import CycleBreakdown, ZERO_BREAKDOWN, breakdown_fields
 
 if TYPE_CHECKING:
     from repro.system.pipeline import StageTime
-
-#: A breakdown's fields as a tuple, in :class:`CycleBreakdown` order.
-breakdown_fields = attrgetter(*(field.name for field in fields(CycleBreakdown)))
 
 #: (attention, seconds, busy) prices indexed by per-channel share: the
 #: share tables as lists, or a dict of the shares priced past them.

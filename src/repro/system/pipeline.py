@@ -34,9 +34,9 @@ from operator import add
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.pim.simulator import CycleBreakdown, ZERO_BREAKDOWN
+from repro.pim.simulator import CycleBreakdown, ZERO_BREAKDOWN, breakdown_fields
 from repro.serving.interfaces import StepResult
-from repro.system.layers import ShareTables, TCPSharePrices, breakdown_fields
+from repro.system.layers import ShareTables, TCPSharePrices
 
 
 @dataclass(frozen=True)

@@ -154,17 +154,23 @@ class XPUPIMSystem:
         ``attention_cycles`` is one module's per-layer attention time at
         channel ``utilization``: a float, or an array of them for the TCP
         span.  PIM is busy for the attention share of each layer; the xPU
-        FC time is positive, so a layer never takes zero seconds.
+        FC time is positive, so a layer never takes zero seconds.  A float
+        takes the built-in ``max``/``min`` (same values as the numpy ufuncs,
+        without numpy-scalar dispatch).
         """
         tensor_parallel = self.plan.tensor_parallel
         attention_seconds = self.module.timing.cycles_to_seconds(attention_cycles)
         fc_seconds = self._fc_seconds(batch_size)
-        layer_seconds = np.maximum(attention_seconds, fc_seconds) * (1.0 + SYNC_OVERHEAD_FRAC)
+        if isinstance(attention_seconds, float):
+            maximum, minimum = max, min
+        else:
+            maximum, minimum = np.maximum, np.minimum
+        layer_seconds = maximum(attention_seconds, fc_seconds) * (1.0 + SYNC_OVERHEAD_FRAC)
         sync_bytes = batch_size * self.model.d_model * self.model.dtype_bytes
         layer_seconds += 2 * self.interconnect.all_reduce_seconds(sync_bytes, tensor_parallel)
         stage_seconds = self.plan.layers_per_stage(self.model) * layer_seconds
         stage_seconds += self.interconnect.point_to_point_seconds(sync_bytes)
-        pim_busy_fraction = np.minimum(1.0, attention_seconds / layer_seconds)
+        pim_busy_fraction = minimum(1.0, attention_seconds / layer_seconds)
         return stage_seconds, utilization * pim_busy_fraction
 
     def _fc_seconds(self, batch_size: int) -> float:

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.compiler.lowering import lower_gemv_to_commands
 from repro.core.dcs import DCSScheduler
+from repro.dram.refresh import RefreshModel
+from repro.pim import kernels
 from repro.pim.config import (
     ELEMENTS_PER_TILE,
     PIMChannelConfig,
@@ -13,8 +16,12 @@ from repro.pim.config import (
 )
 from repro.pim.isa import PIMOpcode
 from repro.pim.kernels import (
-    BufferCaps,
     EMPTY_PROGRAM,
+    POLICIES,
+    BufferCaps,
+    KernelPhase,
+    KernelProgram,
+    KernelSegment,
     attention_head_cycles,
     attention_head_total_cycles,
     build_fc_gemv_program,
@@ -28,6 +35,8 @@ from repro.pim.kernels import (
     sv_cycles,
 )
 from repro.pim.scheduling import StaticScheduler
+from repro.pim.simulator import CycleBreakdown
+from repro.pim.timing import aimx_timing, illustrative_timing
 
 
 class TestCaps:
@@ -155,6 +164,8 @@ class TestEstimator:
         program = build_qkt_program(256, 128, channel, caps_for_policy(channel, "dcs"))
         with pytest.raises(ValueError):
             estimate_cycles(program, timing, "magic")
+        with pytest.raises(ValueError):
+            estimate_cycles(EMPTY_PROGRAM, timing, "magic")
 
     def test_refresh_can_be_disabled(self, channel, timing):
         program = build_qkt_program(1024, 128, channel, caps_for_policy(channel, "dcs"))
@@ -196,9 +207,9 @@ class TestEstimatorCrossValidation:
             assert (program.n_wr_inp, program.n_mac, program.n_rd_out) == (wr, mc, rd)
 
 
-def _boundary_tokens(channel, group_size):
-    """Tokens 0..1024 plus both sides of every tiling boundary up to 2**20."""
-    tokens = set(range(1025))
+def _boundary_tokens(channel, group_size, dense=1025):
+    """Tokens 0..dense-1 plus both sides of every tiling boundary up to 2**20."""
+    tokens = set(range(dense))
     sv_block = max(1, channel.gbuf_entries // group_size) * ELEMENTS_PER_TILE
     for unit in (channel.num_banks, ELEMENTS_PER_TILE, sv_block):
         multiple = unit
@@ -302,3 +313,216 @@ class TestFCGemvBreakdown:
     def test_pingpong_rejected(self, channel, timing):
         with pytest.raises(ValueError, match="pingpong"):
             fc_gemv_breakdown(64, 64, channel, timing, "pingpong")
+
+
+# ---------------------------------------------------------------------------
+# The one-pass estimator against the multi-pass reference
+# ---------------------------------------------------------------------------
+
+
+def _occupancy(timing, opcode):
+    if opcode is PIMOpcode.WR_INP:
+        return timing.wr_inp_occupancy
+    if opcode is PIMOpcode.MAC:
+        return timing.mac_occupancy
+    return timing.rd_out_occupancy
+
+
+def _latency(timing, opcode):
+    if opcode is PIMOpcode.WR_INP:
+        return timing.wr_inp_latency_cycles
+    if opcode is PIMOpcode.MAC:
+        return timing.mac_latency_cycles
+    return timing.rd_out_latency_cycles
+
+
+def _static_busy(program, timing):
+    busy = 0.0
+    for segment in program.segments:
+        per_rep = 0.0
+        for phase in segment.phases:
+            if phase.count == 0:
+                continue
+            per_rep += (phase.count - 1) * _occupancy(timing, phase.opcode)
+            per_rep += _latency(timing, phase.opcode)
+        busy += per_rep * segment.repeat
+    return busy
+
+
+def _segment_io_mac(segment, timing):
+    io = 0.0
+    mac = 0.0
+    for phase in segment.phases:
+        cycles = phase.count * _occupancy(timing, phase.opcode)
+        if phase.opcode is PIMOpcode.MAC:
+            mac += cycles
+        else:
+            io += cycles
+    return io, mac
+
+
+def _fill_drain(timing):
+    return timing.wr_inp_latency_cycles + timing.mac_latency_cycles + timing.rd_out_latency_cycles
+
+
+def _dcs_busy(program, timing, act_cycles):
+    io_total = 0.0
+    mac_total = 0.0
+    for segment in program.segments:
+        io, mac = _segment_io_mac(segment, timing)
+        io_total += io * segment.repeat
+        mac_total += mac * segment.repeat
+    return max(io_total, mac_total + act_cycles) + _fill_drain(timing)
+
+
+def _pingpong_busy(program, timing, act_cycles, handoff_penalty):
+    total_reps = sum(max(1, segment.repeat) for segment in program.segments)
+    act_per_rep = act_cycles / total_reps if total_reps else 0.0
+    busy = 0.0
+    for segment in program.segments:
+        io, mac = _segment_io_mac(segment, timing)
+        per_rep = max(io, mac + act_per_rep) + handoff_penalty
+        busy += per_rep * segment.repeat
+    return busy + _fill_drain(timing)
+
+
+def reference_estimate_cycles(program, timing, policy, include_refresh=True):
+    """The multi-pass estimator ``estimate_cycles`` replaced, kept as its oracle.
+
+    It rescans the program for every count (``is_empty``, ``n_mac``,
+    ``n_wr_inp``, ``n_rd_out``) and again per policy, accumulating in
+    floats.
+    """
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
+    if program.is_empty:
+        return CycleBreakdown(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    mac_cycles = program.n_mac * timing.mac_occupancy
+    dt_gbuf = program.n_wr_inp * timing.wr_inp_occupancy
+    dt_outreg = program.n_rd_out * timing.rd_out_occupancy
+    act_cycles = float(program.row_activations * timing.dram.row_switch_cycles)
+    if policy == "static":
+        busy = _static_busy(program, timing) + act_cycles
+    elif policy == "dcs":
+        busy = _dcs_busy(program, timing, act_cycles)
+    else:
+        handoff = float(timing.mac_latency_cycles + timing.rd_out_latency_cycles) / 2.0
+        busy = _pingpong_busy(program, timing, act_cycles, handoff)
+    refresh = 0.0
+    if include_refresh:
+        refresh = RefreshModel(timing.dram).refresh_cycles(busy)
+    total = busy + refresh
+    penalty = total - (mac_cycles + dt_gbuf + dt_outreg + act_cycles + refresh)
+    return CycleBreakdown(
+        mac=float(mac_cycles),
+        dt_gbuf=float(dt_gbuf),
+        dt_outreg=float(dt_outreg),
+        act_pre=act_cycles,
+        refresh=refresh,
+        pipeline_penalty=max(0.0, penalty),
+        total=total,
+    )
+
+
+_TIMINGS = [aimx_timing(), illustrative_timing(), cent_module_config().timing]
+
+_PHASES = st.builds(
+    KernelPhase,
+    opcode=st.sampled_from(list(PIMOpcode)),
+    count=st.one_of(st.just(0), st.integers(min_value=0, max_value=5_000)),
+)
+_SEGMENTS = st.builds(
+    KernelSegment,
+    phases=st.lists(_PHASES, max_size=7).map(tuple),
+    repeat=st.one_of(st.just(0), st.integers(min_value=0, max_value=20_000)),
+)
+_PROGRAMS = st.one_of(
+    st.just(EMPTY_PROGRAM),
+    st.builds(
+        KernelProgram,
+        segments=st.lists(_SEGMENTS, max_size=5).map(tuple),
+        row_activations=st.integers(min_value=0, max_value=100_000),
+    ),
+)
+
+
+class TestOnePassEstimator:
+    """``estimate_cycles`` equals the multi-pass reference on every field."""
+
+    @given(
+        program=_PROGRAMS,
+        timing=st.sampled_from(_TIMINGS),
+        policy=st.sampled_from(POLICIES),
+        include_refresh=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_programs(self, program, timing, policy, include_refresh):
+        expected = reference_estimate_cycles(program, timing, policy, include_refresh)
+        assert estimate_cycles(program, timing, policy, include_refresh) == expected
+
+    @pytest.mark.parametrize("include_refresh", [True, False])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_degenerate_programs(self, timing, policy, include_refresh):
+        mac = KernelPhase(PIMOpcode.MAC, 3)
+        programs = [
+            EMPTY_PROGRAM,
+            KernelProgram(segments=(), row_activations=5),
+            KernelProgram(segments=(KernelSegment(()),), row_activations=5),
+            KernelProgram(segments=(KernelSegment((mac,), repeat=0),), row_activations=5),
+            KernelProgram(
+                segments=(KernelSegment((KernelPhase(PIMOpcode.DYN_LOOP, 4),)),),
+                row_activations=5,
+            ),
+            KernelProgram(
+                segments=(KernelSegment((mac,), repeat=0), KernelSegment((mac,), repeat=2)),
+                row_activations=7,
+            ),
+        ]
+        for program in programs:
+            expected = reference_estimate_cycles(program, timing, policy, include_refresh)
+            assert estimate_cycles(program, timing, policy, include_refresh) == expected
+
+    @_MODULES
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("group_size", [1, 2, 4, 8])
+    @pytest.mark.parametrize("row_reuse", [True, False])
+    @pytest.mark.parametrize("head_dim", [64, 128])
+    def test_attention_builders(self, module, policy, group_size, row_reuse, head_dim):
+        channel, timing = module.channel, module.timing
+        caps = caps_for_policy(channel, policy)
+        for tokens in _boundary_tokens(channel, group_size, dense=40).tolist():
+            for build in (build_qkt_program, build_sv_program):
+                program = build(tokens, head_dim, channel, caps, group_size, row_reuse)
+                expected = reference_estimate_cycles(program, timing, policy)
+                assert estimate_cycles(program, timing, policy) == expected, (build, tokens)
+
+    @_MODULES
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_fc_builder(self, module, policy):
+        channel, timing = module.channel, module.timing
+        caps = caps_for_policy(channel, policy)
+        dims = _boundary_dims(channel)
+        for in_dim in dims:
+            for out_dim in dims[::3]:
+                for n_vectors, row_reuse in ((1, True), (3, False), (16, True)):
+                    program = build_fc_gemv_program(
+                        in_dim, out_dim, channel, caps, n_vectors, row_reuse
+                    )
+                    expected = reference_estimate_cycles(program, timing, policy)
+                    assert estimate_cycles(program, timing, policy) == expected, (in_dim, out_dim)
+
+    def test_attention_head_cycles_estimates_each_kernel_once(self, channel, timing, monkeypatch):
+        """Two module-level ``estimate_cycles`` calls per head, QK^T then SV."""
+        calls = []
+        original = kernels.estimate_cycles
+
+        def counting(program, *args, **kwargs):
+            calls.append(program.description)
+            return original(program, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "estimate_cycles", counting)
+        combined = attention_head_cycles(3000, 128, channel, timing, "dcs", 4)
+        assert calls == ["qkt(T=3000,g=4)", "sv(T=3000,g=4)"]
+        qkt = qkt_cycles(3000, 128, channel, timing, "dcs", 4)
+        sv = sv_cycles(3000, 128, channel, timing, "dcs", 4)
+        assert combined == qkt + sv

@@ -1,13 +1,23 @@
-"""``percentiles`` batching must be bit-identical to repeated ``percentile``."""
+"""``percentiles`` batching must be bit-identical to repeated ``percentile``,
+and both to ``np.percentile``'s default method."""
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.serving import LatencyStats, RequestRecord, percentile, percentiles
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestPercentilesBatch:
@@ -56,3 +66,87 @@ class TestPercentilesBatch:
         assert stats.latency_p50_s == percentile(latencies, 0.50)
         assert stats.latency_p99_s == percentile(latencies, 0.99)
         assert math.isclose(stats.ttft_mean_s, sum(ttfts) / len(ttfts))
+
+
+#: Few distinct values, so ties and duplicate samples are common.
+_TIED = st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, 1e-9, 7.0, 1e6])
+_SPREAD = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False)
+_FRACTIONS = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, 1.0, 0.5, 0.95, 0.99]),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestMatchesNumpy:
+    @given(
+        samples=st.one_of(
+            st.lists(_TIED, min_size=1, max_size=40),
+            st.lists(_SPREAD, min_size=1, max_size=200),
+            st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=40),
+        ),
+        fractions=_FRACTIONS,
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(samples=[4.25], fractions=[0.0, 0.37, 1.0])
+    @example(samples=[2.0, 2.0, 1.0, 2.0], fractions=[0.0, 0.5, 0.99, 1.0])
+    def test_equals_np_percentile(self, samples, fractions):
+        expected = np.percentile(np.asarray(samples), [f * 100.0 for f in fractions])
+        assert percentiles(samples, fractions) == tuple(float(v) for v in expected)
+        for fraction in fractions:
+            single = float(np.percentile(np.asarray(samples), fraction * 100.0))
+            assert percentile(samples, fraction) == single
+
+    def test_nan_in_gives_nan_out(self):
+        samples = [1.0, math.nan, 3.0]
+        with np.errstate(invalid="ignore"):
+            expected = np.percentile(np.asarray(samples), [0.0, 50.0, 100.0])
+        assert all(math.isnan(value) for value in expected)
+        assert all(math.isnan(value) for value in percentiles(samples, (0.0, 0.5, 1.0)))
+        assert math.isnan(percentile(samples, 0.5))
+
+
+_NUMPY_MA_PROBE = """
+import json, sys
+from repro.api.build import build
+from repro.api.spec import ExperimentSpec
+spec = ExperimentSpec.from_dict(json.loads(sys.argv[1]))
+report = build(spec).run()
+json.dumps(report.to_dict())
+assert report.to_dict()["metrics"]["requests_served"] == 4
+print(json.dumps("numpy.ma" in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "system",
+    [{"kind": "xpu-only"}, {"kind": "xpu-pim", "pimphony": "full"}],
+    ids=["xpu-only", "xpu-pim"],
+)
+def test_serving_never_imports_numpy_ma(system):
+    """Latency percentiles are pure Python: a run loads no ``numpy.ma``.
+
+    ``np.percentile`` imports ``numpy.ma`` on first use, which used to be
+    the only module a run loaded after set-up.  This checks that import
+    property in a fresh interpreter; it measures no time.
+    """
+    spec = {
+        "name": "numpy-ma-probe",
+        "system": system,
+        "trace": {"source": "synthetic", "num_requests": 4, "output_tokens": 8},
+        "step_stride": 4,
+    }
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_MA_PROBE, json.dumps(spec)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=180,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) is False
