@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.pim.config import PIMChannelConfig
 from repro.pim.simulator import CycleBreakdown
 
 
@@ -121,9 +120,3 @@ class EnergyModel:
             act_pre=0.0,
             refresh=0.0,
         )
-
-
-def default_energy_model(channel: PIMChannelConfig | None = None) -> EnergyModel:
-    """Energy model with default AiMX-class coefficients."""
-    del channel  # coefficients are currently channel-shape independent
-    return EnergyModel()

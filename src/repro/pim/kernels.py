@@ -149,14 +149,6 @@ class KernelProgram:
     def is_empty(self) -> bool:
         return self.n_mac == 0 and self.n_io_tiles == 0
 
-    def concatenated(self, other: KernelProgram) -> KernelProgram:
-        """Concatenate two programs executed back to back."""
-        return KernelProgram(
-            segments=self.segments + other.segments,
-            row_activations=self.row_activations + other.row_activations,
-            description=f"{self.description}+{other.description}",
-        )
-
 
 EMPTY_PROGRAM = KernelProgram(segments=(), row_activations=0, description="empty")
 

@@ -37,20 +37,28 @@ picks a victim to page out (``evict-lru`` / ``evict-largest`` /
 with their saved state; swap or recompute costs are charged to the clock
 and surfaced as preemption metrics on :class:`EngineResult`.
 
-A single decode evaluation grows its whole batch with one all-or-nothing
-``allocator.grow_many`` and then credits every request in one pass
-(``_advance``).  When ``grow_many`` raises ``CapacityExceeded`` the engine
-grows request by request instead, evicting victims as needed and
-releasing finished requests before later growers.  Success of the batch
-call implies no single grow could have failed, so the two paths differ
-only in the physical chunk ids they hand out, which no result reads.
-
 Between event points the loop may advance a *span* of several uneventful
 decode evaluations in one iteration, up to the class-level
 :attr:`ServingEngine.span_limit`, on systems with a closed-form
 ``decode_span``.  The limit is one here, so every iteration prices a
 single evaluation; ``FastServingEngine`` raises it (see
 :mod:`repro.serving.fast_engine` for why spans leave every result exact).
+
+Every iteration runs one body.  It prices its evaluations -- a span with
+one ``decode_span`` call, a single evaluation with ``decode_step``, whose
+cycle breakdowns it also sums -- into per-evaluation seconds and PIM
+utilizations, and one loop over them advances the clock and busy time,
+samples utilization and capacity, cuts a span at an arrival or
+prefill-ready crossing, tallies tokens and stamps first tokens.  Only the
+growth differs.  A span grows each request with ``allocator.grow``, which
+the span's planning guarantees cannot raise.  A single evaluation grows
+its whole batch with one all-or-nothing ``allocator.grow_many``; when that
+raises ``CapacityExceeded`` the engine grows request by request instead,
+evicting victims as needed and releasing finished requests before later
+growers.  Success of the batch call implies no single grow could have
+failed, so the two paths differ only in the physical chunk ids they hand
+out, which no result reads.  Grown requests are credited in one pass
+(``_advance``).
 
 A trace whose requests all arrive at time 0 and fit the context window
 (``prompt + output <= max_context_tokens``) served under FCFS reproduces
@@ -816,127 +824,56 @@ class ServingEngine:
                     if n_plan > 1 and chunked_lifecycle:
                         n_plan = self._span_capacity_cap(allocator, decoding, stride, n_plan)
 
-            if n_plan <= 1:
-                # -- single evaluation (an event is possible) -------------
-                step = self.system.decode_step([entry.context for entry in decoding])
-                busy_seconds += step.seconds * stride + prefill_step_seconds
-                clock += step.seconds * stride + prefill_step_seconds
-                total_tokens += len(decoding) * stride
-                steps += stride
-                batch_sum += float(len(decoding))
-                eval_count += 1
-                utilization_sum += step.pim_utilization
-                peak_batch = max(peak_batch, len(decoding))
+            # -- pricing ----------------------------------------------------
+            # Every evaluation's (seconds, PIM utilization): a span (n_plan
+            # >= 2 provably uneventful evaluations) in one vectorized call
+            # whose evaluations carry zero breakdowns, anything else (an
+            # event is possible) as one ``decode_step`` with its breakdowns.
+            span = n_plan > 1
+            contexts = [entry.context for entry in decoding]
+            if span:
+                priced = span_fn(contexts, stride, n_plan)
+                seconds = priced[:, 0].tolist()
+                utilizations = priced[:, 1].tolist()
+            else:
+                step = self.system.decode_step(contexts)
+                seconds = [step.seconds]
+                utilizations = [step.pim_utilization]
                 attention_sums = _accumulate(attention_sums, step.attention_breakdown, stride)
                 fc_sums = _accumulate(fc_sums, step.fc_breakdown, stride)
-                if cap_enabled:
-                    # Fraction of the KV-cache capacity holding live tokens
-                    # (the Fig. 19 metric): static reservations waste the gap
-                    # between the actual and the maximum context; DPA only
-                    # loses admission headroom and last-chunk fragmentation.
-                    capacity_sum += allocator.used_bytes / capacity_bytes
-                    capacity_count += 1
 
-                # Grow the whole batch at once.  The call is all or nothing,
-                # and if the batch's combined growth fits, no one-by-one grow
-                # could have failed either, however finishers released in
-                # between; only physical chunk ids differ from that order.
-                request_ids = [entry.request_id for entry in decoding]
-                try:
-                    allocator.grow_many(request_ids, stride)
-                except CapacityExceeded:
-                    pass
-                else:
-                    if self._advance(
-                        decoding,
-                        request_ids,
-                        stride,
-                        clock,
-                        tracker.first_token_time(clock, step.seconds, stride),
-                        active,
-                        allocator,
-                        tracker,
-                    ):
-                        admission_dirty = True
-                    continue
-
-                # The batch does not fit as a whole (only the incremental
-                # contract can fail), so grow request by request, evicting
-                # victims; finished requests release immediately so later
-                # growers in the same stride see the freed chunks before
-                # resorting to eviction.
-                finished_any = False
-                preempted_now: set[int] = set()
-                evict_overhead_s = 0.0
-                for entry in decoding:
-                    if entry.request_id in preempted_now:
-                        # Evicted by an earlier grower this stride: the
-                        # batch-wide token count charged above never
-                        # materialised for this request.
-                        total_tokens -= stride
-                        continue
-                    evict_overhead_s += self._grow_or_evict(
-                        entry, stride, active, allocator, tracker, clock, preempted, preempted_now
-                    )
-                    entry.context += stride
-                    entry.remaining -= stride
-                    entry.last_step_s = clock
-                    tracker.on_tokens(entry.request_id, stride, clock, step.seconds)
-                    if entry.remaining <= 0:
-                        self._finish(entry, active, allocator, tracker, clock)
-                        finished_any = True
-                if preempted_now:
-                    preemption_count += len(preempted_now)
-                    if preemption_count > preemption_budget:
-                        raise AllocationError(
-                            f"{preemption_count} preemptions exceed the livelock "
-                            f"guard ({preemption_budget}); the policy "
-                            f"{self.preemption.policy.name!r} is thrashing"
-                        )
-                    busy_seconds += evict_overhead_s
-                    clock += evict_overhead_s
-                    preemption_overhead_s += evict_overhead_s
-                if finished_any or preempted_now:
-                    admission_dirty = True
-                continue
-
-            # -- span execution (n_plan >= 2 provably uneventful evals) ----
+            # -- accounting: one evaluation at a time, in order -------------
             batch = len(decoding)
             threshold = math.inf
-            if future and (self.max_batch_size is None or len(active) < self.max_batch_size):
-                # At the batch cap an arrival cannot join (admission and
-                # restores both stop at the cap) until a completion, which
-                # ends the span anyway, so only an open slot lets an
-                # arrival cut the span.
-                threshold = future[0].arrival_s
-            if self.prefill is not None and len(decoding) < len(active):
-                # Only blocking-style prefill can park requests here: any
-                # pending chunked prefill forces a single evaluation above.
-                threshold = min(
-                    threshold,
-                    min(
-                        entry.ready_s
-                        for entry in active.values()
-                        if not entry.decode_ready(clock)
-                    ),
-                )
-
-            contexts = [entry.context for entry in decoding]
+            if span:
+                if future and (self.max_batch_size is None or len(active) < self.max_batch_size):
+                    # At the batch cap an arrival cannot join (admission and
+                    # restores both stop at the cap) until a completion,
+                    # which ends the span anyway, so only an open slot lets
+                    # an arrival cut the span.
+                    threshold = future[0].arrival_s
+                if self.prefill is not None and batch < len(active):
+                    # Only blocking-style prefill can park requests here: any
+                    # pending chunked prefill forces a single evaluation.
+                    threshold = min(
+                        threshold,
+                        min(
+                            entry.ready_s
+                            for entry in active.values()
+                            if not entry.decode_ready(clock)
+                        ),
+                    )
             if cap_enabled:
+                # Fraction of the KV-cache capacity holding live tokens (the
+                # Fig. 19 metric): static reservations waste the gap between
+                # the actual and the maximum context; DPA only loses
+                # admission headroom and last-chunk fragmentation.
                 used_bytes = allocator.used_bytes
                 used_increment = batch * stride * allocator.bytes_per_token
-
-            # Every evaluation's (seconds, PIM utilization) in one
-            # vectorized call, then a tight scalar loop for the
-            # (order-sensitive) float accumulation and the crossing check.
-            # Span-priced evaluations carry zero breakdowns.
-            priced = span_fn(contexts, stride, n_plan)
-            seconds = priced[:, 0].tolist()
-            utilizations = priced[:, 1].tolist()
-            n_span = 0
+            n_eval = 0
             first_eval_end = 0.0
-            for j in range(n_plan):
-                advance = seconds[j] * stride + prefill_step_seconds
+            for j, eval_seconds in enumerate(seconds):
+                advance = eval_seconds * stride + prefill_step_seconds
                 busy_seconds += advance
                 clock += advance
                 utilization_sum += utilizations[j]
@@ -944,39 +881,91 @@ class ServingEngine:
                     capacity_sum += (used_bytes + j * used_increment) / capacity_bytes
                 if j == 0:
                     first_eval_end = clock
-                n_span = j + 1
+                n_eval = j + 1
                 if clock >= threshold:
                     break
 
-            grown = stride * n_span
+            grown = stride * n_eval
             if cap_enabled:
-                capacity_count += n_span
-            eval_count += n_span
-            span_evaluations += n_span
-            batch_sum += float(batch * n_span)
+                capacity_count += n_eval
+            eval_count += n_eval
+            batch_sum += float(batch * n_eval)
             steps += grown
             total_tokens += batch * grown
             peak_batch = max(peak_batch, batch)
-            # Every request's first token, if it falls in this span, lands
-            # one decode step into the span's first stride.
+            # Every request's first token, if it falls in these evaluations,
+            # lands one decode step into the first stride.
             first_token_s = tracker.first_token_time(first_eval_end, seconds[0], stride)
 
-            # The span was planned so that none of these grows can raise.
+            # -- growth ------------------------------------------------------
             request_ids = [entry.request_id for entry in decoding]
-            for request_id in request_ids:
-                allocator.grow(request_id, grown)
-            if self._advance(
-                decoding, request_ids, grown, clock, first_token_s, active, allocator, tracker
-            ):
-                admission_dirty = True
-
-            # Adapt the hint: grow after full spans, shrink after truncated
-            # ones.  Affects only how much latency work a crossing wastes,
-            # never any result.
-            if n_span >= n_plan:
-                span_hint = min(self.span_limit, span_hint * 2)
+            grew = True
+            if span:
+                # The span was planned so that none of these grows can raise.
+                for request_id in request_ids:
+                    allocator.grow(request_id, grown)
+                span_evaluations += n_eval
+                # Adapt the hint: grow after full spans, shrink after
+                # truncated ones.  Affects only how much latency work a
+                # crossing wastes, never any result.
+                if n_eval >= n_plan:
+                    span_hint = min(self.span_limit, span_hint * 2)
+                else:
+                    span_hint = max(_MIN_HINT, 2 * n_eval)
             else:
-                span_hint = max(_MIN_HINT, 2 * n_span)
+                # Grow the whole batch at once.  The call is all or nothing,
+                # and if the batch's combined growth fits, no one-by-one grow
+                # could have failed either, however finishers released in
+                # between; only physical chunk ids differ from that order.
+                try:
+                    allocator.grow_many(request_ids, stride)
+                except CapacityExceeded:
+                    grew = False
+            if grew:
+                if self._advance(
+                    decoding, request_ids, grown, clock, first_token_s, active, allocator, tracker
+                ):
+                    admission_dirty = True
+                continue
+
+            # The batch does not fit as a whole (only the incremental
+            # contract can fail), so grow request by request, evicting
+            # victims; finished requests release immediately so later
+            # growers in the same stride see the freed chunks before
+            # resorting to eviction.
+            finished_any = False
+            preempted_now: set[int] = set()
+            evict_overhead_s = 0.0
+            for entry in decoding:
+                if entry.request_id in preempted_now:
+                    # Evicted by an earlier grower this stride: the
+                    # batch-wide token count charged above never
+                    # materialised for this request.
+                    total_tokens -= stride
+                    continue
+                evict_overhead_s += self._grow_or_evict(
+                    entry, stride, active, allocator, tracker, clock, preempted, preempted_now
+                )
+                entry.context += stride
+                entry.remaining -= stride
+                entry.last_step_s = clock
+                tracker.on_tokens(entry.request_id, stride, clock, seconds[0])
+                if entry.remaining <= 0:
+                    self._finish(entry, active, allocator, tracker, clock)
+                    finished_any = True
+            if preempted_now:
+                preemption_count += len(preempted_now)
+                if preemption_count > preemption_budget:
+                    raise AllocationError(
+                        f"{preemption_count} preemptions exceed the livelock "
+                        f"guard ({preemption_budget}); the policy "
+                        f"{self.preemption.policy.name!r} is thrashing"
+                    )
+                busy_seconds += evict_overhead_s
+                clock += evict_overhead_s
+                preemption_overhead_s += evict_overhead_s
+            if finished_any or preempted_now:
+                admission_dirty = True
 
         def _ratio(total: float, count: int) -> float:
             return total / count if count else 0.0

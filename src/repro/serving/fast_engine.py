@@ -15,13 +15,13 @@ by ``step_stride`` tokens per evaluation.  Over such a span:
   shares priced by the array kernel closed form), exposed as
   ``decode_span`` and evaluated in one call returning a ``(count, 2)``
   array;
-* clock/busy accumulation, capacity sampling and batch statistics reduce to
-  a tight loop over the precomputed latencies, adding one evaluation at a
-  time in the same order a span of one would;
+* clock/busy accumulation, capacity sampling and batch statistics run in
+  the loop a single evaluation also runs, over the precomputed latencies,
+  adding one evaluation at a time in the same order a span of one would;
 * per-request bookkeeping (KV grow, context/remaining counters, tracker
   stamps, completions) collapses to one update per request per span: one
-  ``allocator.grow`` each, then the same ``_advance`` pass a single
-  evaluation runs after its batch-wide ``grow_many``.
+  ``allocator.grow`` each where a single evaluation makes one batch-wide
+  ``grow_many``, then the same ``_advance`` pass.
 
 N requests times K decode steps therefore cost O(events) Python iterations
 plus O(evaluations) float additions, instead of O(N * K) full Python

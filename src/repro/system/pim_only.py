@@ -9,8 +9,8 @@ are scheduled statically or with DCS, according to the active
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -18,163 +18,52 @@ from numpy.typing import NDArray
 from repro.api.registry import register_system
 from repro.core.orchestrator import PIMphonyConfig
 from repro.models.llm import LLMConfig
-from repro.pim.config import PIMModuleConfig, cent_module_config
 from repro.pim.simulator import CycleBreakdown
 from repro.serving.interfaces import StepResult
 from repro.serving.prefill import transformer_prefill_flops
-from repro.system.interconnect import InterconnectConfig
-from repro.system.layers import (
-    TCPSharePrices,
-    module_attention_time,
-    module_fc_time,
-)
+from repro.system.layers import module_fc_time
 from repro.system.parallelism import ParallelismPlan
+from repro.system.pim_module import PIMModuleSystem
 from repro.system.pipeline import (
     Cycles,
-    StageCost,
     pipeline_decode_step,
     tcp_single_stage_span,
     tcp_single_stage_step,
 )
 
-#: Most micro-batch sizes one system keeps in its FC-time memo; sizes past
-#: the bound are priced without being stored.
-FC_MEMO_LIMIT = 256
-
 
 @dataclass
-class PIMOnlySystem:
+class PIMOnlySystem(PIMModuleSystem):
     """A pool of PIM modules serving decode without any xPU.
 
-    Attributes:
-        model: LLM being served.
-        num_modules: PIM modules in the system.
-        plan: Tensor/pipeline parallelism plan (``plan.num_modules`` must
-            equal ``num_modules``).
-        pimphony: Which PIMphony techniques are enabled.
-        module: Per-module hardware configuration.
-        interconnect: Inter-module link model used for TP/PP communication.
+    The fields are :class:`~repro.system.pim_module.PIMModuleSystem`'s,
+    with CENT's module as the default.
     """
 
-    model: LLMConfig
-    num_modules: int
-    plan: ParallelismPlan
-    pimphony: PIMphonyConfig = field(default_factory=PIMphonyConfig.full)
-    module: PIMModuleConfig = field(default_factory=cent_module_config)
-    interconnect: InterconnectConfig = field(default_factory=InterconnectConfig)
-    #: Closed-form span evaluator consumed by the fast engine; installed in
-    #: ``__post_init__`` when the configuration admits one (TCP attention,
-    #: single pipeline stage), ``None`` otherwise.
-    decode_span: Callable[[Sequence[int], int, int], NDArray[np.float64]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    #: TCP prices of every per-channel share (built over :meth:`_stage_time`),
-    #: bound with ``decode_span`` and read by it and by ``decode_step``.
-    _share_prices: TCPSharePrices | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    #: :meth:`_fc_time` by micro-batch size, at most ``FC_MEMO_LIMIT`` entries.
-    _fc_memo: dict[int, tuple[float, CycleBreakdown]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.num_modules <= 0:
-            raise ValueError("num_modules must be positive")
-        if self.plan.num_modules != self.num_modules:
-            raise ValueError(
-                f"plan {self.plan} covers {self.plan.num_modules} modules, "
-                f"system has {self.num_modules}"
-            )
-        self.plan.validate_for(self.model)
-        # TCP shares depend only on each context's channel-share ceiling and
-        # a single stage makes the pipeline scan closed-form, so spans (and
-        # ``decode_step`` with them) are priced over arrays.  HFP's greedy
-        # packing and multi-stage pipelines are order-dependent; those scan
-        # micro-batches with ``_stage_cost`` per step.
-        if self.pimphony.tcp and self.plan.pipeline_parallel == 1:
-            self._share_prices = TCPSharePrices(
-                kv_heads_per_module=self.plan.kv_heads_per_module(self.model),
-                group_size=self.model.gqa_group_size,
-                head_dim=self.model.head_dim,
-                module=self.module,
-                config=self.pimphony,
-                max_context_tokens=self.max_context_tokens,
-                stage_time=self._stage_time,
-            )
-            self.decode_span = self._tcp_decode_span
-
-    # -- capacity ------------------------------------------------------------
-
-    @property
-    def total_capacity_bytes(self) -> int:
-        return self.num_modules * self.module.capacity_bytes
-
-    @property
-    def kv_capacity_bytes(self) -> int:
-        """Capacity left for KV cache after storing the model weights."""
-        return max(0, self.total_capacity_bytes - self.model.param_bytes)
-
-    @property
-    def kv_bytes_per_token(self) -> int:
-        return self.model.kv_bytes_per_token
-
-    @property
-    def max_context_tokens(self) -> int:
-        return self.model.context_window
-
-    @property
-    def dynamic_memory(self) -> bool:
-        return self.pimphony.dpa
-
-    @property
-    def total_pim_channels(self) -> int:
-        return self.num_modules * self.module.num_channels
-
-    # -- timing ----------------------------------------------------------------
-
-    def _stage_cost(self, microbatch: Sequence[int]) -> StageCost:
-        """Cost of one pipeline stage processing one micro-batch."""
-        if not microbatch:
-            return StageCost(seconds=0.0, pim_utilization=0.0)
-        layers = self.plan.layers_per_stage(self.model)
-        attention_cycles, utilization, attention_breakdown = module_attention_time(
-            context_lengths=microbatch,
-            kv_heads_per_module=self.plan.kv_heads_per_module(self.model),
-            group_size=self.model.gqa_group_size,
-            head_dim=self.model.head_dim,
+    def _price_fc(self, batch_size: int) -> tuple[float, CycleBreakdown]:
+        """:func:`module_fc_time` of one layer: FC runs on the PIM channels."""
+        return module_fc_time(
+            batch_size=batch_size,
+            d_model=self.model.d_model,
+            kv_dim=self.model.kv_dim,
+            ffn_dim=self.model.ffn_dim,
+            gated_ffn=self.model.gated_ffn,
+            tensor_parallel=self.plan.tensor_parallel,
             module=self.module,
             config=self.pimphony,
         )
-        fc_cycles, fc_breakdown = self._fc_time(len(microbatch))
-        seconds, stage_utilization = self._stage_time(
-            attention_cycles, utilization, len(microbatch), fc_cycles
-        )
-        return StageCost(
-            seconds=float(seconds),
-            pim_utilization=float(stage_utilization),
-            attention_breakdown=attention_breakdown.scaled(layers),
-            fc_breakdown=fc_breakdown.scaled(layers),
-        )
 
     def _stage_time(
-        self,
-        attention_cycles: Cycles,
-        utilization: float,
-        batch_size: int,
-        fc_cycles: float | None = None,
+        self, attention_cycles: Cycles, utilization: float, batch_size: int
     ) -> tuple[Cycles, Cycles]:
         """Seconds and PIM utilization of one stage over a micro-batch.
 
         ``attention_cycles`` is one module's per-layer attention time at
         channel ``utilization``: a float, or an array of them for the TCP
-        span.  ``fc_cycles`` is the micro-batch's per-layer FC time,
-        priced with :meth:`_fc_time` when not given.  FC work is positive
-        in every micro-batch, so the busy-weighted utilization never
-        divides by zero.
+        span.  FC work is positive in every micro-batch, so the
+        busy-weighted utilization never divides by zero.
         """
-        if fc_cycles is None:
-            fc_cycles, _ = self._fc_time(batch_size)
+        fc_cycles = self._fc_time(batch_size)[0]
         pim_cycles = attention_cycles + fc_cycles
         layer_seconds = self.module.timing.cycles_to_seconds(pim_cycles)
         sync_bytes = batch_size * self.model.d_model * self.model.dtype_bytes
@@ -184,28 +73,6 @@ class PIMOnlySystem:
         stage_seconds = self.plan.layers_per_stage(self.model) * layer_seconds
         stage_seconds += self.interconnect.point_to_point_seconds(sync_bytes)
         return stage_seconds, (attention_cycles * utilization + fc_cycles) / pim_cycles
-
-    def _fc_time(self, batch_size: int) -> tuple[float, CycleBreakdown]:
-        """:func:`module_fc_time` of one layer for a micro-batch size.
-
-        The result depends only on the size for a given system, so it is
-        memoised per size, up to ``FC_MEMO_LIMIT`` sizes.
-        """
-        cost = self._fc_memo.get(batch_size)
-        if cost is None:
-            cost = module_fc_time(
-                batch_size=batch_size,
-                d_model=self.model.d_model,
-                kv_dim=self.model.kv_dim,
-                ffn_dim=self.model.ffn_dim,
-                gated_ffn=self.model.gated_ffn,
-                tensor_parallel=self.plan.tensor_parallel,
-                module=self.module,
-                config=self.pimphony,
-            )
-            if len(self._fc_memo) < FC_MEMO_LIMIT:
-                self._fc_memo[batch_size] = cost
-        return cost
 
     def decode_step(self, context_lengths: Sequence[int]) -> StepResult:
         """Latency of one decode step (every active request emits one token).
@@ -236,19 +103,7 @@ class PIMOnlySystem:
     def _tcp_decode_span(
         self, context_lengths: Sequence[int], stride: int, count: int
     ) -> NDArray[np.float64]:
-        """Seconds and PIM utilization of ``count`` uniform decode evaluations.
-
-        Row ``j`` is ``decode_step([c + j * stride for c in
-        context_lengths])``'s ``(seconds, pim_utilization)``, which equals
-        the micro-batch scan over :meth:`_stage_cost` bit for bit.  Both
-        fold the system's share tables (``_share_prices``): a short span
-        in pure Python, a long one with numpy (see
-        :func:`~repro.system.pipeline.tcp_single_stage_span`).  Span-priced
-        evaluations carry zero cycle breakdowns.
-
-        Preconditions (the fast engine guarantees both): every context is
-        positive, and ``stride``/``count`` are positive.
-        """
+        """See :meth:`PIMModuleSystem._tcp_decode_span`."""
         assert self._share_prices is not None  # bound with this evaluator
         return tcp_single_stage_span(context_lengths, stride, count, self._share_prices)
 

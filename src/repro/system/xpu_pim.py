@@ -9,7 +9,7 @@ synchronisation overhead.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,19 +19,14 @@ from repro.api.registry import register_system
 from repro.core.orchestrator import PIMphonyConfig
 from repro.models.llm import LLMConfig
 from repro.pim.config import PIMModuleConfig, neupims_module_config
-from repro.pim.simulator import ZERO_BREAKDOWN
+from repro.pim.simulator import CycleBreakdown, ZERO_BREAKDOWN
 from repro.serving.interfaces import StepResult
 from repro.serving.prefill import transformer_prefill_flops
 from repro.system.interconnect import InterconnectConfig
-from repro.system.layers import (
-    TCPSharePrices,
-    module_attention_time,
-)
 from repro.system.parallelism import ParallelismPlan
-from repro.system.pim_only import FC_MEMO_LIMIT
+from repro.system.pim_module import PIMModuleSystem
 from repro.system.pipeline import (
     Cycles,
-    StageCost,
     pipeline_decode_step,
     tcp_single_stage_span,
     tcp_single_stage_step,
@@ -44,107 +39,35 @@ SYNC_OVERHEAD_FRAC = 0.05
 
 
 @dataclass
-class XPUPIMSystem:
-    """Heterogeneous system with per-module xPU compute and PIM attention."""
+class XPUPIMSystem(PIMModuleSystem):
+    """Heterogeneous system with per-module xPU compute and PIM attention.
 
-    model: LLMConfig
-    num_modules: int
-    plan: ParallelismPlan
-    pimphony: PIMphonyConfig = field(default_factory=PIMphonyConfig.full)
+    The fields are :class:`~repro.system.pim_module.PIMModuleSystem`'s,
+    with NeuPIMs' module and a faster link as defaults, plus the xPU.
+    """
+
     module: PIMModuleConfig = field(default_factory=neupims_module_config)
-    xpu: XPUConfig = field(default_factory=XPUConfig)
     interconnect: InterconnectConfig = field(
         default_factory=lambda: InterconnectConfig(bandwidth_bytes_per_s=300e9, latency_s=1e-6)
     )
-    #: Closed-form span evaluator consumed by the fast engine; installed in
-    #: ``__post_init__`` for TCP attention on a single pipeline stage,
-    #: ``None`` otherwise.
-    decode_span: Callable[[Sequence[int], int, int], NDArray[np.float64]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    #: TCP prices of every per-channel share (built over :meth:`_stage_time`),
-    #: bound with ``decode_span`` and read by it and by ``decode_step``.
-    _share_prices: TCPSharePrices | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    #: :meth:`_fc_seconds` by micro-batch size, at most ``FC_MEMO_LIMIT`` entries.
-    _fc_memo: dict[int, float] = field(default_factory=dict, init=False, repr=False, compare=False)
+    xpu: XPUConfig = field(default_factory=XPUConfig)
 
-    def __post_init__(self) -> None:
-        if self.num_modules <= 0:
-            raise ValueError("num_modules must be positive")
-        if self.plan.num_modules != self.num_modules:
-            raise ValueError(
-                f"plan {self.plan} covers {self.plan.num_modules} modules, "
-                f"system has {self.num_modules}"
-            )
-        self.plan.validate_for(self.model)
-        # Same rule as pim-only: TCP shares make attention a per-request
-        # closed form and one stage makes the pipeline choice closed-form,
-        # for spans and ``decode_step`` alike.  HFP placement and
-        # multi-stage pipelines depend on request order.
-        if self.pimphony.tcp and self.plan.pipeline_parallel == 1:
-            self._share_prices = TCPSharePrices(
-                kv_heads_per_module=self.plan.kv_heads_per_module(self.model),
-                group_size=self.model.gqa_group_size,
-                head_dim=self.model.head_dim,
-                module=self.module,
-                config=self.pimphony,
-                max_context_tokens=self.max_context_tokens,
-                stage_time=self._stage_time,
-            )
-            self.decode_span = self._tcp_decode_span
+    def _price_fc(self, batch_size: int) -> tuple[float, CycleBreakdown]:
+        """:func:`fc_layer_seconds` of one layer on one module's xPU.
 
-    # -- capacity ------------------------------------------------------------
-
-    @property
-    def total_capacity_bytes(self) -> int:
-        return self.num_modules * self.module.capacity_bytes
-
-    @property
-    def kv_capacity_bytes(self) -> int:
-        return max(0, self.total_capacity_bytes - self.model.param_bytes)
-
-    @property
-    def kv_bytes_per_token(self) -> int:
-        return self.model.kv_bytes_per_token
-
-    @property
-    def max_context_tokens(self) -> int:
-        return self.model.context_window
-
-    @property
-    def dynamic_memory(self) -> bool:
-        return self.pimphony.dpa
-
-    @property
-    def total_pim_channels(self) -> int:
-        return self.num_modules * self.module.num_channels
-
-    # -- timing ----------------------------------------------------------------
-
-    def _stage_cost(self, microbatch: Sequence[int]) -> StageCost:
-        """Cost of one pipeline stage processing one micro-batch."""
-        if not microbatch:
-            return StageCost(seconds=0.0, pim_utilization=0.0)
-        attention_cycles, utilization, attention_breakdown = module_attention_time(
-            context_lengths=microbatch,
-            kv_heads_per_module=self.plan.kv_heads_per_module(self.model),
-            group_size=self.model.gqa_group_size,
-            head_dim=self.model.head_dim,
-            module=self.module,
-            config=self.pimphony,
+        FC runs off PIM, so its breakdown is zero.
+        """
+        seconds = fc_layer_seconds(
+            xpu=self.xpu,
+            batch_size=batch_size,
+            d_model=self.model.d_model,
+            kv_dim=self.model.kv_dim,
+            ffn_dim=self.model.ffn_dim,
+            gated_ffn=self.model.gated_ffn,
+            tensor_parallel=self.plan.tensor_parallel,
+            dtype_bytes=self.model.dtype_bytes,
         )
-        seconds, stage_utilization = self._stage_time(
-            attention_cycles, utilization, len(microbatch)
-        )
-        return StageCost(
-            seconds=float(seconds),
-            pim_utilization=float(stage_utilization),
-            attention_breakdown=attention_breakdown.scaled(
-                self.plan.layers_per_stage(self.model)
-            ),
-        )
+        return seconds, ZERO_BREAKDOWN
 
     def _stage_time(
         self, attention_cycles: Cycles, utilization: float, batch_size: int
@@ -160,7 +83,7 @@ class XPUPIMSystem:
         """
         tensor_parallel = self.plan.tensor_parallel
         attention_seconds = self.module.timing.cycles_to_seconds(attention_cycles)
-        fc_seconds = self._fc_seconds(batch_size)
+        fc_seconds = self._fc_time(batch_size)[0]
         if isinstance(attention_seconds, float):
             maximum, minimum = max, min
         else:
@@ -173,44 +96,10 @@ class XPUPIMSystem:
         pim_busy_fraction = minimum(1.0, attention_seconds / layer_seconds)
         return stage_seconds, utilization * pim_busy_fraction
 
-    def _fc_seconds(self, batch_size: int) -> float:
-        """:func:`fc_layer_seconds` of one layer on one module's xPU.
-
-        The result depends only on the micro-batch size for a given
-        system, so it is memoised per size, up to ``FC_MEMO_LIMIT`` sizes.
-        """
-        seconds = self._fc_memo.get(batch_size)
-        if seconds is None:
-            seconds = fc_layer_seconds(
-                xpu=self.xpu,
-                batch_size=batch_size,
-                d_model=self.model.d_model,
-                kv_dim=self.model.kv_dim,
-                ffn_dim=self.model.ffn_dim,
-                gated_ffn=self.model.gated_ffn,
-                tensor_parallel=self.plan.tensor_parallel,
-                dtype_bytes=self.model.dtype_bytes,
-            )
-            if len(self._fc_memo) < FC_MEMO_LIMIT:
-                self._fc_memo[batch_size] = seconds
-        return seconds
-
     def _tcp_decode_span(
         self, context_lengths: Sequence[int], stride: int, count: int
     ) -> NDArray[np.float64]:
-        """Seconds and PIM utilization of ``count`` uniform decode evaluations.
-
-        Row ``j`` is ``decode_step([c + j * stride for c in
-        context_lengths])``'s ``(seconds, pim_utilization)``, which equals
-        the micro-batch scan over :meth:`_stage_cost` bit for bit.  Both
-        fold the system's share tables (``_share_prices``): a short span
-        in pure Python, a long one with numpy (see
-        :func:`~repro.system.pipeline.tcp_single_stage_span`).  Span-priced
-        evaluations carry zero cycle breakdowns.
-
-        Preconditions (the fast engine guarantees both): every context is
-        positive, and ``stride``/``count`` are positive.
-        """
+        """See :meth:`PIMModuleSystem._tcp_decode_span`."""
         assert self._share_prices is not None  # bound with this evaluator
         return tcp_single_stage_span(context_lengths, stride, count, self._share_prices)
 

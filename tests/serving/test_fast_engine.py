@@ -34,8 +34,13 @@ import pytest
 
 from repro.api import ExperimentSpec, run
 from repro.api.build import build
+from repro.api.report import RunReport
 from repro.api.spec import apply_override
+from repro.baselines.gpu import GPUSystemModel
 from repro.memory.static_alloc import StaticAllocator
+from repro.system.pim_only import PIMOnlySystem
+from repro.system.xpu import XPUOnlySystem
+from repro.system.xpu_pim import XPUPIMSystem
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SPEC_DIR = REPO_ROOT / "examples" / "specs"
@@ -53,13 +58,38 @@ def golden_environment() -> dict[str, str]:
     return {"python": f"{sys.version_info.major}.{sys.version_info.minor}", "numpy": np.__version__}
 
 
-def run_report_dict(spec_data: dict, mode: str) -> dict:
+#: Every system class with a ``decode_step``.
+DECODE_SYSTEMS = (XPUOnlySystem, GPUSystemModel, PIMOnlySystem, XPUPIMSystem)
+
+
+def run_report(spec_data: dict, mode: str) -> RunReport:
     data = json.loads(json.dumps(spec_data))
     apply_override(data, "engine.mode", mode)
-    report = run(ExperimentSpec.from_dict(data)).to_dict()
+    return run(ExperimentSpec.from_dict(data))
+
+
+def report_dict(report: RunReport) -> dict:
+    data = report.to_dict()
     for key in MODE_KEYS:
-        report.pop(key, None)
-    return report
+        data.pop(key, None)
+    return data
+
+
+def run_report_dict(spec_data: dict, mode: str) -> dict:
+    return report_dict(run_report(spec_data, mode))
+
+
+def count_decode_steps(monkeypatch: pytest.MonkeyPatch) -> list[int]:
+    """Count ``decode_step`` calls on every system class into a one-element tally."""
+    tally = [0]
+    for cls in DECODE_SYSTEMS:
+
+        def counted(self, context_lengths, _original=cls.decode_step):
+            tally[0] += 1
+            return _original(self, context_lengths)
+
+        monkeypatch.setattr(cls, "decode_step", counted)
+    return tally
 
 
 def assert_equal(scalar, fast, path: str = "report") -> None:
@@ -79,10 +109,20 @@ def assert_equal(scalar, fast, path: str = "report") -> None:
 
 
 @pytest.mark.parametrize("spec_path", SPEC_PATHS, ids=lambda p: p.stem)
-def test_example_spec_parity(spec_path):
+def test_example_spec_parity(spec_path, monkeypatch):
     spec_data = json.loads(spec_path.read_text())
-    scalar = run_report_dict(spec_data, "scalar")
-    fast = run_report_dict(spec_data, "fast")
+    decode_steps = count_decode_steps(monkeypatch)
+    scalar_report = run_report(spec_data, "scalar")
+    scalar_steps = decode_steps[0]
+    fast_report = run_report(spec_data, "fast")
+    fast_steps = decode_steps[0] - scalar_steps
+    # Fast mode prices every evaluation scalar mode prices: one by one with
+    # ``decode_step``, or in a span with ``decode_span``.
+    span_evaluations = sum(result.span_evaluations for result in fast_report.replica_results)
+    assert scalar_steps == fast_steps + span_evaluations
+    assert all(result.span_evaluations == 0 for result in scalar_report.replica_results)
+    scalar = report_dict(scalar_report)
+    fast = report_dict(fast_report)
     assert_equal(scalar, fast)
     if GOLDEN["recorded_with"] == golden_environment():
         golden = GOLDEN["reports"][spec_path.stem]

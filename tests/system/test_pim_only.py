@@ -11,7 +11,8 @@ from repro.serving.interfaces import StepResult
 from repro.system.interconnect import InterconnectConfig
 from repro.system.parallelism import ParallelismPlan
 from repro.system.layers import module_fc_time
-from repro.system.pim_only import FC_MEMO_LIMIT, PIMOnlySystem
+from repro.system.pim_module import FC_MEMO_LIMIT
+from repro.system.pim_only import PIMOnlySystem
 from repro.system.pipeline import _evaluate, pipeline_decode_step, split_microbatches
 
 

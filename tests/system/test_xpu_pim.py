@@ -8,10 +8,11 @@ import pytest
 from repro.baselines.neupims import neupims_system_config
 from repro.core.orchestrator import PIMphonyConfig
 from repro.pim.config import neupims_module_config
+from repro.pim.simulator import ZERO_BREAKDOWN
 from repro.serving.interfaces import StepResult
 from repro.system.interconnect import InterconnectConfig
 from repro.system.parallelism import ParallelismPlan
-from repro.system.pim_only import FC_MEMO_LIMIT
+from repro.system.pim_module import FC_MEMO_LIMIT
 from repro.system.pipeline import _evaluate, pipeline_decode_step, split_microbatches
 from repro.system.xpu import fc_layer_seconds
 from repro.system.xpu_pim import XPUPIMSystem
@@ -286,7 +287,7 @@ class TestTablePricing:
 class TestFCMemo:
     @staticmethod
     def unmemoised(system, batch_size):
-        return fc_layer_seconds(
+        seconds = fc_layer_seconds(
             xpu=system.xpu,
             batch_size=batch_size,
             d_model=system.model.d_model,
@@ -296,20 +297,21 @@ class TestFCMemo:
             tensor_parallel=system.plan.tensor_parallel,
             dtype_bytes=system.model.dtype_bytes,
         )
+        return seconds, ZERO_BREAKDOWN  # FC runs on the xPU, off PIM
 
     @pytest.mark.parametrize("config", [PIMphonyConfig.full(), PIMphonyConfig.baseline()])
     def test_memo_returns_the_unmemoised_value(self, llm_7b, config):
         system = make_system(llm_7b, config=config)
         for batch_size in range(1, 65):
             expected = self.unmemoised(system, batch_size)
-            assert system._fc_seconds(batch_size) == expected
-            assert system._fc_seconds(batch_size) == expected  # now from the memo
+            assert system._fc_time(batch_size) == expected
+            assert system._fc_time(batch_size) == expected  # now from the memo
 
     def test_memo_is_bounded(self, llm_7b):
         system = make_system(llm_7b, tp=1)
         sizes = range(1, FC_MEMO_LIMIT + 6)
         for batch_size in sizes:
-            system._fc_seconds(batch_size)
+            system._fc_time(batch_size)
         assert len(system._fc_memo) == FC_MEMO_LIMIT
-        assert system._fc_seconds(sizes[-1]) == self.unmemoised(system, sizes[-1])
+        assert system._fc_time(sizes[-1]) == self.unmemoised(system, sizes[-1])
         assert len(system._fc_memo) == FC_MEMO_LIMIT
