@@ -14,6 +14,7 @@ The slow-marked tests demonstrate the headline claims: >=20x on a
 from __future__ import annotations
 
 import json
+import resource
 import time
 from pathlib import Path
 
@@ -130,9 +131,11 @@ def test_bench_fast_engine_million_requests(benchmark):
         return _measure(_scenario_spec(num_requests=1_000_000, output_tokens=256, mode="fast"))
 
     report, wall = run_once(benchmark, evaluate)
+    # ru_maxrss is in KB on Linux: the peak of the whole test process.
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     emit(
         "fast engine, 10^6-request Poisson trace",
-        f"completed in {wall:.1f}s "
+        f"completed in {wall:.1f}s, peak RSS {peak_rss_mb:.0f} MB "
         f"({report.requests_served} served, {report.requests_dropped} dropped)",
     )
     assert report.requests_served + report.requests_dropped == 1_000_000

@@ -23,7 +23,7 @@ from repro.api.registry import register_admission_policy
 from repro.workloads.traces import Request
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdmissionCandidate:
     """A waiting request with its context clamped to the serving window.
 

@@ -192,6 +192,9 @@ class _ActiveRequest:
     #: Chunked prefill: prompt tokens that must be prefilled before decode.
     prefill_total: int = 0
     prefill_done: int = 0
+    #: ``cumulative_seconds(prefill_done)`` of the prefill model, kept so
+    #: each chunk costs one ``cumulative_seconds`` call (0 at 0 tokens).
+    prefill_done_s: float = 0.0
     #: Clock of the most recent admission or restore (preemption policies).
     admitted_s: float = 0.0
     #: Clock of the most recent decode progress (LRU preemption).
@@ -347,8 +350,10 @@ class ServingEngine:
             ):
                 cached = self.prefix_cache.lookup(entry.session, head.state.tokens)
             if cost.mode == "recompute" and chunked:
+                assert prefill_model is not None
                 entry.prefill_total = head.state.tokens
                 entry.prefill_done = cached
+                entry.prefill_done_s = prefill_model.cumulative_seconds(cached) if cached else 0.0
             else:
                 overhead_s += cost.restore_seconds(
                     head.state, prefill_model, cached_tokens=cached
@@ -455,6 +460,8 @@ class ServingEngine:
                         # past the cached prefix.
                         entry.prefill_total = candidate.prompt_tokens
                         entry.prefill_done = cached
+                        if cached:
+                            entry.prefill_done_s = self.prefill.model.cumulative_seconds(cached)
                 active[candidate.request_id] = entry
                 tracker.on_admission(candidate.request_id, clock)
                 admitted.add(candidate.request_id)
@@ -767,10 +774,10 @@ class ServingEngine:
                     if pending <= 0:
                         continue
                     take = min(pending, budget)
-                    marginal = self.prefill.model.cumulative_seconds(
-                        entry.prefill_done + take
-                    ) - self.prefill.model.cumulative_seconds(entry.prefill_done)
+                    done_s = self.prefill.model.cumulative_seconds(entry.prefill_done + take)
+                    marginal = done_s - entry.prefill_done_s
                     entry.prefill_done += take
+                    entry.prefill_done_s = done_s
                     budget -= take
                     prefill_step_seconds += marginal
                     prefill_tokens_processed += take

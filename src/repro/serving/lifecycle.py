@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
     """Lifecycle timestamps and progress of one request.
 
@@ -135,10 +135,33 @@ def percentiles(samples: Sequence[float], fractions: Sequence[float]) -> tuple[f
             raise ValueError("fraction must be within [0, 1]")
     if not samples:
         return tuple(0.0 for _ in fractions)
+    return _sort_and_interpolate(list(samples), fractions)
+
+
+def _sort_and_interpolate(samples: list[float], fractions: Sequence[float]) -> tuple[float, ...]:
+    """:func:`percentiles` of a non-empty list, sorting the list itself.
+
+    The caller hands over ``samples``: sorting in place spares the sorted
+    copy, so a family's rollup holds one list rather than two.
+    """
     if any(map(math.isnan, samples)):
         return tuple(math.nan for _ in fractions)
-    ordered = sorted(samples)
-    return tuple(_interpolate(ordered, fraction) for fraction in fractions)
+    samples.sort()
+    return tuple(_interpolate(samples, fraction) for fraction in fractions)
+
+
+#: The percentiles :class:`LatencyStats` reports for each metric family.
+_TRIPLE = (0.50, 0.95, 0.99)
+
+
+def _mean_and_triple(samples: list[float]) -> tuple[float, float, float, float]:
+    """Mean (summed in ``samples`` order) and p50/p95/p99 of one family.
+
+    Consumes ``samples``: the list is sorted in place after the sum.
+    """
+    mean = sum(samples) / len(samples)
+    p50, p95, p99 = _sort_and_interpolate(samples, _TRIPLE)
+    return mean, p50, p95, p99
 
 
 def _interpolate(ordered: Sequence[float], fraction: float) -> float:
@@ -196,22 +219,26 @@ class LatencyStats:
         finished = [record for record in records if record.finished]
         if not finished:
             return LatencyStats()
-        ttfts = [record.ttft_s for record in finished]
-        tpots = [record.tpot_s for record in finished]
-        latencies = [record.latency_s for record in finished]
-        # One sort per metric family: each family's p50/p95/p99 come from a
-        # single ``percentiles`` call (bit-identical to separate calls), so a
-        # merged-fleet stats pass costs O(n log n) total, not per-percentile.
-        triple = (0.50, 0.95, 0.99)
-        ttft_p50, ttft_p95, ttft_p99 = percentiles(ttfts, triple)
-        tpot_p50, tpot_p95, tpot_p99 = percentiles(tpots, triple)
-        latency_p50, latency_p95, latency_p99 = percentiles(latencies, triple)
+        # One metric family at a time: each list is built, summed in record
+        # order, sorted in place for its p50/p95/p99 (one sort per family,
+        # bit-identical to separate ``percentile`` calls) and dropped when
+        # its helper returns, so the rollup never holds more than one
+        # family's samples.
+        ttft_mean, ttft_p50, ttft_p95, ttft_p99 = _mean_and_triple(
+            [record.ttft_s for record in finished]
+        )
+        tpot_mean, tpot_p50, tpot_p95, tpot_p99 = _mean_and_triple(
+            [record.tpot_s for record in finished]
+        )
+        latency_p50, latency_p95, latency_p99 = _sort_and_interpolate(
+            [record.latency_s for record in finished], _TRIPLE
+        )
         return LatencyStats(
-            ttft_mean_s=sum(ttfts) / len(finished),
+            ttft_mean_s=ttft_mean,
             ttft_p50_s=ttft_p50,
             ttft_p95_s=ttft_p95,
             ttft_p99_s=ttft_p99,
-            tpot_mean_s=sum(tpots) / len(finished),
+            tpot_mean_s=tpot_mean,
             tpot_p50_s=tpot_p50,
             tpot_p95_s=tpot_p95,
             tpot_p99_s=tpot_p99,

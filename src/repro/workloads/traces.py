@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ if TYPE_CHECKING:
     from repro.api.spec import ArrivalSpec, TierSpec, TraceSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Request:
     """One inference request of a serving trace.
 
@@ -67,6 +68,22 @@ class Request:
         return self.prompt_tokens + self.output_tokens
 
 
+#: ``__set__`` of each field's slot descriptor: it writes the slot
+#: directly, bypassing the frozen ``__setattr__`` guard.
+_REQUEST_SLOT_SETTERS = {
+    field.name: Request.__dict__[field.name].__set__ for field in dataclasses.fields(Request)
+}
+_set_request_id = _REQUEST_SLOT_SETTERS["request_id"]
+_set_prompt_tokens = _REQUEST_SLOT_SETTERS["prompt_tokens"]
+_set_output_tokens = _REQUEST_SLOT_SETTERS["output_tokens"]
+_set_arrival_s = _REQUEST_SLOT_SETTERS["arrival_s"]
+_set_priority = _REQUEST_SLOT_SETTERS["priority"]
+_set_session = _REQUEST_SLOT_SETTERS["session"]
+_set_tier = _REQUEST_SLOT_SETTERS["tier"]
+_set_ttft_deadline_s = _REQUEST_SLOT_SETTERS["ttft_deadline_s"]
+_set_tpot_deadline_s = _REQUEST_SLOT_SETTERS["tpot_deadline_s"]
+
+
 def _fast_request(
     request_id: int,
     prompt_tokens: int,
@@ -84,35 +101,52 @@ def _fast_request(
     once per request; the bulk generators below validate whole fields with
     numpy instead (raising the same error messages), then build the
     instances directly.  Callers must have validated every field.
+
+    Each slot is written once through its member descriptor, unrolled:
+    the generated ``__init__`` routes every field through
+    ``object.__setattr__``, and a per-field ``setattr`` loop costs about
+    half again as much as these nine calls.
     """
     request = object.__new__(Request)
-    # object.__setattr__ reaches the instance-__dict__ descriptor directly,
-    # sidestepping both the frozen __setattr__ guard and the per-field
-    # object.__setattr__ calls the generated __init__ would make.
-    object.__setattr__(
-        request,
-        "__dict__",
-        {
-            "request_id": request_id,
-            "prompt_tokens": prompt_tokens,
-            "output_tokens": output_tokens,
-            "arrival_s": arrival_s,
-            "priority": priority,
-            "session": session,
-            "tier": tier,
-            "ttft_deadline_s": ttft_deadline_s,
-            "tpot_deadline_s": tpot_deadline_s,
-        },
-    )
+    _set_request_id(request, request_id)
+    _set_prompt_tokens(request, prompt_tokens)
+    _set_output_tokens(request, output_tokens)
+    _set_arrival_s(request, arrival_s)
+    _set_priority(request, priority)
+    _set_session(request, session)
+    _set_tier(request, tier)
+    _set_ttft_deadline_s(request, ttft_deadline_s)
+    _set_tpot_deadline_s(request, tpot_deadline_s)
     return request
 
 
 def _with_fields(request: Request, **changes: object) -> Request:
     """Clone a validated :class:`Request` with ``changes``, skipping
     ``__post_init__`` (``dataclasses.replace`` re-validates every field,
-    which dominates trace post-processing at large n)."""
-    clone = object.__new__(Request)
-    object.__setattr__(clone, "__dict__", {**request.__dict__, **changes})
+    which dominates trace post-processing at large n).
+
+    The clone copies the nine slots through :func:`_fast_request`, then
+    overwrites each changed slot through its member descriptor.  An
+    unknown field name raises ``TypeError``, as ``dataclasses.replace``
+    does.
+    """
+    clone = _fast_request(
+        request.request_id,
+        request.prompt_tokens,
+        request.output_tokens,
+        request.arrival_s,
+        request.priority,
+        request.session,
+        request.tier,
+        request.ttft_deadline_s,
+        request.tpot_deadline_s,
+    )
+    for name, value in changes.items():
+        try:
+            setter = _REQUEST_SLOT_SETTERS[name]
+        except KeyError:
+            raise TypeError(f"Request has no field {name!r}") from None
+        setter(clone, value)
     return clone
 
 

@@ -3,12 +3,14 @@ and both to ``np.percentile``'s default method."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +109,103 @@ class TestMatchesNumpy:
         assert all(math.isnan(value) for value in expected)
         assert all(math.isnan(value) for value in percentiles(samples, (0.0, 0.5, 1.0)))
         assert math.isnan(percentile(samples, 0.5))
+
+
+def reference_from_records(records: Sequence[RequestRecord]) -> LatencyStats:
+    """``LatencyStats.from_records`` as it was with all three families held.
+
+    It builds the TTFT, TPOT and latency lists together, sums each in
+    record order and takes each family's percentiles from a sorted copy.
+    The production rollup reduces one family at a time and must return
+    the same floats.
+    """
+    finished = [record for record in records if record.finished]
+    if not finished:
+        return LatencyStats()
+    ttfts = [record.ttft_s for record in finished]
+    tpots = [record.tpot_s for record in finished]
+    latencies = [record.latency_s for record in finished]
+    triple = (0.50, 0.95, 0.99)
+    ttft_p50, ttft_p95, ttft_p99 = percentiles(ttfts, triple)
+    tpot_p50, tpot_p95, tpot_p99 = percentiles(tpots, triple)
+    latency_p50, latency_p95, latency_p99 = percentiles(latencies, triple)
+    return LatencyStats(
+        ttft_mean_s=sum(ttfts) / len(finished),
+        ttft_p50_s=ttft_p50,
+        ttft_p95_s=ttft_p95,
+        ttft_p99_s=ttft_p99,
+        tpot_mean_s=sum(tpots) / len(finished),
+        tpot_p50_s=tpot_p50,
+        tpot_p95_s=tpot_p95,
+        tpot_p99_s=tpot_p99,
+        queue_delay_mean_s=sum(record.queue_delay_s for record in finished) / len(finished),
+        prefill_mean_s=sum(record.prefill_s for record in finished) / len(finished),
+        latency_p50_s=latency_p50,
+        latency_p95_s=latency_p95,
+        latency_p99_s=latency_p99,
+    )
+
+
+def _exact(stats: LatencyStats) -> tuple[str, ...]:
+    """Field values by ``repr``: NaN equals NaN, and -0.0 differs from 0.0."""
+    return tuple(repr(value) for value in dataclasses.astuple(stats))
+
+
+_TIME = st.floats(min_value=0.0, max_value=1e4, allow_nan=False, allow_infinity=False)
+#: A stamp that may be missing (NaN), so unfinished requests and finished
+#: ones without a first token both occur.
+_STAMP = st.one_of(_TIME, st.just(math.nan))
+
+
+@st.composite
+def _records(draw) -> list[RequestRecord]:
+    records = []
+    for request_id in range(draw(st.integers(min_value=0, max_value=40))):
+        records.append(
+            RequestRecord(
+                request_id=request_id,
+                prompt_tokens=draw(st.integers(min_value=1, max_value=4096)),
+                # Single-token requests report a TPOT of 0.
+                output_tokens=draw(st.integers(min_value=1, max_value=3)),
+                arrival_s=draw(_TIME),
+                admitted_s=draw(_STAMP),
+                first_token_s=draw(_STAMP),
+                finish_s=draw(_STAMP),
+                prefill_s=draw(_TIME),
+            )
+        )
+    return records
+
+
+class TestFromRecordsOracle:
+    @given(records=_records())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference(self, records):
+        assert _exact(LatencyStats.from_records(records)) == _exact(
+            reference_from_records(records)
+        )
+
+    def test_large_run_equals_reference(self):
+        rng = random.Random(5)
+        records = []
+        for request_id in range(5000):
+            arrival = rng.uniform(0.0, 100.0)
+            first = arrival + rng.expovariate(2.0)
+            records.append(
+                RequestRecord(
+                    request_id=request_id,
+                    prompt_tokens=rng.randint(1, 8192),
+                    output_tokens=rng.randint(1, 512),
+                    arrival_s=arrival,
+                    admitted_s=arrival + rng.uniform(0.0, 1.0),
+                    first_token_s=first,
+                    finish_s=first + rng.uniform(0.0, 30.0) if request_id % 7 else math.nan,
+                    prefill_s=rng.uniform(0.0, 0.5),
+                )
+            )
+        assert _exact(LatencyStats.from_records(records)) == _exact(
+            reference_from_records(records)
+        )
 
 
 _NUMPY_MA_PROBE = """

@@ -239,3 +239,45 @@ class TestEnginePrefillIntegration:
         assert stats.prefill_mean_s == pytest.approx(0.1 * (1 + 2 + 3 + 4) / 4)
         assert stats.ttft_p50_s <= stats.ttft_p95_s <= stats.ttft_p99_s
         assert stats.tpot_p50_s <= stats.tpot_p95_s <= stats.tpot_p99_s
+
+
+class CountingPrefillModel:
+    """Forwards to a :class:`LinearPrefillModel`, logging each token count."""
+
+    def __init__(self, model: LinearPrefillModel) -> None:
+        self.model = model
+        self.calls: list[int] = []
+
+    def cumulative_seconds(self, tokens: int) -> float:
+        self.calls.append(tokens)
+        return self.model.cumulative_seconds(tokens)
+
+
+def fold_chunk_charges(model, boundaries):
+    """A request's prefill_s from its chunk boundaries, two calls per chunk."""
+    charged = 0.0
+    for done, upto in zip(boundaries, boundaries[1:]):
+        charged += model.cumulative_seconds(upto) - model.cumulative_seconds(done)
+    return charged
+
+
+class TestChunkPricingCalls:
+    def test_one_cumulative_call_per_chunk(self):
+        # Three prompts share a 32-token budget per iteration in admission
+        # order; each chunk is priced by one call at its new boundary.
+        model = LinearPrefillModel(per_token_s=1e-3, per_token_sq_s=1e-7, base_s=0.05)
+        counting = CountingPrefillModel(model)
+        requests = tuple(
+            Request(request_id=i, prompt_tokens=prompt, output_tokens=4)
+            for i, prompt in enumerate((100, 70, 40))
+        )
+        result = serve(
+            ToySystem(),
+            RequestTrace(dataset="toy", requests=requests),
+            prefill=PrefillConfig(counting, chunk_tokens=32),
+        )
+        assert counting.calls == [32, 64, 96, 100, 28, 60, 70, 22, 40]
+        records = {record.request_id: record for record in result.request_records}
+        assert records[0].prefill_s == fold_chunk_charges(model, [0, 32, 64, 96, 100])
+        assert records[1].prefill_s == fold_chunk_charges(model, [0, 28, 60, 70])
+        assert records[2].prefill_s == fold_chunk_charges(model, [0, 22, 40])

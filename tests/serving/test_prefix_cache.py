@@ -169,6 +169,30 @@ class TestEnginePrefixReuse:
         assert records[1].prefill_s == pytest.approx(0.4)
         assert result.prefix_hit_tokens == 110
 
+    def test_chunked_prefill_prices_the_cached_prefix_once(self):
+        # Turn 2's cached 110-token prefix costs one cumulative call at
+        # admission; every chunk after that costs one more.
+        model = LinearPrefillModel(per_token_s=0.01, per_token_sq_s=1e-5, base_s=0.1)
+        calls: list[int] = []
+
+        class Counting:
+            def cumulative_seconds(self, tokens: int) -> float:
+                calls.append(tokens)
+                return model.cumulative_seconds(tokens)
+
+        result = serve(
+            FlatSystem(),
+            two_turn_trace(first_prompt=100, output=10, followup=40),
+            prefill=PrefillConfig(model=Counting(), chunk_tokens=16),
+            prefix_cache=PrefixCache(),
+        )
+        assert calls == [16, 32, 48, 64, 80, 96, 100, 110, 126, 142, 150]
+        charged = 0.0
+        for done, upto in ((110, 126), (126, 142), (142, 150)):
+            charged += model.cumulative_seconds(upto) - model.cumulative_seconds(done)
+        records = {record.request_id: record for record in result.request_records}
+        assert records[1].prefill_s == charged
+
     def test_without_cache_both_turns_pay_full_prefill(self):
         model = LinearPrefillModel(per_token_s=0.01)
         trace = two_turn_trace(first_prompt=100, output=10, followup=40)
@@ -283,6 +307,38 @@ class TestRestorePathReuse:
         preempted = [r for r in result.request_records if r.preemptions]
         assert preempted
         assert any(r.prefill_s > 0.001 * r.prompt_tokens + 1e-12 for r in preempted)
+
+    @pytest.mark.parametrize("cached_tokens", [0, 1], ids=["cold", "partial-cache"])
+    def test_chunked_recompute_restart_prices_from_the_cached_prefix(self, cached_tokens):
+        # A restore restarts prefill at the cached prefix, so a request is
+        # charged its prompt plus each re-prefilled suffix (linear model,
+        # no launch cost).  One 64-token chunk covers every re-prefill.
+        trace = RequestTrace(
+            dataset="pressure",
+            requests=tuple(
+                Request(
+                    request_id=index, prompt_tokens=2, output_tokens=14,
+                    session=index,
+                )
+                for index in range(4)
+            ),
+        )
+        cache = PrefixCache()
+        if cached_tokens:
+            for index in range(4):
+                cache.insert(index, cached_tokens)
+        result = serve(
+            self.tiny_system(),
+            trace,
+            **self.preempting_engine_kwargs(chunk_tokens=64, prefix_cache=cache),
+        )
+        preempted = [r for r in result.request_records if r.preemptions]
+        assert preempted
+        for record in result.request_records:
+            uncached_prompt = record.prompt_tokens - min(cached_tokens, record.prompt_tokens)
+            assert record.prefill_s == pytest.approx(
+                0.001 * (uncached_prompt + record.recompute_tokens)
+            )
 
     def test_blocking_recompute_restores_keep_the_lump_charge(self):
         result = serve(
