@@ -16,9 +16,10 @@ System* (HPCA 2026).  It provides:
   instruction streams (the MLIR-based compiler substitute).
 * ``repro.memory`` -- static and chunk-based (lazy) KV-cache allocators and
   the VA2PA translation table.
-* ``repro.core`` -- the paper's contribution: Token-Centric Partitioning
-  (TCP), Dynamic Command Scheduling (DCS), Dynamic PIM Access (DPA) and the
-  ``PIMphony`` orchestrator facade.
+* ``repro.core`` -- the paper's contribution: the ``PIMphonyConfig``
+  feature selection (Token-Centric Partitioning (TCP), Dynamic Command
+  Scheduling (DCS), Dynamic PIM Access (DPA)), the DCS command scheduler
+  and the DPA chunk placement.  TCP is priced in ``repro.system.layers``.
 * ``repro.system`` -- multi-node PIM-only and xPU+PIM system models with a
   decode serving loop.
 * ``repro.serving`` -- the event-driven serving engine: pluggable admission
@@ -29,12 +30,13 @@ System* (HPCA 2026).  It provides:
 * ``repro.baselines`` -- CENT-like, NeuPIMs-like, ping-pong buffering and
   GPU (A100 + FlashDecoding + PagedAttention) baselines.
 * ``repro.workloads`` -- LongBench / LV-Eval statistical trace generators.
-* ``repro.analysis`` -- utilisation / breakdown / reporting helpers.
+* ``repro.analysis`` -- breakdown / energy / reporting helpers.
 
 ``from repro import *`` exposes exactly the curated surface in ``__all__``:
-the orchestrator facade, model/dataset lookups, the serving engine with its
-admission policies, the replica router with its routing policies, prefill
-configuration, trace helpers, and the declarative experiment API.
+the PIMphony feature configuration, model/dataset lookups, the serving
+engine with its admission policies, the replica router with its routing
+policies, prefill configuration, trace helpers, and the declarative
+experiment API.
 """
 
 # Importing the baselines package self-registers its system kinds ("gpu",
@@ -67,7 +69,7 @@ from repro.api import (
     run,
     sweep_specs,
 )
-from repro.core.orchestrator import PIMphony, PIMphonyConfig
+from repro.core.orchestrator import PIMphonyConfig
 from repro.models.llm import LLMConfig, get_model, list_models
 from repro.serving import (
     CapacityAwareAdmission,
@@ -117,8 +119,7 @@ from repro.workloads.traces import (
 __version__ = "1.3.0"
 
 __all__ = [
-    # orchestrator + models + datasets
-    "PIMphony",
+    # PIMphony configuration + models + datasets
     "PIMphonyConfig",
     "LLMConfig",
     "get_model",

@@ -1,9 +1,8 @@
-"""Analysis helpers: utilisation, breakdowns, energy, report formatting."""
+"""Analysis helpers: breakdowns, energy, report formatting."""
 
 from repro.analysis.breakdown import breakdown_fractions, normalize_breakdown
 from repro.analysis.energy_report import energy_from_breakdown, serving_energy
-from repro.analysis.reporting import format_table, speedup_table
-from repro.analysis.utilization import mac_utilization_sweep
+from repro.analysis.reporting import format_table
 
 __all__ = [
     "breakdown_fractions",
@@ -11,6 +10,4 @@ __all__ = [
     "energy_from_breakdown",
     "serving_energy",
     "format_table",
-    "speedup_table",
-    "mac_utilization_sweep",
 ]

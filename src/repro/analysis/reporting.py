@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -44,23 +44,6 @@ def format_table(
     for row in rendered:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def speedup_table(
-    baseline: Mapping[str, float],
-    improved: Mapping[str, float],
-    metric: str = "throughput",
-    title: str = "",
-) -> str:
-    """Render a per-key speedup table of ``improved`` over ``baseline``."""
-    rows = []
-    for key in baseline:
-        base_value = baseline[key]
-        new_value = improved.get(key, 0.0)
-        speedup = new_value / base_value if base_value else 0.0
-        rows.append([key, base_value, new_value, speedup])
-    headers = ["workload", f"baseline {metric}", f"pimphony {metric}", "speedup"]
-    return format_table(headers, rows, title=title)
 
 
 def serving_summary_table(results: Sequence["EngineResult"], title: str = "") -> str:

@@ -8,7 +8,7 @@ from repro.compiler.dpa_encoding import (
 from repro.compiler.ir import Graph, Operation, OpType, TensorType, build_decoder_graph
 from repro.compiler.lowering import expand_program_to_commands, lower_gemv_to_commands
 from repro.compiler.passes import CompiledProgram, PassManager, compile_decoder
-from repro.compiler.patterns import AttentionPattern, detect_attention_patterns, is_pim_amenable
+from repro.compiler.patterns import AttentionPattern, detect_attention_patterns
 
 __all__ = [
     "TensorType",
@@ -18,7 +18,6 @@ __all__ = [
     "build_decoder_graph",
     "AttentionPattern",
     "detect_attention_patterns",
-    "is_pim_amenable",
     "lower_gemv_to_commands",
     "expand_program_to_commands",
     "encode_attention_loop",

@@ -18,8 +18,6 @@ Two levels of code generation are provided:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from repro.compiler.ir import Operation
 from repro.pim.config import ELEMENTS_PER_TILE, PIMChannelConfig
 from repro.pim.isa import PIMCommand, PIMInstruction, PIMOpcode
@@ -193,13 +191,3 @@ def lower_operator_to_instructions(
             out_idx=out_base,
         ),
     ]
-
-
-def instruction_stream_commands(instructions: Sequence[PIMInstruction]) -> int:
-    """Total channel commands an instruction stream expands to."""
-    total = 0
-    for instruction in instructions:
-        if instruction.opcode.is_control:
-            continue
-        total += instruction.op_size * len(instruction.target_channels)
-    return total

@@ -29,18 +29,6 @@ class AttentionPattern:
         return f"attention_kv{self.kv_head}"
 
 
-def is_pim_amenable(operation: Operation) -> bool:
-    """Whether an operation should be offloaded to PIM.
-
-    Matrix-vector style matmuls (attention against the KV cache, FC layers
-    during decoding) are PIM-amenable; softmax and elementwise glue run on
-    the EPU or the xPU.
-    """
-    if operation.op_type is not OpType.MATMUL:
-        return False
-    return operation.role in ("qkt", "sv", "fc")
-
-
 def detect_attention_patterns(graph: Graph) -> list[AttentionPattern]:
     """Find every per-KV-head attention chain in a decoder graph."""
     patterns: list[AttentionPattern] = []

@@ -1,26 +1,16 @@
-"""PIMphony core: TCP partitioning, DCS scheduling, DPA memory management."""
+"""PIMphony core: the feature configuration, DCS scheduling and DPA placement.
+
+TCP vs HFP attention is priced in :mod:`repro.system.layers`.
+"""
 
 from repro.core.dcs import DCSScheduler
 from repro.core.dispatcher import OnModuleDispatcher
 from repro.core.dpa import DPAController
-from repro.core.orchestrator import PIMphony, PIMphonyConfig
-from repro.core.partitioning import (
-    AttentionTask,
-    ChannelAssignment,
-    HeadFirstPartitioner,
-    TokenCentricPartitioner,
-    evaluate_assignment,
-)
+from repro.core.orchestrator import PIMphonyConfig
 
 __all__ = [
-    "AttentionTask",
-    "ChannelAssignment",
-    "HeadFirstPartitioner",
-    "TokenCentricPartitioner",
-    "evaluate_assignment",
     "DCSScheduler",
     "DPAController",
     "OnModuleDispatcher",
-    "PIMphony",
     "PIMphonyConfig",
 ]

@@ -1,7 +1,6 @@
 """DRAM timing substrate used by the PIM command simulator."""
 
-from repro.dram.bank import BankState
 from repro.dram.refresh import RefreshModel
 from repro.dram.timing import DRAMTiming
 
-__all__ = ["DRAMTiming", "BankState", "RefreshModel"]
+__all__ = ["DRAMTiming", "RefreshModel"]

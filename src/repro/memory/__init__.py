@@ -1,6 +1,5 @@
 """KV-cache memory management: static reservation vs. lazy chunk allocation."""
 
-from repro.memory.capacity import CapacityTracker, CapacityUsage
 from repro.memory.chunked_alloc import ChunkedAllocator
 from repro.memory.lifecycle import CapacityExceeded, PreemptedState
 from repro.memory.static_alloc import AllocationError, StaticAllocator
@@ -13,6 +12,4 @@ __all__ = [
     "StaticAllocator",
     "ChunkedAllocator",
     "VA2PATable",
-    "CapacityTracker",
-    "CapacityUsage",
 ]

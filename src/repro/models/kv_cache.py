@@ -7,8 +7,6 @@ size and dominates long-context memory demand (paper Fig. 2(b)).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from repro.models.llm import LLMConfig
 
 
@@ -24,16 +22,6 @@ def kv_cache_bytes(model: LLMConfig, context_length: int, batch_size: int = 1) -
     if batch_size < 0:
         raise ValueError("batch_size must be non-negative")
     return model.kv_bytes_per_token * context_length * batch_size
-
-
-def kv_cache_bytes_for_lengths(model: LLMConfig, context_lengths: Iterable[int]) -> int:
-    """Total KV-cache footprint for a batch with per-request context lengths."""
-    total = 0
-    for length in context_lengths:
-        if length < 0:
-            raise ValueError("context lengths must be non-negative")
-        total += model.kv_bytes_per_token * length
-    return total
 
 
 def max_batch_for_capacity(

@@ -95,14 +95,6 @@ ZERO_BREAKDOWN = CycleBreakdown(
 breakdown_fields = attrgetter(*(field.name for field in fields(CycleBreakdown)))
 
 
-def combine_serial(breakdowns: Sequence[CycleBreakdown]) -> CycleBreakdown:
-    """Combine breakdowns of kernels executed back-to-back on one channel."""
-    result = ZERO_BREAKDOWN
-    for breakdown in breakdowns:
-        result = result + breakdown
-    return result
-
-
 @dataclass(frozen=True)
 class ScheduledCommand:
     """A command together with its scheduled issue and completion cycles."""

@@ -4,7 +4,7 @@ from repro.serving.engine import EngineResult
 from repro.serving.interfaces import ServingResult
 from repro.system.interconnect import InterconnectConfig
 from repro.system.layers import module_attention_time, module_fc_time
-from repro.system.parallelism import ParallelismPlan, enumerate_plans, best_plan
+from repro.system.parallelism import ParallelismPlan, enumerate_plans
 from repro.system.pim_only import PIMOnlySystem
 from repro.system.xpu import XPUConfig, XPUOnlySystem
 from repro.system.xpu_pim import XPUPIMSystem
@@ -12,7 +12,6 @@ from repro.system.xpu_pim import XPUPIMSystem
 __all__ = [
     "ParallelismPlan",
     "enumerate_plans",
-    "best_plan",
     "InterconnectConfig",
     "module_attention_time",
     "module_fc_time",

@@ -11,7 +11,9 @@ and SV programs and prices each in one pass over its phases): once per
 distinct token slice in a call under HFP, and under TCP once per distinct
 per-channel share per system.  :class:`TCPSharePrices` keeps a system's
 TCP prices by share: attention totals and one-request stage seconds and
-busy products in tables, and breakdowns in a bounded dict.
+busy products in tables, and breakdowns in a bounded dict.  TCP's
+per-module SV partial-sum reduction is not modelled; the paper puts it
+below 0.2%.
 """
 
 from __future__ import annotations

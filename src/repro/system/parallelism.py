@@ -8,7 +8,6 @@ them busy with different micro-batches.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.models.llm import LLMConfig
@@ -76,17 +75,3 @@ def enumerate_plans(num_modules: int, model: LLMConfig) -> list[ParallelismPlan]
             continue
         plans.append(plan)
     return plans
-
-
-def best_plan(
-    num_modules: int,
-    model: LLMConfig,
-    evaluate: Callable[[ParallelismPlan], float],
-) -> tuple[ParallelismPlan, float]:
-    """Pick the plan maximising ``evaluate(plan)`` (a throughput callback)."""
-    plans = enumerate_plans(num_modules, model)
-    if not plans:
-        raise ValueError("no valid parallelism plan for this module count")
-    scored = [(plan, float(evaluate(plan))) for plan in plans]
-    scored.sort(key=lambda item: item[1], reverse=True)
-    return scored[0]

@@ -1,9 +1,6 @@
 """Tests for report formatting helpers."""
 
-from repro.analysis.reporting import format_table, speedup_table
-from repro.analysis.utilization import mac_utilization_sweep
-from repro.pim.config import PIMChannelConfig
-from repro.pim.timing import aimx_timing
+from repro.analysis.reporting import format_table
 
 
 class TestFormatting:
@@ -16,19 +13,3 @@ class TestFormatting:
         assert "alpha" in lines[3]
         assert "1.23" in table
 
-    def test_speedup_table_computes_ratio(self):
-        table = speedup_table({"qmsum": 100.0}, {"qmsum": 250.0})
-        assert "2.5" in table
-
-    def test_speedup_with_missing_key(self):
-        table = speedup_table({"a": 10.0}, {})
-        assert "0" in table
-
-
-class TestUtilizationSweep:
-    def test_sweep_returns_one_entry_per_dimension(self):
-        results = mac_utilization_sweep(
-            [128, 512], PIMChannelConfig(), aimx_timing(), policy="static"
-        )
-        assert set(results) == {128, 512}
-        assert all(0 <= value <= 1 for value in results.values())

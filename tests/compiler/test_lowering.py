@@ -5,7 +5,6 @@ import pytest
 from repro.compiler.ir import Operation, OpType
 from repro.compiler.lowering import (
     expand_program_to_commands,
-    instruction_stream_commands,
     lower_gemv_to_commands,
     lower_operator_to_instructions,
 )
@@ -75,8 +74,3 @@ class TestInstructionLowering:
         operation = Operation(name="softmax", op_type=OpType.SOFTMAX)
         with pytest.raises(ValueError):
             lower_operator_to_instructions(operation, 0xF, 1)
-
-    def test_expanded_command_count(self):
-        operation = Operation(name="fc", op_type=OpType.MATMUL, attrs={"role": "fc"})
-        instructions = lower_operator_to_instructions(operation, channel_mask=0b11, op_size=8)
-        assert instruction_stream_commands(instructions) == (8 + 8 + 1) * 2

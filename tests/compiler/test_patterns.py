@@ -1,11 +1,7 @@
 """Tests for decoder pattern detection."""
 
-from repro.compiler.ir import Operation, OpType, build_decoder_graph
-from repro.compiler.patterns import (
-    detect_attention_patterns,
-    detect_fc_operations,
-    is_pim_amenable,
-)
+from repro.compiler.ir import OpType, build_decoder_graph
+from repro.compiler.patterns import detect_attention_patterns, detect_fc_operations
 
 
 class TestPatternDetection:
@@ -33,16 +29,3 @@ class TestPatternDetection:
         fc_ops = detect_fc_operations(graph)
         assert {op.name for op in fc_ops} == {"qkv_proj", "out_proj", "ffn_gate", "ffn_up", "ffn_down"}
 
-
-class TestAmenability:
-    def test_matmul_roles_are_amenable(self):
-        for role in ("qkt", "sv", "fc"):
-            op = Operation(name="x", op_type=OpType.MATMUL, attrs={"role": role})
-            assert is_pim_amenable(op)
-
-    def test_glue_ops_are_not_amenable(self):
-        assert not is_pim_amenable(Operation(name="s", op_type=OpType.SOFTMAX))
-        assert not is_pim_amenable(Operation(name="e", op_type=OpType.ELEMENTWISE))
-        assert not is_pim_amenable(
-            Operation(name="m", op_type=OpType.MATMUL, attrs={"role": "prefill"})
-        )

@@ -5,7 +5,6 @@ import pytest
 from repro.models.kv_cache import (
     kv_bytes_per_token,
     kv_cache_bytes,
-    kv_cache_bytes_for_lengths,
     max_batch_for_capacity,
 )
 
@@ -19,15 +18,9 @@ class TestSizing:
     def test_matches_per_token_rate(self, llm_7b):
         assert kv_cache_bytes(llm_7b, 123, 1) == 123 * kv_bytes_per_token(llm_7b)
 
-    def test_per_length_sum_matches_uniform(self, llm_7b):
-        mixed = kv_cache_bytes_for_lengths(llm_7b, [100, 200, 300])
-        assert mixed == kv_cache_bytes(llm_7b, 600, 1)
-
     def test_negative_inputs_rejected(self, llm_7b):
         with pytest.raises(ValueError):
             kv_cache_bytes(llm_7b, -1, 1)
-        with pytest.raises(ValueError):
-            kv_cache_bytes_for_lengths(llm_7b, [10, -1])
 
 
 class TestMaxBatch:

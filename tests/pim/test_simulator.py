@@ -7,7 +7,6 @@ from repro.pim.simulator import (
     CycleBreakdown,
     ScheduledCommand,
     ZERO_BREAKDOWN,
-    combine_serial,
     validate_stream,
 )
 from repro.pim.config import PIMChannelConfig
@@ -32,10 +31,6 @@ class TestCycleBreakdown:
         scaled = self._sample().scaled(2.0)
         assert doubled.total == scaled.total == 400
         assert doubled.mac == scaled.mac == 200
-
-    def test_combine_serial(self):
-        combined = combine_serial([self._sample(), self._sample(), ZERO_BREAKDOWN])
-        assert combined.total == 400
 
 
 class TestScheduledCommand:

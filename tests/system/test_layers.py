@@ -1,12 +1,16 @@
 """Tests for per-module layer timing (attention + FC on PIM)."""
 
+import dataclasses
+import heapq
+
 import numpy as np
 import pytest
 
 import repro.system.layers as layers
 from repro.core.orchestrator import PIMphonyConfig
 from repro.pim.config import cent_module_config, neupims_module_config
-from repro.pim.simulator import CycleBreakdown
+from repro.pim.kernels import attention_head_cycles
+from repro.pim.simulator import ZERO_BREAKDOWN, CycleBreakdown
 from repro.system.layers import (
     TCPSharePrices,
     module_attention_time,
@@ -79,6 +83,162 @@ class TestModuleAttention:
             [32768], 4, 1, 128, cent_module, PIMphonyConfig.full()
         )
         assert long == pytest.approx(4 * short, rel=0.25)
+
+
+def module_with(num_channels):
+    """The CENT module with ``num_channels`` channels."""
+    return dataclasses.replace(cent_module_config(), num_channels=num_channels)
+
+
+def head_breakdown(tokens, module, config, group_size=1, head_dim=128):
+    """One KV head's slice priced by the kernel estimator, outside ``layers``."""
+    return attention_head_cycles(
+        tokens=tokens,
+        head_dim=head_dim,
+        channel=module.channel,
+        timing=module.timing,
+        policy="dcs" if config.dcs else "static",
+        group_size=group_size,
+        row_reuse=config.row_reuse,
+    )
+
+
+def lpt_makespan(task_cycles, num_channels):
+    """Longest-first placement on the least loaded channel (lowest index on ties)."""
+    loads = [(0.0, index) for index in range(num_channels)]
+    for cycles in task_cycles:
+        load, index = heapq.heappop(loads)
+        heapq.heappush(loads, (load + cycles, index))
+    return max(load for load, _ in loads)
+
+
+class TestHFPPlacement:
+    """Head-first partitioning (the baseline): whole (request, KV head)
+    tasks go to channels, so a few long tasks leave channels idle."""
+
+    @pytest.mark.parametrize(("requests", "heads"), [(1, 1), (1, 2), (2, 2), (4, 2), (3, 5)])
+    def test_few_long_tasks_leave_channels_idle(self, cent_module, requests, heads):
+        """The Fig. 6(b,c) pathology: fewer equal tasks than channels."""
+        cycles, utilization, _ = module_attention_time(
+            [32768] * requests, heads, 1, 128, cent_module, PIMphonyConfig.baseline()
+        )
+        config = PIMphonyConfig.baseline()
+        assert cycles == head_breakdown(32768, cent_module, config).total
+        assert utilization == pytest.approx(requests * heads / cent_module.num_channels)
+
+    def test_length_imbalance_caps_at_the_slowest_channel(self):
+        module = module_with(2)
+        config = PIMphonyConfig.baseline()
+        cycles, utilization, _ = module_attention_time([32768, 4096], 1, 1, 128, module, config)
+        long = head_breakdown(32768, module, config).total
+        short = head_breakdown(4096, module, config).total
+        assert cycles == long
+        assert utilization == pytest.approx((long + short) / (2 * long))
+
+    @pytest.mark.parametrize("tokens", [1, 17, 4096, 32768])
+    def test_tasks_are_never_split(self, cent_module, tokens):
+        config = PIMphonyConfig.baseline()
+        cycles, utilization, aggregate = module_attention_time(
+            [tokens], 1, 1, 128, cent_module, config
+        )
+        assert aggregate == head_breakdown(tokens, cent_module, config)
+        assert cycles == aggregate.total
+        assert utilization == pytest.approx(1 / cent_module.num_channels)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tasks_are_placed_by_cycle_total(self, seed):
+        """Longest task first onto the channel with the fewest cycles; the
+        makespan obeys the list-scheduling bound ``mean + longest``."""
+        module = module_with(3)
+        config = PIMphonyConfig.baseline()
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(1, 20_000, size=7).tolist()
+        heads = 2
+        cycles, utilization, _ = module_attention_time(lengths, heads, 1, 128, module, config)
+        tasks = sorted(lengths * heads, reverse=True)
+        task_cycles = [head_breakdown(length, module, config).total for length in tasks]
+        assert cycles == lpt_makespan(task_cycles, 3)
+        assert max(task_cycles) <= cycles <= sum(task_cycles) / 3 + max(task_cycles)
+        assert utilization == pytest.approx(sum(task_cycles) / (3 * cycles))
+
+    @pytest.mark.parametrize(
+        "config", [PIMphonyConfig.baseline(), PIMphonyConfig(tcp=False, dcs=True, dpa=False)]
+    )
+    def test_aggregate_sums_every_task(self, cent_module, config):
+        """Energy sees every task once, whichever channel ran it."""
+        lengths, heads = [9000, 300, 9000, 41], 3
+        _, _, aggregate = module_attention_time(lengths, heads, 1, 128, cent_module, config)
+        expected = sum(
+            (head_breakdown(length, cent_module, config).scaled(heads) for length in lengths),
+            start=ZERO_BREAKDOWN,
+        )
+        assert aggregate.total == pytest.approx(expected.total)
+        assert aggregate.mac == pytest.approx(expected.mac)
+
+
+class TestTCPShares:
+    """Token-centric partitioning: every channel takes the ceiling share
+    of every task, so all channels stay busy whatever the batch."""
+
+    @pytest.mark.parametrize("tokens", [1, 17, 31, 32, 33, 4095, 4096, 4097, 32768])
+    def test_every_channel_takes_the_ceiling_share(self, cent_module, tokens):
+        config = PIMphonyConfig.full()
+        heads = 4
+        cycles, _, aggregate = module_attention_time([tokens], heads, 1, 128, cent_module, config)
+        share = -(-tokens // cent_module.num_channels)
+        per_channel = head_breakdown(share, cent_module, config).scaled(heads)
+        assert cycles == per_channel.total
+        assert aggregate == per_channel.scaled(cent_module.num_channels)
+
+    @pytest.mark.parametrize("contexts", [[1], [17], [32768], [5, 5000, 70000]])
+    def test_all_channels_active_regardless_of_batch(self, cent_module, contexts):
+        cycles, utilization, aggregate = module_attention_time(
+            contexts, 1, 1, 128, cent_module, PIMphonyConfig.tcp_only()
+        )
+        assert utilization == 1.0
+        assert aggregate.total == pytest.approx(cent_module.num_channels * cycles)
+
+    def test_remainder_tokens_round_up_on_every_channel(self):
+        """17 tokens on 16 channels cost every channel a 2-token share, as
+        32 tokens do; the remainder is not spread one token at a time."""
+        module = module_with(16)
+        config = PIMphonyConfig.tcp_only()
+        odd, _, _ = module_attention_time([17], 1, 1, 128, module, config)
+        even, _, _ = module_attention_time([32], 1, 1, 128, module, config)
+        assert odd == even == head_breakdown(2, module, config).total
+
+    def test_batch_cycles_add_over_requests(self, cent_module):
+        config = PIMphonyConfig.full()
+        contexts = [32768, 100, 4097]
+        batch, _, _ = module_attention_time(contexts, 2, 4, 128, cent_module, config)
+        alone = [
+            module_attention_time([length], 2, 4, 128, cent_module, config)[0]
+            for length in contexts
+        ]
+        assert batch == pytest.approx(sum(alone))
+
+    @pytest.mark.parametrize("make_module", [cent_module_config, neupims_module_config])
+    def test_tcp_beats_hfp_on_long_contexts(self, make_module):
+        """The Fig. 4 effect: TCP restores channel utilisation and latency."""
+        module = make_module()
+        contexts = [16384, 16384]
+        hfp, hfp_util, _ = module_attention_time(
+            contexts, 2, 1, 128, module, PIMphonyConfig.baseline()
+        )
+        tcp, tcp_util, _ = module_attention_time(
+            contexts, 2, 1, 128, module, PIMphonyConfig.tcp_only()
+        )
+        assert tcp_util > 2 * hfp_util
+        assert tcp < hfp
+
+    @pytest.mark.parametrize("config", [PIMphonyConfig.baseline(), PIMphonyConfig.full()])
+    @pytest.mark.parametrize(("contexts", "heads"), [([], 4), ([0, 0], 4), ([100], 0)])
+    def test_no_work_is_free(self, cent_module, config, contexts, heads):
+        assert module_attention_time(contexts, heads, 1, 128, cent_module, config) == (
+            0.0,
+            0.0,
+            ZERO_BREAKDOWN,
+        )
 
 
 class TestModuleFC:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.system.parallelism import ParallelismPlan, best_plan, enumerate_plans
+from repro.system.parallelism import ParallelismPlan, enumerate_plans
 
 
 class TestPlan:
@@ -35,11 +35,6 @@ class TestEnumeration:
     def test_invalid_plans_filtered(self, llm_7b_gqa):
         plans = enumerate_plans(32, llm_7b_gqa)
         assert all(plan.tensor_parallel <= llm_7b_gqa.num_kv_heads for plan in plans)
-
-    def test_best_plan_uses_callback(self, llm_7b):
-        plan, score = best_plan(8, llm_7b, evaluate=lambda p: p.tensor_parallel)
-        assert plan.tensor_parallel == 8
-        assert score == 8.0
 
     def test_zero_modules_rejected(self, llm_7b):
         with pytest.raises(ValueError):

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core.orchestrator import PIMphonyConfig
+from repro.memory.chunked_alloc import ChunkedAllocator
+from repro.memory.static_alloc import StaticAllocator
 from repro.pim.config import cent_module_config
-from repro.serving.interfaces import StepResult
+from repro.serving.interfaces import StepResult, allocator_for
 from repro.system.interconnect import InterconnectConfig
 from repro.system.parallelism import ParallelismPlan
 from repro.system.layers import module_fc_time
@@ -61,8 +63,13 @@ class TestConstruction:
         assert system.kv_capacity_bytes > 0
 
     def test_dynamic_memory_follows_dpa(self, llm_7b):
-        assert make_system(llm_7b, config=PIMphonyConfig.full()).dynamic_memory
-        assert not make_system(llm_7b, config=PIMphonyConfig.baseline()).dynamic_memory
+        full = make_system(llm_7b, config=PIMphonyConfig.full())
+        baseline = make_system(llm_7b, config=PIMphonyConfig.baseline())
+        assert full.dynamic_memory
+        assert not baseline.dynamic_memory
+        # Serving runs get the count-only chunked allocator, not DPAController.
+        assert type(allocator_for(full)) is ChunkedAllocator
+        assert type(allocator_for(baseline)) is StaticAllocator
 
 
 class TestDecodeStep:

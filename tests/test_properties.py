@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import dataclasses
 from itertools import pairwise
 
 import numpy as np
@@ -8,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.dcs import DCSScheduler
 from repro.core.dpa import DPAController
-from repro.core.partitioning import AttentionTask, TokenCentricPartitioner
+from repro.core.orchestrator import PIMphonyConfig
 from repro.memory.static_alloc import AllocationError
-from repro.pim.config import PIMChannelConfig
+from repro.pim.config import PIMChannelConfig, cent_module_config
 from repro.pim.isa import PIMOpcode, mac, read_output, write_input
 from repro.pim.kernels import (
     attention_head_cycles,
@@ -23,27 +24,70 @@ from repro.pim.kernels import (
     fc_gemv_cycles,
 )
 from repro.pim.scheduling import StaticScheduler
+from repro.pim.simulator import ZERO_BREAKDOWN
 from repro.pim.timing import aimx_timing, illustrative_timing
+from repro.system.layers import module_attention_time
 
 
 # ---------------------------------------------------------------------------
 # Partitioning invariants
 # ---------------------------------------------------------------------------
 
-
-@given(
-    lengths=st.lists(st.integers(min_value=1, max_value=200_000), min_size=1, max_size=16),
+PARTITION_BATCHES = dict(
+    lengths=st.lists(st.integers(min_value=1, max_value=200_000), min_size=1, max_size=8),
+    kv_heads=st.integers(min_value=1, max_value=8),
     num_channels=st.sampled_from([4, 8, 16, 32]),
 )
+
+
+def _module(num_channels):
+    return dataclasses.replace(cent_module_config(), num_channels=num_channels)
+
+
+def _head_total(tokens, module, config):
+    return attention_head_cycles(
+        tokens=tokens,
+        head_dim=128,
+        channel=module.channel,
+        timing=module.timing,
+        policy="dcs" if config.dcs else "static",
+    ).total
+
+
+@given(**PARTITION_BATCHES)
 @settings(max_examples=50, deadline=None)
-def test_tcp_conserves_tokens_and_balances(lengths, num_channels):
-    tasks = [AttentionTask(request_id=i, kv_head=0, context_length=length)
-             for i, length in enumerate(lengths)]
-    assignment = TokenCentricPartitioner().partition(tasks, num_channels)
-    loads = assignment.tokens_per_channel()
-    assert sum(loads) == sum(lengths)
-    # Each task contributes at most one extra token to any channel.
-    assert max(loads) - min(loads) <= len(tasks)
+def test_tcp_gives_every_channel_each_requests_ceiling_share(lengths, kv_heads, num_channels):
+    module = _module(num_channels)
+    config = PIMphonyConfig.tcp_dcs()
+    cycles, utilization, aggregate = module_attention_time(
+        lengths, kv_heads, 1, 128, module, config
+    )
+    # Each channel holds ceil(length / channels) tokens of every task: all
+    # tokens are covered, with less than one extra token per channel.
+    shares = [-(-length // num_channels) for length in lengths]
+    assert cycles == pytest.approx(sum(kv_heads * _head_total(s, module, config) for s in shares))
+    assert utilization == 1.0
+    assert aggregate.total == pytest.approx(num_channels * cycles)
+
+
+@given(**PARTITION_BATCHES)
+@settings(max_examples=50, deadline=None)
+def test_hfp_finishes_with_its_slowest_channel(lengths, kv_heads, num_channels):
+    module = _module(num_channels)
+    config = PIMphonyConfig.baseline()
+    cycles, utilization, aggregate = module_attention_time(
+        lengths, kv_heads, 1, 128, module, config
+    )
+    tasks = [_head_total(length, module, config) for length in lengths for _ in range(kv_heads)]
+    # List scheduling: no faster than the longest task or a perfect split,
+    # no slower than a perfect split plus the longest task.
+    assert cycles >= max(tasks)
+    assert cycles >= sum(tasks) / num_channels * (1 - 1e-12)
+    assert cycles <= sum(tasks) / num_channels + max(tasks)
+    assert 0.0 < utilization <= 1.0
+    assert utilization == pytest.approx(sum(tasks) / (num_channels * cycles))
+    assert aggregate.total == pytest.approx(sum(tasks))
+    assert aggregate != ZERO_BREAKDOWN
 
 
 # ---------------------------------------------------------------------------
