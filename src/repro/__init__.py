@@ -39,10 +39,9 @@ policies, prefill configuration, trace helpers, and the declarative
 experiment API.
 """
 
-# Importing the baselines package self-registers its system kinds ("gpu",
-# and the config factories behind "pim-only"/"xpu-pim") into the
-# experiment registries.
-import repro.baselines  # noqa: F401  (imported for registration side effects)
+# The experiment registries (repro.api.registry) list the built-in systems,
+# policies and trace sources by module path and import each on first use,
+# so nothing here is imported for its side effects.
 from repro.api import (
     AdmissionSpec,
     AllocatorSpec,

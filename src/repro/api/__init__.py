@@ -16,15 +16,15 @@ One front door for every serving experiment::
 Specs serialize (``to_dict``/``from_dict``/JSON) so the same experiment
 runs from a checked-in file via ``python -m repro run spec.json`` -- with
 ``--set`` overrides and ``--sweep`` cartesian sweeps.  Components are
-resolved through string-keyed registries that the concrete classes
-self-register into; ``register_system`` / ``register_admission_policy`` /
+resolved through string-keyed registries (:mod:`repro.api.registry`),
+which list the built-ins by module path and import each on first use;
+``register_system`` / ``register_admission_policy`` /
 ``register_routing_policy`` / ``register_preemption_policy`` /
 ``register_prefill_model`` / ``register_trace`` /
 ``register_arrival_process`` extend the vocabulary.
 
-This module lazily imports its submodules (PEP 562) so component modules
-(e.g. :mod:`repro.serving.admission`) can import
-:mod:`repro.api.registry` at definition time without an import cycle.
+This module lazily imports its submodules (PEP 562), so importing one
+name loads only the submodule that defines it.
 """
 
 from importlib import import_module

@@ -3,10 +3,12 @@
 An :class:`~repro.api.spec.ExperimentSpec` names every pluggable piece of an
 experiment -- the system model, the admission policy, the routing policy,
 the prefill model, the trace source -- by a registry key, and
-:func:`~repro.api.build.build` resolves those keys here.  The concrete
-implementations self-register at import time from their defining modules
-(e.g. :mod:`repro.serving.admission` registers ``"fcfs"``), so extending
-the experiment vocabulary is one call:
+:func:`~repro.api.build.build` resolves those keys here.  The built-in
+implementations are listed once, in the registry tables at the end of
+this module, as ``"module:attr"`` paths; a built-in's module is imported
+the first time :meth:`Registry.get` looks it up, so a run loads only the
+components its spec names.  Extending the experiment vocabulary is one
+call:
 
     from repro.api import register_admission_policy
 
@@ -16,8 +18,8 @@ the experiment vocabulary is one call:
 
 after which ``{"admission": {"policy": "deadline"}}`` works in any spec.
 
-This module deliberately imports nothing from the rest of :mod:`repro` so
-any component module can depend on it without creating an import cycle.
+This module imports nothing from the rest of :mod:`repro` at import time,
+and no component module imports it.
 
 Registered factory signatures:
 
@@ -34,7 +36,8 @@ Registered factory signatures:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Mapping
+from importlib import import_module
 from typing import Any
 
 #: Factory signatures vary per registry kind (see module docstring).
@@ -42,10 +45,15 @@ Factory = Callable[..., Any]
 
 
 class Registry:
-    """A named mapping from string keys to component factories."""
+    """A named mapping from string keys to component factories.
 
-    def __init__(self, kind: str) -> None:
+    ``builtins`` maps keys to ``"module:attr"`` paths that are imported on
+    first lookup; :meth:`register` adds factories directly.
+    """
+
+    def __init__(self, kind: str, builtins: Mapping[str, str] | None = None) -> None:
         self.kind = kind
+        self._builtins = dict(builtins or {})
         self._entries: dict[str, Factory] = {}
 
     def register(
@@ -65,7 +73,7 @@ class Registry:
         def _add(value: Factory) -> Factory:
             if not callable(value):
                 raise TypeError(f"{self.kind} {name!r} must be registered with a callable")
-            if name in self._entries and not overwrite:
+            if name in self and not overwrite:
                 raise ValueError(
                     f"{self.kind} {name!r} is already registered; "
                     "pass overwrite=True to replace it"
@@ -79,35 +87,97 @@ class Registry:
 
     def get(self, name: str) -> Factory:
         """Look up a factory; unknown keys list what *is* registered."""
-        try:
-            return self._entries[name]
-        except KeyError:
-            known = ", ".join(sorted(self._entries)) or "<none>"
+        factory = self._entries.get(name)
+        if factory is not None:
+            return factory
+        path = self._builtins.get(name)
+        if path is None:
+            known = ", ".join(self.names()) or "<none>"
             raise KeyError(
                 f"unknown {self.kind} {name!r}; registered {self.kind} keys: {known}"
-            ) from None
+            )
+        module, _, attr = path.partition(":")
+        factory = self._entries[name] = getattr(import_module(module), attr)
+        return factory
 
     def names(self) -> list[str]:
-        """Sorted registry keys."""
-        return sorted(self._entries)
+        """Sorted registry keys, built-ins included (none is imported)."""
+        return sorted(self._entries.keys() | self._builtins.keys())
 
     def __contains__(self, name: object) -> bool:
-        return name in self._entries
+        return name in self._entries or name in self._builtins
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.names())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._entries.keys() | self._builtins.keys())
 
 
-SYSTEMS = Registry("system")
-ADMISSION_POLICIES = Registry("admission policy")
-ROUTING_POLICIES = Registry("routing policy")
-PREEMPTION_POLICIES = Registry("preemption policy")
-PREFILL_MODELS = Registry("prefill model")
-TRACES = Registry("trace source")
-ARRIVAL_PROCESSES = Registry("arrival process")
+SYSTEMS = Registry(
+    "system",
+    {
+        "xpu-only": "repro.system.xpu:_build_xpu_only",
+        "pim-only": "repro.system.pim_only:_build_pim_only",
+        "xpu-pim": "repro.system.xpu_pim:_build_xpu_pim",
+        "gpu": "repro.baselines.gpu:_build_gpu",
+    },
+)
+ADMISSION_POLICIES = Registry(
+    "admission policy",
+    {
+        "fcfs": "repro.serving.admission:FCFSAdmission",
+        "capacity-aware": "repro.serving.admission:CapacityAwareAdmission",
+        "priority": "repro.serving.admission:PriorityAdmission",
+    },
+)
+ROUTING_POLICIES = Registry(
+    "routing policy",
+    {
+        "round-robin": "repro.serving.router:RoundRobinRouting",
+        "least-outstanding": "repro.serving.router:LeastOutstandingRouting",
+        "capacity-aware": "repro.serving.router:CapacityAwareRouting",
+        "kv-balanced": "repro.serving.router:KVBalancedRouting",
+        "session-affinity": "repro.serving.router:SessionAffinityRouting",
+    },
+)
+PREEMPTION_POLICIES = Registry(
+    "preemption policy",
+    {
+        "none": "repro.serving.preemption:NoPreemption",
+        "evict-lru": "repro.serving.preemption:EvictLRU",
+        "evict-largest": "repro.serving.preemption:EvictLargest",
+        "evict-youngest": "repro.serving.preemption:EvictYoungest",
+        "evict-priority-lru": "repro.serving.preemption:EvictPriorityLRU",
+        "evict-priority-largest": "repro.serving.preemption:EvictPriorityLargest",
+        "evict-priority-youngest": "repro.serving.preemption:EvictPriorityYoungest",
+    },
+)
+PREFILL_MODELS = Registry(
+    "prefill model",
+    {
+        "system": "repro.serving.prefill:system_prefill_model",
+        "linear": "repro.serving.prefill:linear_prefill_model",
+    },
+)
+TRACES = Registry(
+    "trace source",
+    {
+        "dataset": "repro.workloads.traces:_dataset_trace",
+        "synthetic": "repro.workloads.traces:_synthetic_trace",
+        "multi-turn": "repro.workloads.traces:_multi_turn_source",
+    },
+)
+ARRIVAL_PROCESSES = Registry(
+    "arrival process",
+    {
+        "poisson": "repro.workloads.traces:_poisson_process",
+        "replay": "repro.workloads.traces:_replay_process",
+        "diurnal": "repro.workloads.traces:_diurnal_process",
+        "burst": "repro.workloads.traces:_burst_process",
+        "trace-warped": "repro.workloads.traces:_warped_replay_process",
+    },
+)
 
 register_system = SYSTEMS.register
 register_admission_policy = ADMISSION_POLICIES.register

@@ -1,15 +1,1 @@
 """Comparison baselines: ping-pong buffering, CENT, NeuPIMs, GPU."""
-
-from repro.baselines.cent import cent_system_config
-from repro.baselines.gpu import GPUConfig, GPUSystemModel, a100_config
-from repro.baselines.neupims import neupims_system_config
-from repro.baselines.pingpong import PingPongScheduler
-
-__all__ = [
-    "PingPongScheduler",
-    "cent_system_config",
-    "neupims_system_config",
-    "GPUConfig",
-    "GPUSystemModel",
-    "a100_config",
-]

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.api.registry import register_system
 from repro.core.orchestrator import PIMphonyConfig
 from repro.models.llm import LLMConfig
 from repro.serving.interfaces import StepResult
@@ -183,7 +182,3 @@ def _build_gpu(
     del plan
     gpus = num_modules if num_modules is not None else (2 if model.num_layers <= 40 else 8)
     return GPUSystemModel(model=model, num_gpus=gpus, paged_attention=pimphony.dpa)
-
-
-# Self-registration: "gpu" is the A100 + FlashDecoding baseline system.
-register_system("gpu", _build_gpu)

@@ -29,5 +29,4 @@ class PingPongScheduler(TableDrivenScheduler):
             gbuf_regions=2,
             out_regions=2,
             handoff_penalty=handoff,
-            mac_pipelining=True,
         )

@@ -27,7 +27,6 @@ class DCSScheduler(TableDrivenScheduler):
             gbuf_regions=0,
             out_regions=0,
             handoff_penalty=0,
-            mac_pipelining=True,
         )
 
     @property

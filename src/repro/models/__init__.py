@@ -1,29 +1,1 @@
 """LLM architectural configurations and decode-step workload models."""
-
-from repro.models.footprint import MemoryFootprint, memory_footprint
-from repro.models.kv_cache import kv_bytes_per_token, kv_cache_bytes, max_batch_for_capacity
-from repro.models.llm import LLMConfig, get_model, list_models
-from repro.models.roofline import compute_intensity, decode_compute_intensity_sweep
-from repro.models.workload import (
-    DecodeStepWorkload,
-    Operator,
-    OperatorKind,
-    build_decode_workload,
-)
-
-__all__ = [
-    "LLMConfig",
-    "get_model",
-    "list_models",
-    "kv_bytes_per_token",
-    "kv_cache_bytes",
-    "max_batch_for_capacity",
-    "Operator",
-    "OperatorKind",
-    "DecodeStepWorkload",
-    "build_decode_workload",
-    "compute_intensity",
-    "decode_compute_intensity_sweep",
-    "MemoryFootprint",
-    "memory_footprint",
-]

@@ -1,53 +1,1 @@
 """DRAM-PIM hardware substrate: ISA, timing, configs, simulator, kernels."""
-
-from repro.pim.config import (
-    PIMChannelConfig,
-    PIMModuleConfig,
-    cent_module_config,
-    neupims_module_config,
-)
-from repro.pim.energy import EnergyBreakdown, EnergyModel
-from repro.pim.functional import FunctionalChannel, execute_gemv, tcp_attention
-from repro.pim.isa import PIMCommand, PIMInstruction, PIMOpcode
-from repro.pim.kernels import (
-    BufferCaps,
-    KernelPhase,
-    KernelProgram,
-    build_fc_gemv_program,
-    build_qkt_program,
-    build_sv_program,
-    estimate_cycles,
-)
-from repro.pim.scheduling import CommandScheduler, StaticScheduler
-from repro.pim.simulator import CycleBreakdown, ScheduledCommand, ScheduleResult
-from repro.pim.timing import PIMTiming, aimx_timing, illustrative_timing
-
-__all__ = [
-    "PIMOpcode",
-    "PIMInstruction",
-    "PIMCommand",
-    "PIMTiming",
-    "aimx_timing",
-    "illustrative_timing",
-    "PIMChannelConfig",
-    "PIMModuleConfig",
-    "cent_module_config",
-    "neupims_module_config",
-    "EnergyModel",
-    "EnergyBreakdown",
-    "FunctionalChannel",
-    "execute_gemv",
-    "tcp_attention",
-    "CycleBreakdown",
-    "ScheduleResult",
-    "ScheduledCommand",
-    "CommandScheduler",
-    "StaticScheduler",
-    "BufferCaps",
-    "KernelPhase",
-    "KernelProgram",
-    "build_fc_gemv_program",
-    "build_qkt_program",
-    "build_sv_program",
-    "estimate_cycles",
-]

@@ -123,13 +123,11 @@ class TableDrivenScheduler(CommandScheduler):
         gbuf_regions: int = 0,
         out_regions: int = 0,
         handoff_penalty: int = 0,
-        mac_pipelining: bool = True,
     ) -> None:
         super().__init__(timing, channel)
         self.gbuf_regions = gbuf_regions
         self.out_regions = out_regions
         self.handoff_penalty = handoff_penalty
-        self.mac_pipelining = mac_pipelining
 
     # -- dependency-key helpers -----------------------------------------
 
@@ -171,8 +169,6 @@ class TableDrivenScheduler(CommandScheduler):
                 dep.gbuf_source = last_gbuf_writer.get(gkey)
                 if last_out_accessor_is_drain.get(okey, False):
                     dep.out_drain = last_out_drain.get(okey)
-                elif not self.mac_pipelining:
-                    dep.out_source = last_out_mac.get(okey)
                 gbuf_readers.setdefault(gkey, []).append(command.cmd_id)
                 last_out_mac[okey] = command.cmd_id
                 last_out_accessor_is_drain[okey] = False

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import Protocol, runtime_checkable
 
-from repro.api.registry import register_admission_policy
 from repro.workloads.traces import Request
 
 
@@ -125,9 +124,3 @@ class PriorityAdmission:
             waiting,
             key=lambda candidate: (-candidate.priority, candidate.arrival_s, candidate.request_id),
         )
-
-
-# Self-registration: admission policies plug into ExperimentSpec by name.
-register_admission_policy("fcfs", FCFSAdmission)
-register_admission_policy("capacity-aware", CapacityAwareAdmission)
-register_admission_policy("priority", PriorityAdmission)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.memory.lifecycle import PreemptedState
 from repro.memory.static_alloc import AllocationError
-from repro.serving.interfaces import DecodeSystem, allocator_for
+from repro.serving.interfaces import DecodeSystem, allocator_for, clamp_to_window
 from repro.serving.prefill import PrefillConfig
 from repro.system.interconnect import InterconnectConfig
 from repro.workloads.traces import RequestTrace
@@ -130,8 +130,7 @@ class PrefillPool:
             # Same clamping as engine admission: the decode side recomputes
             # these from the shared system object, so the receipt's token
             # count matches what decode admission will check.
-            final = min(request.prompt_tokens + request.output_tokens, window)
-            prompt = max(1, final - request.output_tokens)
+            prompt, final = clamp_to_window(request, window)
             replica = min(range(self.replicas), key=lambda index: (free_at_s[index], index))
             allocator = allocators[replica]
             try:

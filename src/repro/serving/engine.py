@@ -86,6 +86,7 @@ from repro.serving.interfaces import (
     KVLifecycle,
     ServingResult,
     allocator_for,
+    clamp_to_window,
 )
 from repro.serving.lifecycle import LatencyStats, LifecycleTracker, RequestRecord
 from repro.serving.preemption import PreemptionCandidate, PreemptionConfig
@@ -297,8 +298,7 @@ class ServingEngine:
         window = self.system.max_context_tokens
         candidates = []
         for request in trace.requests:
-            final = min(request.prompt_tokens + request.output_tokens, window)
-            prompt = max(1, final - request.output_tokens)
+            prompt, final = clamp_to_window(request, window)
             candidates.append(
                 AdmissionCandidate(request=request, prompt_tokens=prompt, final_tokens=final)
             )

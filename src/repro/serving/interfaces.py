@@ -22,13 +22,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Sequence
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.memory.chunked_alloc import ChunkedAllocator
 from repro.memory.lifecycle import CapacityExceeded, PreemptedState
 from repro.memory.static_alloc import StaticAllocator
 from repro.pim.simulator import CycleBreakdown, ZERO_BREAKDOWN
 from repro.serving.prefill import SupportsPrefill
+
+if TYPE_CHECKING:
+    from repro.workloads.traces import Request
 
 __all__ = [
     "StepResult",
@@ -39,6 +42,7 @@ __all__ = [
     "PreemptedState",
     "build_allocator",
     "allocator_for",
+    "clamp_to_window",
     "ServingResult",
 ]
 
@@ -188,6 +192,18 @@ def allocator_for(system: DecodeSystem) -> KVLifecycle:
         max_context_tokens=system.max_context_tokens,
         dynamic=system.dynamic_memory,
     )
+
+
+def clamp_to_window(request: Request, window: int) -> tuple[int, int]:
+    """``(prompt, final)`` tokens of ``request`` served in a ``window``-token context.
+
+    The final context is cut to the window and the prompt gives way, so
+    every output token is still decoded; at least one prompt token stays.
+    Engine admission, router shadows and the disaggregated prefill pool
+    all clamp through this one rule.
+    """
+    final = min(request.prompt_tokens + request.output_tokens, window)
+    return max(1, final - request.output_tokens), final
 
 
 @dataclass

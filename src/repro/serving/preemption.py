@@ -11,7 +11,7 @@ can continue.  Victims are re-queued through admission and restored
 page-in work priced by a :class:`PreemptionCostModel` and charged to the
 simulation clock.
 
-Policies self-register into the experiment API, so specs select them as
+The experiment API lists these policies by name, so specs select them as
 ``{"preemption": {"policy": "evict-lru"}}`` and new ones plug in with one
 :func:`repro.api.register_preemption_policy` call:
 
@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import Protocol, runtime_checkable
 
-from repro.api.registry import register_preemption_policy
 from repro.memory.lifecycle import PREEMPTION_COST_MODES, PreemptedState
 from repro.serving.prefill import PrefillModel
 
@@ -194,16 +193,6 @@ class EvictPriorityYoungest:
             key=lambda c: (c.priority, -c.admitted_s, -c.request_id),
         )
         return victim.request_id
-
-
-# Self-registration: preemption policies plug into ExperimentSpec by name.
-register_preemption_policy("none", NoPreemption)
-register_preemption_policy("evict-lru", EvictLRU)
-register_preemption_policy("evict-largest", EvictLargest)
-register_preemption_policy("evict-youngest", EvictYoungest)
-register_preemption_policy("evict-priority-lru", EvictPriorityLRU)
-register_preemption_policy("evict-priority-largest", EvictPriorityLargest)
-register_preemption_policy("evict-priority-youngest", EvictPriorityYoungest)
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-from repro.api.registry import register_prefill_model
-
 if TYPE_CHECKING:
+    from repro.api.spec import PrefillSpec
     from repro.models.llm import LLMConfig
 
 
@@ -131,17 +130,20 @@ class PrefillConfig:
         return "blocking" if self.chunk_tokens is None else "chunked"
 
 
-# Self-registration: prefill models plug into ExperimentSpec by name.  The
-# factory signature is (system, prefill_spec) -> PrefillModel.
-register_prefill_model("system", lambda system, spec: prefill_model_for(system))
-register_prefill_model(
-    "linear",
-    lambda system, spec: LinearPrefillModel(
+def system_prefill_model(system: object, spec: PrefillSpec) -> PrefillModel:
+    """The ``"system"`` prefill model: the system's own ``prefill_seconds``."""
+    del spec
+    return prefill_model_for(system)
+
+
+def linear_prefill_model(system: object, spec: PrefillSpec) -> PrefillModel:
+    """The ``"linear"`` prefill model: coefficients from the prefill spec."""
+    del system
+    return LinearPrefillModel(
         per_token_s=spec.per_token_s,
         per_token_sq_s=spec.per_token_sq_s,
         base_s=spec.base_s,
-    ),
-)
+    )
 
 
 def transformer_prefill_flops(model: LLMConfig, prompt_tokens: int) -> tuple[float, float]:

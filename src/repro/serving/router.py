@@ -63,10 +63,9 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ClassVar, Protocol, runtime_checkable
 
-from repro.api.registry import register_routing_policy
 from repro.serving.autoscaler import SCALE_DOWN, SCALE_UP, ReactiveAutoscaler, ScalingDecision
 from repro.serving.engine import EngineResult, ServingEngine
-from repro.serving.interfaces import KVLifecycle, allocator_for
+from repro.serving.interfaces import KVLifecycle, allocator_for, clamp_to_window
 from repro.serving.lifecycle import LatencyStats, RequestRecord
 from repro.workloads.traces import Request, RequestTrace, _with_fields
 
@@ -120,14 +119,14 @@ class ReplicaState:
         self._completions: list[tuple[float, int]] = []
         self._assigned: dict[int, tuple[int, bool]] = {}
 
-    def _clamped_final_tokens(self, request: Request) -> int:
-        return min(request.final_context, self.system.max_context_tokens)
+    def _clamped(self, request: Request) -> tuple[int, int]:
+        """``(prompt, final)`` tokens the replica's engine admits the request with."""
+        return clamp_to_window(request, self.system.max_context_tokens)
 
     def _admission_tokens(self, request: Request) -> int:
         """Tokens the replica's admission would check for this request."""
-        if self.lifecycle:
-            return min(request.prompt_tokens, self.system.max_context_tokens)
-        return self._clamped_final_tokens(request)
+        prompt, final = self._clamped(request)
+        return prompt if self.lifecycle else final
 
     def can_admit(self, request: Request) -> bool:
         """Whether the shadow allocator accepts the request right now."""
@@ -135,14 +134,13 @@ class ReplicaState:
 
     def could_ever_admit(self, request: Request) -> bool:
         """Whether an empty replica could admit the request at all."""
-        return self.shadow.could_ever_fit(self._clamped_final_tokens(request))
+        return self.shadow.could_ever_fit(self._clamped(request)[1])
 
     def _prefill_s(self, request: Request) -> float:
         prefill = self.engine.prefill
         if prefill is None:
             return 0.0
-        prompt = min(request.prompt_tokens, self.system.max_context_tokens)
-        return prefill.model.cumulative_seconds(prompt)
+        return prefill.model.cumulative_seconds(self._clamped(request)[0])
 
     def estimated_service_s(self, request: Request) -> float:
         return self.est_step_s * max(1, request.output_tokens) + self._prefill_s(request)
@@ -346,14 +344,6 @@ class SessionAffinityRouting:
         if choice is not None:
             self._sessions[request.session] = choice
         return choice
-
-
-# Self-registration: routing policies plug into ExperimentSpec by name.
-register_routing_policy("round-robin", RoundRobinRouting)
-register_routing_policy("least-outstanding", LeastOutstandingRouting)
-register_routing_policy("capacity-aware", CapacityAwareRouting)
-register_routing_policy("kv-balanced", KVBalancedRouting)
-register_routing_policy("session-affinity", SessionAffinityRouting)
 
 
 #: Heap ordering at equal timestamps: fleet events (and cold-start

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.api.registry import register_system
 from repro.core.orchestrator import PIMphonyConfig
 from repro.models.llm import LLMConfig
 from repro.pim.simulator import CycleBreakdown
@@ -146,7 +145,3 @@ def _build_pim_only(
     from repro.baselines.cent import cent_system_config
 
     return cent_system_config(model, num_modules=num_modules, plan=plan, pimphony=pimphony)
-
-
-# Self-registration: "pim-only" is the CENT-class deployment of this system.
-register_system("pim-only", _build_pim_only)

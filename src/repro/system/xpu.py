@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.api.registry import register_system
 from repro.core.orchestrator import PIMphonyConfig
 from repro.models.llm import LLMConfig
 from repro.serving.interfaces import StepResult
@@ -234,7 +233,3 @@ def _build_xpu_only(
     del plan
     modules = num_modules if num_modules is not None else (4 if model.num_layers <= 40 else 16)
     return XPUOnlySystem(model=model, num_modules=modules, paged_kv=pimphony.dpa)
-
-
-# Self-registration: "xpu-only" is the no-PIM ablation system.
-register_system("xpu-only", _build_xpu_only)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.api.registry import register_system
 from repro.core.orchestrator import PIMphonyConfig
 from repro.models.llm import LLMConfig
 from repro.pim.config import PIMModuleConfig, neupims_module_config
@@ -162,7 +161,3 @@ def _build_xpu_pim(
     from repro.baselines.neupims import neupims_system_config
 
     return neupims_system_config(model, num_modules=num_modules, plan=plan, pimphony=pimphony)
-
-
-# Self-registration: "xpu-pim" is the NeuPIMs-class deployment of this system.
-register_system("xpu-pim", _build_xpu_pim)

@@ -1,29 +1,1 @@
 """Long-context workload generators matched to LongBench / LV-Eval statistics."""
-
-from repro.workloads.datasets import DatasetStats, get_dataset, list_datasets
-from repro.workloads.traces import (
-    Request,
-    RequestTrace,
-    burst_arrivals,
-    diurnal_arrivals,
-    generate_trace,
-    multi_turn_trace,
-    poisson_arrivals,
-    replay_arrivals,
-    warped_replay_arrivals,
-)
-
-__all__ = [
-    "DatasetStats",
-    "get_dataset",
-    "list_datasets",
-    "Request",
-    "RequestTrace",
-    "burst_arrivals",
-    "diurnal_arrivals",
-    "generate_trace",
-    "multi_turn_trace",
-    "poisson_arrivals",
-    "replay_arrivals",
-    "warped_replay_arrivals",
-]

@@ -10,7 +10,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.api.registry import register_arrival_process, register_trace
 from repro.workloads.datasets import DatasetStats, get_dataset
 
 if TYPE_CHECKING:
@@ -772,9 +771,10 @@ def partition_trace(
 
 # -- trace sources for the declarative experiment API ------------------------
 #
-# Registered factories take (spec: TraceSpec, context_window, seed) and
-# return the base trace; the API layer then applies the arrival process,
-# session assignment and priority tagging uniformly across sources.
+# Factories listed in repro.api.registry.TRACES take (spec: TraceSpec,
+# context_window, seed) and return the base trace; the API layer then
+# applies the arrival process, session assignment and priority tagging
+# uniformly across sources.
 
 
 def _dataset_trace(spec: TraceSpec, context_window: int, seed: int) -> RequestTrace:
@@ -866,15 +866,11 @@ def _multi_turn_source(spec: TraceSpec, context_window: int, seed: int) -> Reque
     )
 
 
-register_trace("dataset", _dataset_trace)
-register_trace("synthetic", _synthetic_trace)
-register_trace("multi-turn", _multi_turn_source)
-
-
 # -- arrival processes for the declarative experiment API ---------------------
 #
-# Registered factories take (trace, spec: ArrivalSpec, seed) and return the
-# trace with arrival timestamps attached.  They are thin adapters over the
+# Factories listed in repro.api.registry.ARRIVAL_PROCESSES take (trace,
+# spec: ArrivalSpec, seed) and return the trace with arrival timestamps
+# attached.  They are thin adapters over the
 # helpers above, so spec-driven arrivals stay equivalence-pinned against
 # direct helper calls with the same derived seed.
 
@@ -920,10 +916,3 @@ def _warped_replay_process(trace: RequestTrace, spec: ArrivalSpec, seed: int) ->
         spec.times or (),
         phases=[(phase.start_s, phase.factor) for phase in spec.warp],
     )
-
-
-register_arrival_process("poisson", _poisson_process)
-register_arrival_process("replay", _replay_process)
-register_arrival_process("diurnal", _diurnal_process)
-register_arrival_process("burst", _burst_process)
-register_arrival_process("trace-warped", _warped_replay_process)

@@ -7,7 +7,6 @@ from repro.api import (
     ArrivalSpec,
     ExperimentSpec,
     ModelSpec,
-    PrefillSpec,
     RouterSpec,
     SystemSpec,
     TraceSpec,

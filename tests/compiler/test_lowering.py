@@ -8,7 +8,6 @@ from repro.compiler.lowering import (
     lower_gemv_to_commands,
     lower_operator_to_instructions,
 )
-from repro.pim.config import PIMChannelConfig
 from repro.pim.isa import PIMOpcode
 from repro.pim.kernels import build_fc_gemv_program, caps_for_policy
 from repro.pim.simulator import validate_stream

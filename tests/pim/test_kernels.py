@@ -10,7 +10,6 @@ from repro.dram.refresh import RefreshModel
 from repro.pim import kernels
 from repro.pim.config import (
     ELEMENTS_PER_TILE,
-    PIMChannelConfig,
     cent_module_config,
     neupims_module_config,
 )

@@ -7,7 +7,7 @@ import pytest
 from repro.baselines.pingpong import PingPongScheduler
 from repro.core.dcs import DCSScheduler
 from repro.pim.config import PIMChannelConfig
-from repro.pim.isa import PIMOpcode, mac, read_output, write_input
+from repro.pim.isa import mac, read_output, write_input
 from repro.pim.scheduling import StaticScheduler
 
 
