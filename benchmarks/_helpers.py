@@ -10,7 +10,7 @@ reports a single representative runtime per experiment.
 from __future__ import annotations
 
 from repro.core.orchestrator import PIMphonyConfig
-from repro.serving import ServingResult, serve
+from repro.serving.engine import EngineResult, serve
 from repro.workloads.datasets import get_dataset
 from repro.workloads.traces import generate_trace
 
@@ -37,7 +37,7 @@ def serve_workload(
     step_stride: int = 16,
     seed: int = 0,
     **system_kwargs,
-) -> ServingResult:
+) -> EngineResult:
     """Serve a generated trace on a freshly built system (one configuration)."""
     trace = generate_trace(
         get_dataset(dataset_name),

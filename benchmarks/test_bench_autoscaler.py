@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.api import run
+from repro.api.build import run
 
 from _helpers import emit, run_once
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.api import ExperimentSpec, run
-from repro.api.spec import apply_override
+from repro.api.build import run
+from repro.api.spec import ExperimentSpec, apply_override
 
 from _helpers import emit, run_once
 

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import ExperimentSpec, run
+from repro.api.build import run
+from repro.api.spec import ExperimentSpec
 
 from _helpers import emit, run_once
 

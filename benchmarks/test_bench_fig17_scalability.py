@@ -11,7 +11,7 @@ from repro.baselines.cent import cent_system_config
 from repro.baselines.neupims import neupims_system_config
 from repro.core.orchestrator import PIMphonyConfig
 from repro.models.llm import get_model
-from repro.serving import serve
+from repro.serving.engine import serve
 from repro.workloads.datasets import synthetic_dataset
 from repro.workloads.traces import generate_trace
 

@@ -12,7 +12,7 @@ from repro.baselines.gpu import GPUSystemModel
 from repro.baselines.neupims import neupims_system_config
 from repro.core.orchestrator import PIMphonyConfig
 from repro.models.llm import get_model
-from repro.serving import serve
+from repro.serving.engine import serve
 from repro.workloads.datasets import get_dataset
 from repro.workloads.traces import generate_trace
 

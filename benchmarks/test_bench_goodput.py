@@ -10,14 +10,14 @@ goodput at equal load while best-effort keeps making progress.
 
 from benchmarks._helpers import emit, run_once
 from repro.analysis.reporting import format_table
-from repro.api import (
+from repro.api.build import run
+from repro.api.spec import (
     ExperimentSpec,
     ModelSpec,
     PreemptionSpec,
     SystemSpec,
     TierSpec,
     TraceSpec,
-    run,
 )
 
 POLICIES = ("evict-lru", "evict-priority-lru")

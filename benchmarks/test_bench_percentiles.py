@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import time
 
-from repro.serving import LatencyStats, RequestRecord, percentile
+from repro.serving.lifecycle import LatencyStats, RequestRecord, percentile
 
 from _helpers import emit, run_once
 

@@ -9,14 +9,8 @@ every capacity-constrained point, while completing the same work.
 
 from benchmarks._helpers import emit, run_once
 from repro.analysis.reporting import format_table
-from repro.api import (
-    ExperimentSpec,
-    ModelSpec,
-    PreemptionSpec,
-    SystemSpec,
-    TraceSpec,
-    run,
-)
+from repro.api.build import run
+from repro.api.spec import ExperimentSpec, ModelSpec, PreemptionSpec, SystemSpec, TraceSpec
 
 #: Requests sweeping the pressure from none (8 fit outright) to 2x.
 REQUEST_COUNTS = (8, 12, 16)

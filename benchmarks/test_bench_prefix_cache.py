@@ -12,14 +12,14 @@ an apples-to-apples experiment the per-replica hit rates explain.
 
 from benchmarks._helpers import emit, run_once
 from repro.analysis.reporting import format_table
-from repro.api import (
+from repro.api.build import run
+from repro.api.spec import (
     ExperimentSpec,
     PrefillSpec,
     PrefixCacheSpec,
     RouterSpec,
     SystemSpec,
     TraceSpec,
-    run,
 )
 
 POLICIES = ("session-affinity", "round-robin")

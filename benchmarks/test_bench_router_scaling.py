@@ -23,15 +23,9 @@ from repro.analysis.reporting import fleet_summary_table
 from repro.baselines.cent import cent_system_config
 from repro.core.orchestrator import PIMphonyConfig
 from repro.models.llm import get_model
-from repro.serving import (
-    CapacityAwareRouting,
-    PrefillConfig,
-    ReplicaRouter,
-    RoundRobinRouting,
-    ServingEngine,
-    prefill_model_for,
-    serve,
-)
+from repro.serving.engine import ServingEngine, serve
+from repro.serving.prefill import PrefillConfig, prefill_model_for
+from repro.serving.router import CapacityAwareRouting, ReplicaRouter, RoundRobinRouting
 from repro.workloads.traces import Request, RequestTrace, poisson_arrivals
 
 from _helpers import emit, run_once

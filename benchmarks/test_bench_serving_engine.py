@@ -10,7 +10,7 @@ from repro.analysis.reporting import serving_summary_table
 from repro.baselines.cent import cent_system_config
 from repro.core.orchestrator import PIMphonyConfig
 from repro.models.llm import get_model
-from repro.serving import serve
+from repro.serving.engine import serve
 from repro.workloads.datasets import get_dataset
 from repro.workloads.traces import generate_trace, poisson_arrivals
 
@@ -33,7 +33,7 @@ def test_bench_admission_policies_open_loop(benchmark):
     )
 
     def evaluate():
-        from repro.serving import CapacityAwareAdmission, FCFSAdmission
+        from repro.serving.admission import CapacityAwareAdmission, FCFSAdmission
 
         return [
             serve(system, trace, admission=policy, step_stride=8, system_name="CENT+PIMphony")

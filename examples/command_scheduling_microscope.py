@@ -15,7 +15,8 @@ Run with:  python examples/command_scheduling_microscope.py
 
 from repro.analysis.breakdown import breakdown_fractions
 from repro.analysis.reporting import format_table
-from repro.api import ExperimentSpec, ModelSpec, SystemSpec, TraceSpec, build, run
+from repro.api.build import build, run
+from repro.api.spec import ExperimentSpec, ModelSpec, SystemSpec, TraceSpec
 from repro.baselines.pingpong import PingPongScheduler
 from repro.compiler.dpa_encoding import encode_attention_loop
 from repro.compiler.lowering import lower_gemv_to_commands, lower_operator_to_instructions

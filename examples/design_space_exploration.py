@@ -4,7 +4,7 @@ PIMphony's benefit depends on how the model is spread across PIM modules.
 This example sweeps every valid (TP, PP) plan of an 8-module CENT-class
 system for two models -- each plan expressed declaratively through
 ``parallelism.tensor_parallel`` / ``parallelism.pipeline_parallel`` on an
-:class:`~repro.api.ExperimentSpec` -- picks the best plan for the baseline
+:class:`~repro.api.spec.ExperimentSpec` -- picks the best plan for the baseline
 and for PIMphony, and then scales ``system.num_modules`` to show capacity
 scalability (the paper's Fig. 15 and Fig. 17(a) analyses).
 
@@ -12,7 +12,8 @@ Run with:  python examples/design_space_exploration.py
 """
 
 from repro.analysis.reporting import format_table
-from repro.api import ExperimentSpec, ModelSpec, SystemSpec, TraceSpec, run
+from repro.api.build import run
+from repro.api.spec import ExperimentSpec, ModelSpec, SystemSpec, TraceSpec
 from repro.models.llm import get_model
 from repro.system.parallelism import enumerate_plans
 

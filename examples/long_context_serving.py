@@ -4,7 +4,7 @@ This is the scenario the paper's introduction motivates: 100K-class contexts
 where the KV cache dominates memory and attention dominates the decode step.
 The example serves the `multifieldqa` distribution (Table II) on both system
 styles -- declaratively, by sweeping ``system.kind`` and ``system.pimphony``
-on one :class:`~repro.api.ExperimentSpec` -- and reports how each PIMphony
+on one :class:`~repro.api.spec.ExperimentSpec` -- and reports how each PIMphony
 technique contributes.
 
 The same sweep from the command line:
@@ -18,7 +18,8 @@ Run with:  python examples/long_context_serving.py
 """
 
 from repro.analysis.reporting import format_table
-from repro.api import ExperimentSpec, ModelSpec, SystemSpec, TraceSpec, build, run, sweep_specs
+from repro.api.build import build, run, sweep_specs
+from repro.api.spec import ExperimentSpec, ModelSpec, SystemSpec, TraceSpec
 
 
 def main() -> None:

@@ -2,7 +2,7 @@
 
 Three things the replica router adds over a single serving engine, all
 expressed declaratively (``router.replicas`` / ``router.policy`` /
-``prefill.mode`` axes on one :class:`~repro.api.ExperimentSpec`):
+``prefill.mode`` axes on one :class:`~repro.api.spec.ExperimentSpec`):
 
 1. **Near-linear scaling** -- the same Poisson workload served by 1/2/4/8
    data-parallel CENT replicas; aggregate throughput (tokens over fleet
@@ -25,17 +25,17 @@ Run with:  python examples/multi_replica_scaling.py
 """
 
 from repro.analysis.reporting import format_table
-from repro.api import (
+from repro.api.build import build, run
+from repro.api.spec import (
     AdmissionSpec,
     ExperimentSpec,
     ModelSpec,
     RouterSpec,
     SystemSpec,
     TraceSpec,
-    build,
-    run,
 )
-from repro.serving import CapacityAwareRouting, ReplicaRouter, ServingEngine
+from repro.serving.engine import ServingEngine
+from repro.serving.router import CapacityAwareRouting, ReplicaRouter
 
 
 def replica_scaling(base: ExperimentSpec) -> None:

@@ -26,7 +26,8 @@ Run with:  python examples/multi_turn_prefix_reuse.py
 """
 
 from repro.analysis.reporting import format_table
-from repro.api import (
+from repro.api.build import run
+from repro.api.spec import (
     ExperimentSpec,
     ModelSpec,
     PrefillSpec,
@@ -34,7 +35,6 @@ from repro.api import (
     RouterSpec,
     SystemSpec,
     TraceSpec,
-    run,
 )
 
 POLICIES = ("session-affinity", "round-robin")

@@ -3,7 +3,7 @@
 A single CENT-style PIM module serving LLM-7B keeps ~3GB for KV cache
 (3072 one-megabyte chunks).  Twelve requests that each grow to 768 tokens
 need 4608 chunks -- a 1.5x oversubscription.  The same
-:class:`~repro.api.ExperimentSpec` is run under every preemption policy:
+:class:`~repro.api.spec.ExperimentSpec` is run under every preemption policy:
 
 * ``preemption.policy="none"`` -- the admit-to-completion contract: each
   request's *final* context is committed at admission, so only eight fit
@@ -28,14 +28,8 @@ Run with:  python examples/preemption_under_pressure.py
 """
 
 from repro.analysis.reporting import format_table
-from repro.api import (
-    ExperimentSpec,
-    ModelSpec,
-    PreemptionSpec,
-    SystemSpec,
-    TraceSpec,
-    run,
-)
+from repro.api.build import run
+from repro.api.spec import ExperimentSpec, ModelSpec, PreemptionSpec, SystemSpec, TraceSpec
 
 POLICIES = ("none", "evict-lru", "evict-largest", "evict-youngest")
 

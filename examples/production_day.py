@@ -33,7 +33,8 @@ import json
 from pathlib import Path
 
 from repro.analysis.reporting import format_table
-from repro.api import ExperimentSpec, run
+from repro.api.build import run
+from repro.api.spec import ExperimentSpec
 
 SPEC_PATH = Path(__file__).parent / "specs" / "diurnal_autoscale.json"
 

@@ -3,7 +3,7 @@
 This example builds the smallest end-to-end pipeline through the
 declarative experiment API:
 
-1. describe the experiment as an :class:`~repro.api.ExperimentSpec`
+1. describe the experiment as an :class:`~repro.api.spec.ExperimentSpec`
    (model, system, workload -- all plain data that round-trips to JSON),
 2. sweep the PIMphony feature presets with ``with_overrides``,
 3. run each spec and compare throughput from the unified ``RunReport``.
@@ -17,8 +17,9 @@ Run with:  python examples/quickstart.py
 """
 
 from repro.analysis.reporting import format_table
-from repro.api import ExperimentSpec, ModelSpec, SystemSpec, TraceSpec, build, run
-from repro.serving import serve
+from repro.api.build import build, run
+from repro.api.spec import ExperimentSpec, ModelSpec, SystemSpec, TraceSpec
+from repro.serving.engine import serve
 
 
 def main() -> None:

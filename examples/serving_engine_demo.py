@@ -15,16 +15,10 @@ Run with:  python examples/serving_engine_demo.py
 """
 
 from repro.analysis.reporting import serving_summary_table
-from repro.api import (
-    AdmissionSpec,
-    ExperimentSpec,
-    ModelSpec,
-    SystemSpec,
-    TraceSpec,
-    build,
-    run,
-)
-from repro.serving import FCFSAdmission, ServingEngine
+from repro.api.build import build, run
+from repro.api.spec import AdmissionSpec, ExperimentSpec, ModelSpec, SystemSpec, TraceSpec
+from repro.serving.admission import FCFSAdmission
+from repro.serving.engine import ServingEngine
 
 
 def admission_policy_comparison(base: ExperimentSpec) -> None:

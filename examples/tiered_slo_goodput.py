@@ -29,8 +29,8 @@ import json
 from pathlib import Path
 
 from repro.analysis.reporting import format_table
-from repro.api import ExperimentSpec, run
-from repro.api.spec import apply_override
+from repro.api.build import run
+from repro.api.spec import ExperimentSpec, apply_override
 
 SPEC_PATH = Path(__file__).parent / "specs" / "tiered_slo_oversubscribed.json"
 POLICIES = ("evict-lru", "evict-priority-lru")

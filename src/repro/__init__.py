@@ -36,13 +36,25 @@ System* (HPCA 2026).  It provides:
 the PIMphony feature configuration, model/dataset lookups, the serving
 engine with its admission policies, the replica router with its routing
 policies, prefill configuration, trace helpers, and the declarative
-experiment API.
+experiment API.  It is the one curated surface: each name is imported
+from the module that defines it, and the subpackages re-export nothing,
+so any other name is imported from its defining module.
 """
 
 # The experiment registries (repro.api.registry) list the built-in systems,
 # policies and trace sources by module path and import each on first use,
 # so nothing here is imported for its side effects.
-from repro.api import (
+from repro.api.build import build, run, sweep_specs
+from repro.api.registry import (
+    register_admission_policy,
+    register_preemption_policy,
+    register_prefill_model,
+    register_routing_policy,
+    register_system,
+    register_trace,
+)
+from repro.api.report import RunReport, TierReport
+from repro.api.spec import (
     AdmissionSpec,
     AllocatorSpec,
     EngineSpec,
@@ -53,53 +65,35 @@ from repro.api import (
     PrefillSpec,
     PrefixCacheSpec,
     RouterSpec,
-    RunReport,
     SystemSpec,
-    TierReport,
     TierSpec,
     TraceSpec,
-    build,
-    register_admission_policy,
-    register_preemption_policy,
-    register_prefill_model,
-    register_routing_policy,
-    register_system,
-    register_trace,
-    run,
-    sweep_specs,
 )
 from repro.core.orchestrator import PIMphonyConfig
+from repro.memory.lifecycle import CapacityExceeded, PreemptedState
 from repro.models.llm import LLMConfig, get_model, list_models
-from repro.serving import (
-    CapacityAwareAdmission,
-    CapacityAwareRouting,
-    CapacityExceeded,
-    EngineResult,
+from repro.serving.admission import CapacityAwareAdmission, FCFSAdmission, PriorityAdmission
+from repro.serving.engine import EngineResult, ServingEngine, serve
+from repro.serving.fast_engine import FastServingEngine
+from repro.serving.preemption import (
     EvictLargest,
     EvictLRU,
     EvictPriorityLargest,
     EvictPriorityLRU,
     EvictPriorityYoungest,
     EvictYoungest,
-    FastServingEngine,
-    FCFSAdmission,
-    FleetResult,
-    LeastOutstandingRouting,
-    LinearPrefillModel,
-    PreemptedState,
     PreemptionConfig,
     PreemptionCostModel,
-    PrefillConfig,
-    PrefixCache,
-    PrefixCacheStats,
-    PriorityAdmission,
+)
+from repro.serving.prefill import LinearPrefillModel, PrefillConfig, prefill_model_for
+from repro.serving.prefix_cache import PrefixCache, PrefixCacheStats
+from repro.serving.router import (
+    CapacityAwareRouting,
+    FleetResult,
+    LeastOutstandingRouting,
     ReplicaRouter,
     RoundRobinRouting,
-    ServingEngine,
-    ServingResult,
     SessionAffinityRouting,
-    prefill_model_for,
-    serve,
 )
 from repro.workloads.datasets import get_dataset, list_datasets
 from repro.workloads.traces import (
@@ -129,7 +123,6 @@ __all__ = [
     "ServingEngine",
     "FastServingEngine",
     "EngineResult",
-    "ServingResult",
     "serve",
     "FCFSAdmission",
     "CapacityAwareAdmission",

@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.pim.energy import EnergyBreakdown, EnergyModel
 from repro.pim.simulator import CycleBreakdown
 from repro.pim.timing import PIMTiming
-from repro.serving.interfaces import ServingResult
+from repro.serving.engine import EngineResult
 
 
 def energy_from_breakdown(
@@ -41,7 +41,7 @@ def energy_from_breakdown(
 
 
 def serving_energy(
-    result: ServingResult,
+    result: EngineResult,
     timing: PIMTiming,
     model: EnergyModel | None = None,
 ) -> dict[str, EnergyBreakdown]:
@@ -60,11 +60,9 @@ def serving_energy(
             it with ``engine.mode=scalar`` (the default of
             :func:`~repro.serving.engine.serve`) instead.
     """
-    # Only an EngineResult counts span-priced evaluations.
-    span_evaluations = getattr(result, "span_evaluations", 0)
-    if span_evaluations and result.total_pim_channels:
+    if result.span_evaluations and result.total_pim_channels:
         raise ValueError(
-            f"{span_evaluations} decode evaluations were priced by decode_span "
+            f"{result.span_evaluations} decode evaluations were priced by decode_span "
             "without cycle breakdowns, so their PIM energy is unknown; run "
             "with engine.mode=scalar"
         )

@@ -17,8 +17,8 @@ direct ``ServingEngine``/``ReplicaRouter`` run to the last float.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Mapping
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -37,7 +37,8 @@ from repro.api.spec import ExperimentSpec
 from repro.core.orchestrator import PIMphonyConfig
 from repro.models.llm import LLMConfig, get_model
 from repro.serving.autoscaler import ReactiveAutoscaler
-from repro.serving.disagg import DisaggRouter, PrefillPool
+from repro.serving.disagg.handoff import PrefillPool
+from repro.serving.disagg.router import DisaggRouter
 from repro.serving.engine import ServingEngine
 from repro.serving.fast_engine import FastServingEngine
 from repro.serving.fleet_events import DynamicFleetRouter, FleetEvent

@@ -10,7 +10,7 @@ the first time :meth:`Registry.get` looks it up, so a run loads only the
 components its spec names.  Extending the experiment vocabulary is one
 call:
 
-    from repro.api import register_admission_policy
+    from repro.api.registry import register_admission_policy
 
     class DeadlineAdmission: ...
 

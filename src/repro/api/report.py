@@ -9,11 +9,10 @@ two adapters, :meth:`RunReport.from_engine` and
 :meth:`RunReport.from_disagg` (two-pool fleets) are ``from_fleet`` plus the
 spec-level fields and the fleet's own report block
 (:class:`~repro.serving.router.FleetTimelineReport` or
-:class:`~repro.serving.disagg.router.DisaggReport`, both re-exported
-here).  Provenance is carried in typed
-fields (``spec``, ``spec_hash``, ``seed``, ``num_replicas``, policy names)
-instead of loose metadata dicts, so downstream tooling reads attributes
-rather than guessing dictionary keys.
+:class:`~repro.serving.disagg.router.DisaggReport`).  Provenance is carried
+in typed fields (``spec``, ``spec_hash``, ``seed``, ``num_replicas``,
+policy names) instead of loose metadata dicts, so downstream tooling reads
+attributes rather than guessing dictionary keys.
 """
 
 from __future__ import annotations
@@ -594,4 +593,4 @@ class RunReport:
         return data
 
 
-__all__ = ["DisaggReport", "FleetTimelineReport", "RunReport", "TierReport"]
+__all__ = ["RunReport", "TierReport"]

@@ -297,7 +297,7 @@ class SystemSpec:
     Attributes:
         kind: Registered system kind (``"pim-only"``, ``"xpu-pim"``,
             ``"xpu-only"``, ``"gpu"``, or anything added via
-            :func:`repro.api.register_system`).
+            :func:`~repro.api.registry.register_system`).
         num_modules: Module/device count; ``None`` uses the kind's
             paper-matched default.
         pimphony: PIMphony feature preset (:data:`PIMPHONY_PRESETS`).
@@ -430,7 +430,7 @@ class PreemptionSpec:
             pre-lifecycle behaviour is reproduced exactly.  Any other key
             (``"evict-lru"``, ``"evict-largest"``, ``"evict-youngest"``,
             or anything added via
-            :func:`repro.api.register_preemption_policy`) switches the
+            :func:`~repro.api.registry.register_preemption_policy`) switches the
             engine to incremental allocation with victim eviction.
         mode: ``"swap"`` pages victims' KV to host memory and back at
             ``swap_bandwidth_gbps``; ``"recompute"`` drops it and re-runs
@@ -675,7 +675,7 @@ class ArrivalSpec:
     """Arrival process attaching every request's arrival timestamp.
 
     The registered process (see
-    :func:`repro.api.register_arrival_process`) stamps the trace; without
+    :func:`~repro.api.registry.register_arrival_process`) stamps the trace; without
     this sub-spec every request arrives at time zero.  Fields not read by
     the selected process are ignored, mirroring :class:`TraceSpec`.
 
@@ -928,7 +928,7 @@ class ExperimentSpec:
 
     ``router=None`` runs a single :class:`~repro.serving.engine.ServingEngine`;
     a :class:`RouterSpec` runs a :class:`~repro.serving.router.ReplicaRouter`
-    fleet.  Either way :func:`repro.api.run` returns the same
+    fleet.  Either way :func:`~repro.api.build.run` returns the same
     :class:`~repro.api.report.RunReport`.
 
     Attributes:

@@ -18,27 +18,3 @@ Suppress a finding with ``# repro-lint: disable=RPR001`` on its line (add
 a reason after the codes), or file-wide with
 ``# repro-lint: disable-file=RPR001``.
 """
-
-from __future__ import annotations
-
-from repro.devtools.lint.core import (
-    Finding,
-    LintModule,
-    LintProject,
-    Rule,
-    format_json,
-    format_text,
-    run_lint,
-)
-from repro.devtools.lint.rules import all_rules
-
-__all__ = [
-    "Finding",
-    "LintModule",
-    "LintProject",
-    "Rule",
-    "all_rules",
-    "format_json",
-    "format_text",
-    "run_lint",
-]

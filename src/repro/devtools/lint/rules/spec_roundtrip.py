@@ -29,10 +29,8 @@ from __future__ import annotations
 import ast
 import contextlib
 import dataclasses
-import importlib
 import json
 from collections.abc import Iterator, Sequence
-from pathlib import Path
 from typing import Any
 
 from repro.devtools.lint.core import Finding, LintProject, Rule
@@ -148,12 +146,8 @@ class SpecRoundTripRule(Rule):
         if spec_module is None:
             return
         try:
-            # importlib rather than ``from repro.api import spec``: the lazy
-            # PEP-562 ``repro.api`` namespace resolves attribute access to
-            # the *exported callables* (e.g. ``build`` the function), not
-            # the submodules.
-            registry_mod = importlib.import_module("repro.api.registry")
-            spec_mod = importlib.import_module("repro.api.spec")
+            from repro.api import registry as registry_mod
+            from repro.api import spec as spec_mod
         except Exception as error:  # pragma: no cover - import breakage
             yield Finding(
                 code=self.code,
@@ -420,7 +414,7 @@ class SpecRoundTripRule(Rule):
         self, spec_module: Any, spec_mod: Any, anchored: Any
     ) -> Iterator[Finding]:
         try:
-            build_mod = importlib.import_module("repro.api.build")
+            from repro.api import build as build_mod
         except Exception:  # pragma: no cover - covered by the import check
             return
         declared = set(spec_mod.PIMPHONY_PRESETS)

@@ -33,150 +33,3 @@ Layering, from the outside in:
   :class:`KVLifecycle` protocols plus result types.
 * :mod:`repro.serving.lifecycle` -- per-request TTFT/TPOT/latency tracking.
 """
-
-from repro.serving.admission import (
-    AdmissionCandidate,
-    AdmissionPolicy,
-    CapacityAwareAdmission,
-    FCFSAdmission,
-    PriorityAdmission,
-)
-from repro.serving.autoscaler import (
-    SCALE_DOWN,
-    SCALE_UP,
-    ReactiveAutoscaler,
-    ScalingDecision,
-)
-from repro.serving.disagg import (
-    DisaggRouter,
-    HandoffRecord,
-    PrefillPhase,
-    PrefillPool,
-)
-from repro.serving.engine import EngineResult, ServingEngine, serve
-from repro.serving.fast_engine import FastServingEngine
-from repro.serving.fleet_events import (
-    DynamicFleetRouter,
-    FleetEvent,
-    SegmentRecord,
-)
-from repro.serving.interfaces import (
-    CapacityExceeded,
-    DecodeSystem,
-    KVLifecycle,
-    PreemptedState,
-    ServingResult,
-    StepResult,
-    allocator_for,
-    build_allocator,
-)
-from repro.serving.lifecycle import (
-    LatencyStats,
-    LifecycleTracker,
-    RequestRecord,
-    WindowStats,
-    percentile,
-    percentiles,
-    windowed_stats,
-)
-from repro.serving.preemption import (
-    EvictLargest,
-    EvictLRU,
-    EvictPriorityLargest,
-    EvictPriorityLRU,
-    EvictPriorityYoungest,
-    EvictYoungest,
-    NoPreemption,
-    PreemptionCandidate,
-    PreemptionConfig,
-    PreemptionCostModel,
-    PreemptionPolicy,
-)
-from repro.serving.prefill import (
-    LinearPrefillModel,
-    PrefillConfig,
-    PrefillModel,
-    SupportsPrefill,
-    SystemPrefillModel,
-    prefill_model_for,
-    transformer_prefill_flops,
-)
-from repro.serving.prefix_cache import PrefixCache, PrefixCacheStats
-from repro.serving.router import (
-    CapacityAwareRouting,
-    FleetResult,
-    KVBalancedRouting,
-    LeastOutstandingRouting,
-    ReplicaRouter,
-    ReplicaState,
-    RoundRobinRouting,
-    RoutingPolicy,
-    SessionAffinityRouting,
-)
-
-__all__ = [
-    "AdmissionCandidate",
-    "AdmissionPolicy",
-    "CapacityAwareAdmission",
-    "FCFSAdmission",
-    "PriorityAdmission",
-    "DisaggRouter",
-    "HandoffRecord",
-    "PrefillPhase",
-    "PrefillPool",
-    "EngineResult",
-    "ServingEngine",
-    "FastServingEngine",
-    "serve",
-    "DynamicFleetRouter",
-    "FleetEvent",
-    "SegmentRecord",
-    "SCALE_DOWN",
-    "SCALE_UP",
-    "ReactiveAutoscaler",
-    "ScalingDecision",
-    "CapacityExceeded",
-    "DecodeSystem",
-    "KVLifecycle",
-    "PreemptedState",
-    "ServingResult",
-    "StepResult",
-    "allocator_for",
-    "build_allocator",
-    "EvictLargest",
-    "EvictLRU",
-    "EvictPriorityLargest",
-    "EvictPriorityLRU",
-    "EvictPriorityYoungest",
-    "EvictYoungest",
-    "NoPreemption",
-    "PreemptionCandidate",
-    "PreemptionConfig",
-    "PreemptionCostModel",
-    "PreemptionPolicy",
-    "LatencyStats",
-    "LifecycleTracker",
-    "RequestRecord",
-    "WindowStats",
-    "percentile",
-    "percentiles",
-    "windowed_stats",
-    "LinearPrefillModel",
-    "PrefillConfig",
-    "PrefillModel",
-    "SupportsPrefill",
-    "SystemPrefillModel",
-    "prefill_model_for",
-    "transformer_prefill_flops",
-    "PrefixCache",
-    "PrefixCacheStats",
-    "CapacityAwareRouting",
-    "FleetResult",
-    "KVBalancedRouting",
-    "LeastOutstandingRouting",
-    "ReplicaRouter",
-    "ReplicaState",
-    "RoundRobinRouting",
-    "RoutingPolicy",
-    "SessionAffinityRouting",
-]

@@ -30,16 +30,3 @@ first token) while TPOT measures pure decode.  It returns the same
 handoff accounting in its ``disagg`` block
 (:class:`~repro.serving.disagg.router.DisaggReport`).
 """
-
-from __future__ import annotations
-
-from repro.serving.disagg.handoff import HandoffRecord, PrefillPhase, PrefillPool
-from repro.serving.disagg.router import DisaggReport, DisaggRouter
-
-__all__ = [
-    "DisaggReport",
-    "DisaggRouter",
-    "HandoffRecord",
-    "PrefillPhase",
-    "PrefillPool",
-]

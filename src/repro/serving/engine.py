@@ -79,12 +79,11 @@ from typing import ClassVar
 from repro.memory.chunked_alloc import ChunkedAllocator
 from repro.memory.lifecycle import CapacityExceeded, PreemptedState
 from repro.memory.static_alloc import AllocationError
-from repro.pim.simulator import CycleBreakdown, ZERO_BREAKDOWN, breakdown_fields
+from repro.pim.simulator import ZERO_BREAKDOWN, CycleBreakdown, breakdown_fields
 from repro.serving.admission import AdmissionCandidate, AdmissionPolicy, FCFSAdmission
 from repro.serving.interfaces import (
     DecodeSystem,
     KVLifecycle,
-    ServingResult,
     allocator_for,
     clamp_to_window,
 )
@@ -99,8 +98,8 @@ _MIN_HINT = 16
 
 
 @dataclass
-class EngineResult(ServingResult):
-    """Serving metrics extended with lifecycle latency statistics.
+class EngineResult:
+    """Aggregate metrics of one serving run, with lifecycle latency statistics.
 
     ``total_seconds`` (and therefore ``throughput_tokens_per_s``) counts
     busy decode time only, matching the legacy loop; ``makespan_s`` adds
@@ -116,6 +115,20 @@ class EngineResult(ServingResult):
     :func:`~repro.analysis.energy_report.serving_energy` enforces.
     """
 
+    system_name: str
+    dataset: str
+    total_output_tokens: int
+    total_seconds: float
+    steps: int
+    average_batch_size: float
+    peak_batch_size: int
+    average_pim_utilization: float
+    average_capacity_utilization: float
+    attention_breakdown: CycleBreakdown = ZERO_BREAKDOWN
+    fc_breakdown: CycleBreakdown = ZERO_BREAKDOWN
+    total_pim_channels: int = 0
+    requests_served: int = 0
+    metadata: dict = field(default_factory=dict)
     makespan_s: float = 0.0
     idle_seconds: float = 0.0
     admission_policy: str = "fcfs"
@@ -146,6 +159,18 @@ class EngineResult(ServingResult):
     #: Decode evaluations priced by ``decode_span`` (zero breakdowns);
     #: not part of the report, so fast and scalar reports stay equal.
     span_evaluations: int = 0
+
+    @property
+    def throughput_tokens_per_s(self) -> float:
+        if self.total_seconds <= 0:
+            return 0.0
+        return self.total_output_tokens / self.total_seconds
+
+    @property
+    def average_step_seconds(self) -> float:
+        if self.steps == 0:
+            return 0.0
+        return self.total_seconds / self.steps
 
     @property
     def prefix_hit_rate(self) -> float:

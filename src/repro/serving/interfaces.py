@@ -20,14 +20,14 @@ subclass :class:`~repro.core.dpa.DPAController`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.memory.chunked_alloc import ChunkedAllocator
 from repro.memory.lifecycle import CapacityExceeded, PreemptedState
 from repro.memory.static_alloc import StaticAllocator
-from repro.pim.simulator import CycleBreakdown, ZERO_BREAKDOWN
+from repro.pim.simulator import ZERO_BREAKDOWN, CycleBreakdown
 from repro.serving.prefill import SupportsPrefill
 
 if TYPE_CHECKING:
@@ -43,7 +43,6 @@ __all__ = [
     "build_allocator",
     "allocator_for",
     "clamp_to_window",
-    "ServingResult",
 ]
 
 
@@ -204,35 +203,3 @@ def clamp_to_window(request: Request, window: int) -> tuple[int, int]:
     """
     final = min(request.prompt_tokens + request.output_tokens, window)
     return max(1, final - request.output_tokens), final
-
-
-@dataclass
-class ServingResult:
-    """Aggregate metrics of one serving run."""
-
-    system_name: str
-    dataset: str
-    total_output_tokens: int
-    total_seconds: float
-    steps: int
-    average_batch_size: float
-    peak_batch_size: int
-    average_pim_utilization: float
-    average_capacity_utilization: float
-    attention_breakdown: CycleBreakdown = ZERO_BREAKDOWN
-    fc_breakdown: CycleBreakdown = ZERO_BREAKDOWN
-    total_pim_channels: int = 0
-    requests_served: int = 0
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def throughput_tokens_per_s(self) -> float:
-        if self.total_seconds <= 0:
-            return 0.0
-        return self.total_output_tokens / self.total_seconds
-
-    @property
-    def average_step_seconds(self) -> float:
-        if self.steps == 0:
-            return 0.0
-        return self.total_seconds / self.steps

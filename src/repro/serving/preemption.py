@@ -13,7 +13,7 @@ simulation clock.
 
 The experiment API lists these policies by name, so specs select them as
 ``{"preemption": {"policy": "evict-lru"}}`` and new ones plug in with one
-:func:`repro.api.register_preemption_policy` call:
+:func:`~repro.api.registry.register_preemption_policy` call:
 
 * ``none`` -- never preempt; the engine keeps the legacy
   admit-to-completion contract (final context committed at admission),
@@ -42,8 +42,8 @@ request forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.memory.lifecycle import PREEMPTION_COST_MODES, PreemptedState

@@ -441,7 +441,7 @@ class FleetResult:
     #: (``None`` for results merged outside a router, e.g. one engine).
     timeline: FleetTimelineReport | None = None
     #: Two-pool handoff accounting, set by
-    #: :class:`~repro.serving.disagg.DisaggRouter` only.
+    #: :class:`~repro.serving.disagg.router.DisaggRouter` only.
     disagg: DisaggReport | None = None
 
     @staticmethod

@@ -6,7 +6,8 @@ from repro.analysis.energy_report import serving_energy
 from repro.baselines.cent import cent_system_config
 from repro.core.orchestrator import PIMphonyConfig
 from repro.pim.energy import EnergyModel
-from repro.serving import FastServingEngine, serve
+from repro.serving.engine import serve
+from repro.serving.fast_engine import FastServingEngine
 from repro.system.xpu import XPUOnlySystem
 from repro.workloads.datasets import get_dataset
 from repro.workloads.traces import generate_trace

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.api import (
+from repro.api.build import build, build_trace, derived_seeds, run
+from repro.api.spec import (
     AdmissionSpec,
     ArrivalSpec,
     ExperimentSpec,
@@ -10,21 +11,14 @@ from repro.api import (
     RouterSpec,
     SystemSpec,
     TraceSpec,
-    build,
-    run,
 )
-from repro.api.build import build_trace, derived_seeds
 from repro.baselines.cent import cent_system_config
 from repro.core.orchestrator import PIMphonyConfig
 from repro.models.llm import get_model
-from repro.serving import (
-    CapacityAwareRouting,
-    FCFSAdmission,
-    PrefillConfig,
-    ReplicaRouter,
-    ServingEngine,
-    prefill_model_for,
-)
+from repro.serving.admission import FCFSAdmission
+from repro.serving.engine import ServingEngine
+from repro.serving.prefill import PrefillConfig, prefill_model_for
+from repro.serving.router import CapacityAwareRouting, ReplicaRouter
 from repro.workloads.datasets import get_dataset
 from repro.workloads.traces import generate_trace, poisson_arrivals, random_sessions
 

@@ -148,7 +148,7 @@ class TestExampleSpecs:
         "spec_path", sorted(SPEC_DIR.glob("*.json")), ids=lambda p: p.stem
     )
     def test_spec_file_validates_and_round_trips(self, spec_path):
-        from repro.api import ExperimentSpec
+        from repro.api.spec import ExperimentSpec
 
         data = json.loads(spec_path.read_text())
         spec = ExperimentSpec.from_dict(data).validate()

@@ -14,20 +14,20 @@ import re
 
 import pytest
 
-from repro.api import ExperimentSpec, run
+from repro.api.build import build, run
 from repro.api.spec import (
     ArrivalSpec,
     AutoscalerSpec,
     BurstSpec,
     DisaggSpec,
+    ExperimentSpec,
     FleetEventSpec,
     PreemptionSpec,
     RouterSpec,
     TierSpec,
     WarpPhaseSpec,
 )
-from repro.api.build import build
-from repro.serving import DynamicFleetRouter
+from repro.serving.fleet_events import DynamicFleetRouter
 
 SPEC_DIR = pathlib.Path(__file__).resolve().parents[2] / "examples" / "specs"
 

@@ -22,7 +22,8 @@ SRC = ROOT / "src"
 
 _BUILD_PROBE = """
 import json, sys
-from repro.api import ExperimentSpec, build
+from repro.api.build import build
+from repro.api.spec import ExperimentSpec
 build(ExperimentSpec.from_json(open(sys.argv[1]).read()))
 print(json.dumps(sorted(name for name in sys.modules if name.startswith("repro."))))
 """

@@ -4,19 +4,13 @@ import json
 
 import pytest
 
-from repro.api import (
-    ExperimentSpec,
-    ModelSpec,
-    PreemptionSpec,
-    SystemSpec,
-    TraceSpec,
-    build,
-    run,
-)
+from repro.api.build import build, run
 from repro.api.cli import main
+from repro.api.spec import ExperimentSpec, ModelSpec, PreemptionSpec, SystemSpec, TraceSpec
 from repro.core.orchestrator import PIMphonyConfig
 from repro.models.llm import get_model
-from repro.serving import FCFSAdmission, ServingEngine
+from repro.serving.admission import FCFSAdmission
+from repro.serving.engine import ServingEngine
 from repro.serving.preemption import EvictLRU, NoPreemption
 
 ENGINE_METRICS = (

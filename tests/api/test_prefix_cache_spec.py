@@ -10,7 +10,9 @@ import json
 
 import pytest
 
-from repro.api import (
+from repro.api.build import build, run
+from repro.api.cli import main
+from repro.api.spec import (
     ArrivalSpec,
     ExperimentSpec,
     PrefillSpec,
@@ -18,11 +20,8 @@ from repro.api import (
     RouterSpec,
     SystemSpec,
     TraceSpec,
-    build,
-    run,
 )
-from repro.api.cli import main
-from repro.serving import PrefixCache
+from repro.serving.prefix_cache import PrefixCache
 
 ENGINE_METRICS = (
     "total_output_tokens",
@@ -179,7 +178,8 @@ class TestDisabledParity:
     def test_disabled_cache_matches_direct_engine_run_exactly(self):
         # Single-engine spec vs a hand-built ServingEngine with no
         # prefix-cache argument at all (the pre-PR construction).
-        from repro.serving import FCFSAdmission, ServingEngine
+        from repro.serving.admission import FCFSAdmission
+        from repro.serving.engine import ServingEngine
         from repro.serving.prefill import PrefillConfig, prefill_model_for
 
         spec = ExperimentSpec(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import AdmissionSpec, ExperimentSpec, TraceSpec, run
+from repro.api.build import run
 from repro.api.registry import (
     ADMISSION_POLICIES,
     ROUTING_POLICIES,
@@ -10,6 +10,7 @@ from repro.api.registry import (
     Registry,
     register_admission_policy,
 )
+from repro.api.spec import AdmissionSpec, ExperimentSpec, TraceSpec
 
 
 class TestRegistry:

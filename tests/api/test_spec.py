@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from repro.api import (
+from repro.api.spec import (
     AdmissionSpec,
     AllocatorSpec,
     ArrivalSpec,

@@ -4,18 +4,14 @@ import json
 
 import pytest
 
-from repro.api import ExperimentSpec, TierSpec, run
-from repro.api.spec import (
-    SystemSpec,
-    TraceSpec,
-    apply_override,
-)
+from repro.api.build import run
+from repro.api.spec import ExperimentSpec, SystemSpec, TierSpec, TraceSpec, apply_override
+from repro.workloads.datasets import get_dataset
 from repro.workloads.traces import (
     assign_tiers,
     generate_trace,
     random_sessions,
 )
-from repro.workloads.datasets import get_dataset
 
 
 def tiered_spec(**overrides) -> ExperimentSpec:

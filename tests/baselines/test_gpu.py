@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from repro.baselines.gpu import GPUConfig, GPUSystemModel, a100_config
-from repro.serving import serve
+from repro.serving.engine import serve
 from repro.workloads.datasets import get_dataset
 from repro.workloads.traces import generate_trace
 

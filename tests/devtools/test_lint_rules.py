@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 from repro.api.spec import ExperimentSpec
-from repro.devtools.lint import all_rules, format_json, format_text, run_lint
 from repro.devtools.lint.cli import main
+from repro.devtools.lint.core import format_json, format_text, run_lint
+from repro.devtools.lint.rules import all_rules
 from repro.devtools.lint.rules.spec_roundtrip import SpecRoundTripRule
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -405,7 +406,8 @@ class TestSpecRoundTripRule:
         )
 
     def test_detects_preset_vocabulary_drift(self, monkeypatch):
-        build_mod = __import__("repro.api.build", fromlist=["build"])
+        import repro.api.build as build_mod
+
         factories = dict(build_mod._PIMPHONY_FACTORIES)
         factories["lint-phantom"] = next(iter(factories.values()))
         monkeypatch.setattr(build_mod, "_PIMPHONY_FACTORIES", factories)

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import ExperimentSpec, run
-from repro.api.spec import apply_override
+from repro.api.build import run
+from repro.api.spec import ExperimentSpec, apply_override
 from repro.memory.chunked_alloc import ChunkedAllocator
 from repro.memory.lifecycle import CapacityExceeded
 from repro.memory.static_alloc import StaticAllocator

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import ExperimentSpec, run
-from repro.api.spec import apply_override
-from repro.serving.disagg import PrefillPool
+from repro.api.build import run
+from repro.api.spec import ExperimentSpec, apply_override
+from repro.serving.disagg.handoff import PrefillPool
 from repro.serving.prefill import LinearPrefillModel, PrefillConfig
 from repro.system.interconnect import InterconnectConfig
 from repro.workloads.traces import Request, RequestTrace
@@ -87,7 +87,7 @@ class TestHandoffPricing:
         spec = ExperimentSpec.from_dict(data).validate()
         report = run(spec)
         assert report.disagg is not None
-        from repro.api import build
+        from repro.api.build import build
 
         built = build(spec)
         disagg = spec.router.disagg
@@ -171,7 +171,8 @@ class TestTrivialTopologyParity:
 
 class TestPrefillPool:
     def _pool(self, replicas: int = 1) -> PrefillPool:
-        from repro.api import ExperimentSpec, build
+        from repro.api.build import build
+        from repro.api.spec import ExperimentSpec
 
         spec = ExperimentSpec.from_dict(
             {

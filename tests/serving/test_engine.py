@@ -5,13 +5,8 @@ import pytest
 from repro.baselines.cent import cent_system_config
 from repro.core.orchestrator import PIMphonyConfig
 from repro.memory.static_alloc import AllocationError
-from repro.serving import (
-    CapacityAwareAdmission,
-    FCFSAdmission,
-    PriorityAdmission,
-    ServingEngine,
-    serve,
-)
+from repro.serving.admission import CapacityAwareAdmission, FCFSAdmission, PriorityAdmission
+from repro.serving.engine import ServingEngine, serve
 from repro.workloads.datasets import get_dataset, synthetic_dataset
 from repro.workloads.traces import generate_trace, poisson_arrivals, replay_arrivals
 

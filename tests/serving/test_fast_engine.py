@@ -32,10 +32,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import ExperimentSpec, run
-from repro.api.build import build
+from repro.api.build import build, run
 from repro.api.report import RunReport
-from repro.api.spec import apply_override
+from repro.api.spec import ExperimentSpec, apply_override
 from repro.baselines.gpu import GPUSystemModel
 from repro.memory.static_alloc import StaticAllocator
 from repro.system.pim_only import PIMOnlySystem

@@ -4,17 +4,15 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.serving import (
-    SCALE_DOWN,
-    SCALE_UP,
-    DynamicFleetRouter,
+from repro.serving.autoscaler import SCALE_DOWN, SCALE_UP, ReactiveAutoscaler
+from repro.serving.engine import ServingEngine
+from repro.serving.fleet_events import DynamicFleetRouter
+from repro.serving.interfaces import StepResult
+from repro.serving.router import (
     FleetEvent,
     LeastOutstandingRouting,
-    ReactiveAutoscaler,
     ReplicaRouter,
     RoundRobinRouting,
-    ServingEngine,
-    StepResult,
 )
 from repro.workloads.traces import Request, RequestTrace
 

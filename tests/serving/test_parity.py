@@ -18,7 +18,7 @@ from repro.core.orchestrator import PIMphonyConfig
 from repro.memory.chunked_alloc import ChunkedAllocator
 from repro.memory.static_alloc import AllocationError, StaticAllocator
 from repro.pim.simulator import ZERO_BREAKDOWN
-from repro.serving import serve
+from repro.serving.engine import serve
 from repro.workloads.datasets import get_dataset
 from repro.workloads.traces import generate_trace
 

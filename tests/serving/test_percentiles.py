@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.serving import LatencyStats, RequestRecord, percentile, percentiles
+from repro.serving.lifecycle import LatencyStats, RequestRecord, percentile, percentiles
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 

@@ -4,19 +4,18 @@ from dataclasses import dataclass, replace
 
 import pytest
 
-from repro.serving import (
+from repro.serving.admission import FCFSAdmission
+from repro.serving.engine import ServingEngine, serve
+from repro.serving.interfaces import StepResult
+from repro.serving.preemption import (
     EvictLargest,
     EvictLRU,
     EvictYoungest,
-    FCFSAdmission,
     NoPreemption,
     PreemptionCandidate,
     PreemptionConfig,
     PreemptionCostModel,
-    ServingEngine,
-    serve,
 )
-from repro.serving.interfaces import StepResult
 from repro.workloads.traces import Request, RequestTrace
 
 CHUNK = 1024 * 1024  # engine allocators use the paper's 1MB chunks
@@ -179,7 +178,7 @@ class TestEnginePreemption:
         # be saved by preemption: the lifecycle engine must keep the legacy
         # drop (skip-over) / raise (head-of-line) semantics.
         from repro.memory.static_alloc import AllocationError
-        from repro.serving import CapacityAwareAdmission
+        from repro.serving.admission import CapacityAwareAdmission
 
         base = pressure_trace(num_requests=2)
         oversized = Request(request_id=99, prompt_tokens=2, output_tokens=100)
@@ -258,7 +257,7 @@ class TestCostModelValidation:
 
     def test_recompute_uses_prefill_model_when_available(self):
         from repro.memory.lifecycle import PreemptedState
-        from repro.serving import LinearPrefillModel
+        from repro.serving.prefill import LinearPrefillModel
 
         cost = PreemptionCostModel(mode="recompute", recompute_per_token_s=0.5)
         state = PreemptedState(request_id=0, tokens=10, kv_bytes=100)

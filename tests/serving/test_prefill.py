@@ -7,14 +7,9 @@ import pytest
 from repro.baselines.cent import cent_system_config
 from repro.baselines.neupims import neupims_system_config
 from repro.core.orchestrator import PIMphonyConfig
-from repro.serving import (
-    LinearPrefillModel,
-    PrefillConfig,
-    ServingEngine,
-    StepResult,
-    prefill_model_for,
-    serve,
-)
+from repro.serving.engine import ServingEngine, serve
+from repro.serving.interfaces import StepResult
+from repro.serving.prefill import LinearPrefillModel, PrefillConfig, prefill_model_for
 from repro.workloads.traces import Request, RequestTrace
 
 

@@ -4,16 +4,11 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.serving import (
-    LinearPrefillModel,
-    PreemptionConfig,
-    PreemptionCostModel,
-    PrefillConfig,
-    PrefixCache,
-    serve,
-)
+from repro.serving.engine import serve
 from repro.serving.interfaces import StepResult
-from repro.serving.preemption import EvictLRU
+from repro.serving.preemption import EvictLRU, PreemptionConfig, PreemptionCostModel
+from repro.serving.prefill import LinearPrefillModel, PrefillConfig
+from repro.serving.prefix_cache import PrefixCache
 from repro.workloads.traces import Request, RequestTrace, multi_turn_trace
 
 CHUNK = 1024 * 1024

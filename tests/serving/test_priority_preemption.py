@@ -2,16 +2,16 @@
 
 import pytest
 
-from repro.api import ExperimentSpec, TierSpec, run
-from repro.api.spec import PreemptionSpec, SystemSpec, TraceSpec
-from repro.serving import (
+from repro.api.build import run
+from repro.api.spec import ExperimentSpec, PreemptionSpec, SystemSpec, TierSpec, TraceSpec
+from repro.serving.engine import serve
+from repro.serving.preemption import (
     EvictLRU,
     EvictPriorityLargest,
     EvictPriorityLRU,
     EvictPriorityYoungest,
     PreemptionCandidate,
     PreemptionConfig,
-    serve,
 )
 from repro.workloads.traces import Request, RequestTrace
 from tests.serving.test_preemption import TinyPagedSystem

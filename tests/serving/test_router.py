@@ -4,8 +4,10 @@ from dataclasses import dataclass, replace
 
 import pytest
 
-from repro.serving import (
-    CapacityAwareAdmission,
+from repro.serving.admission import CapacityAwareAdmission
+from repro.serving.engine import ServingEngine
+from repro.serving.interfaces import StepResult
+from repro.serving.router import (
     CapacityAwareRouting,
     FleetResult,
     KVBalancedRouting,
@@ -13,9 +15,7 @@ from repro.serving import (
     ReplicaRouter,
     ReplicaState,
     RoundRobinRouting,
-    ServingEngine,
     SessionAffinityRouting,
-    StepResult,
 )
 from repro.workloads.traces import (
     Request,

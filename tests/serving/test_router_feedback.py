@@ -4,12 +4,9 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.serving import (
-    LeastOutstandingRouting,
-    ReplicaRouter,
-    ServingEngine,
-)
+from repro.serving.engine import ServingEngine
 from repro.serving.interfaces import StepResult
+from repro.serving.router import LeastOutstandingRouting, ReplicaRouter
 from repro.workloads.traces import Request, RequestTrace
 
 
@@ -149,7 +146,7 @@ class TestEWMAFeedback:
         # steps, but busy time includes chunked-prefill work -- on a
         # prompt-heavy single-token trace that inflated the learned
         # estimate by orders of magnitude and inverted dispatch.
-        from repro.serving import LinearPrefillModel, PrefillConfig
+        from repro.serving.prefill import LinearPrefillModel, PrefillConfig
 
         base_step = BatchSlowSystem().base_step_s
         engine = ServingEngine(

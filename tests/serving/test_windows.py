@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.serving import LatencyStats, RequestRecord, windowed_stats
+from repro.serving.lifecycle import LatencyStats, RequestRecord, windowed_stats
 
 
 def _record(

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.orchestrator import PIMphonyConfig
 from repro.baselines.cent import cent_system_config
+from repro.core.orchestrator import PIMphonyConfig
 from repro.memory.static_alloc import AllocationError
-from repro.serving import serve
+from repro.serving.engine import serve
 from repro.workloads.datasets import get_dataset, synthetic_dataset
 from repro.workloads.traces import generate_trace
 

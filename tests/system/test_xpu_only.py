@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from repro.serving import serve
+from repro.serving.engine import serve
 from repro.system.xpu import XPUConfig, XPUOnlySystem
 from repro.workloads.datasets import get_dataset
 from repro.workloads.traces import generate_trace

@@ -9,8 +9,10 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.serving import RequestRecord, StepResult, serve
 from repro.serving.admission import AdmissionCandidate
+from repro.serving.engine import serve
+from repro.serving.interfaces import StepResult
+from repro.serving.lifecycle import RequestRecord
 from repro.serving.router import restamp
 from repro.workloads.traces import Request, RequestTrace, _fast_request, _with_fields
 
